@@ -9,7 +9,9 @@ Assembly proceeds in three stages:
 2. :func:`enumerate_candidates` applies the structural constraints: for one
    starting service it enumerates every subgraph in which each included
    node picks exactly the required number of its targets (all of them for
-   an ALL constraint), and sorts the candidates by worst-path time.
+   an ALL constraint), and sorts the candidates by worst-path time.  Each
+   cost is computed bottom-up from the picks as the subgraph is built and
+   equals :func:`~selfassembly.model.worst_path_time` of it exactly.
 3. :func:`select_assembly` walks combinations of one candidate per start
    (an odometer over the sorted lists, rightmost start varying fastest) and
    commits the first whose deduplicated union keeps every service's
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
@@ -34,6 +35,7 @@ from .errors import (
     Infeasible,
     InsufficientServices,
     NoStartingService,
+    PeerUnknown,
     TemplateInvalid,
 )
 from .model import (
@@ -45,7 +47,7 @@ from .model import (
     ServiceDescriptor,
     service_map,
     validate_template,
-    worst_path_time,
+    worst_path_time,  # the cost definition candidate costs reproduce
 )
 from .netsim import Simulator
 
@@ -105,6 +107,12 @@ class AssemblyResult:
     per_service_load: dict[str, int]
 
 
+def _require_valid(template: ApplicationTemplate) -> None:
+    report = validate_template(template)
+    if not report.ok:
+        raise TemplateInvalid(report)
+
+
 def build_binding_graph(
     services: Iterable[ServiceDescriptor],
     template: ApplicationTemplate,
@@ -115,12 +123,16 @@ def build_binding_graph(
     Starting services contact every visible target of the paired type;
     each contacted service measures the link from its sender and floods
     onward for its own type pairs.  The result contains one directed edge
-    per allowed binding and one link measurement per edge.
+    per allowed binding and one link measurement per edge.  Only services
+    of template types are considered, and visibility is asked per (sender,
+    target) pair with :meth:`Simulator.can_see`, so the cost follows the
+    template's services rather than the registry size.
     """
-    report = validate_template(template)
-    if not report.ok:
-        raise TemplateInvalid(report)
-    svc = sorted(service_map(services).values(), key=lambda s: s.id)
+    _require_valid(template)
+    types = template.types()
+    svc = sorted(
+        (s for s in service_map(services).values() if s.type in types), key=lambda s: s.id
+    )
     by_type: dict[str, list[ServiceDescriptor]] = {}
     for descriptor in svc:
         by_type.setdefault(descriptor.type, []).append(descriptor)
@@ -139,10 +151,11 @@ def build_binding_graph(
         specs = template.out_edges(sender.type)
         if not specs:
             continue
-        visible = net.visible_peers(sender.id)
+        if not net.is_live(sender.id):
+            raise PeerUnknown(f"observer {sender.id!r} is not live")
         for to_type, _constraint in specs:
             for target in by_type.get(to_type, []):
-                if target.id not in visible:
+                if not net.can_see(sender.id, target.id):
                     continue
                 edges.append((sender.id, target.id))
                 links.set(sender.id, target.id, net.measure_link(sender.id, target.id))
@@ -168,6 +181,11 @@ def enumerate_candidates(
     are ordered by the sorted edge list, so the result is stable across
     runs.  Raises :class:`InsufficientServices` when an included node has
     fewer reachable targets than its constraint requires.
+
+    Costs are computed per candidate bottom-up over its included nodes,
+    sinks first, in the same order of additions as :func:`worst_path_time`,
+    so each equals ``worst_path_time(candidate.graph, ...)`` bit for bit
+    without building the graph.
     """
     svc = service_map(services)
     if start_id not in graph.nodes:
@@ -185,19 +203,32 @@ def enumerate_candidates(
 
     shared_edge = {edge: edge for edge in graph.edges}
     type_order = template.topological_types()
+    reverse_order = type_order[::-1]
     out_specs = {t: template.out_edges(t) for t in type_order}
+    lookup = links.get
 
     included: dict[str, list[str]] = {t: [] for t in type_order}
     included[svc[start_id].type].append(start_id)
     included_set = {start_id}
     edge_acc: list[tuple[str, str]] = []
+    # Targets each included binder picked on the current branch, over all
+    # of its type pairs; rewritten whenever the binder's type is expanded.
+    picks: dict[str, tuple[str, ...]] = {}
+    best: dict[str, float] = {}
     raw: list[tuple[float, tuple[tuple[str, str], ...]]] = []
 
     def materialize() -> None:
-        edge_tuple = tuple(sorted(edge_acc))
-        candidate = AssemblyGraph(frozenset(included_set), frozenset(edge_tuple))
-        cost = worst_path_time(candidate, start_id, svc, links)
-        raw.append((cost, edge_tuple))
+        # Worst-path time bottom-up over the included nodes, sinks first,
+        # in the same association as worst_path_time: equal floats.
+        for node_type in reverse_order:
+            for node in included[node_type]:
+                qos = svc[node].qos_nominal
+                nexts = picks.get(node)
+                if nexts:
+                    best[node] = qos + max(lookup(node, nxt) + best[nxt] for nxt in nexts)
+                else:
+                    best[node] = qos
+        raw.append((best[start_id], tuple(sorted(edge_acc))))
 
     def expand(position: int) -> None:
         if position == len(type_order):
@@ -210,9 +241,9 @@ def enumerate_candidates(
             expand(position + 1)
             return
 
-        choice_meta: list[tuple[str, str]] = []  # (binder node, target type)
+        choice_meta: list[tuple[str, str, bool]] = []  # (binder, target type, first pair)
         choice_pools = []
-        for to_type, constraint in specs:
+        for index, (to_type, constraint) in enumerate(specs):
             for node in binders:
                 available = succ_by_type.get(node, {}).get(to_type, [])
                 if isinstance(constraint, AllServices):
@@ -221,13 +252,14 @@ def enumerate_candidates(
                     if len(available) < constraint:
                         raise InsufficientServices(to_type, constraint, len(available))
                     pool = tuple(combinations(available, constraint))
-                choice_meta.append((node, to_type))
+                choice_meta.append((node, to_type, index == 0))
                 choice_pools.append(pool)
 
         for assignment in product(*choice_pools):
             marks: dict[str, int] = {}
             edge_mark = len(edge_acc)
-            for (node, to_type), chosen in zip(choice_meta, assignment):
+            for (node, to_type, first), chosen in zip(choice_meta, assignment):
+                picks[node] = chosen if first else picks[node] + chosen
                 bucket = included[to_type]
                 if to_type not in marks:
                     marks[to_type] = len(bucket)
@@ -244,7 +276,12 @@ def enumerate_candidates(
                     included_set.discard(target)
                 del bucket[length:]
 
-    expand(0)
+    try:
+        expand(0)
+    finally:
+        # expand refers to itself; clearing that cycle frees the search
+        # state on return instead of at the next garbage collection.
+        del expand
     raw.sort(key=lambda item: (item[0], item[1]))
     return [
         CandidateSubgraph(start_id, edges, cost, rank)
@@ -281,7 +318,7 @@ def select_assembly(
             raise ValueError(f"start {sid!r} has an empty candidate list")
         pools.append(tuple(candidates))
 
-    thresholds = {s.id: s.threshold for s in service_map(services).values()}
+    svc = service_map(services)
     tested = 0
     for combo in product(*pools):
         tested += 1
@@ -291,7 +328,7 @@ def select_assembly(
         for candidate in combo:
             union_edges.update(candidate.edges)
         loads = Counter(target for _, target in union_edges)
-        if all(count <= thresholds[node] for node, count in loads.items()):
+        if all(count <= svc[node].threshold for node, count in loads.items()):
             nodes = set(start_ids)
             for a, b in union_edges:
                 nodes.add(a)
@@ -308,33 +345,18 @@ def assemble(
     net: Simulator,
     *,
     budget: int = DEFAULT_COMBINATION_BUDGET,
-    parallel: bool = False,
 ) -> AssemblyResult:
     """Run the full pipeline: flood and measure, enumerate per start,
     commit the first feasible combination.
 
-    With ``parallel=True`` the per-start enumeration runs on a thread
-    pool; results merge in start-id order, so the outcome is identical to
-    the sequential run.
+    The registry is indexed once and shared by every stage.
     """
-    services = list(services)
-    graph, links = build_binding_graph(services, template, net)
+    _require_valid(template)  # reported before a duplicate id, as by the flood
     svc = service_map(services)
+    graph, links = build_binding_graph(svc, template, net)
     start_type = template.starting_type()
     start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == start_type)
-
-    if parallel and len(start_ids) > 1:
-        with ThreadPoolExecutor() as pool:
-            lists = list(
-                pool.map(
-                    lambda sid: enumerate_candidates(graph, links, template, sid, svc),
-                    start_ids,
-                )
-            )
-        per_start = dict(zip(start_ids, lists))
-    else:
-        per_start = {
-            sid: enumerate_candidates(graph, links, template, sid, svc)
-            for sid in start_ids
-        }
-    return select_assembly(per_start, services, budget=budget)
+    per_start = {
+        sid: enumerate_candidates(graph, links, template, sid, svc) for sid in start_ids
+    }
+    return select_assembly(per_start, svc, budget=budget)

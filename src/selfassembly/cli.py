@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_assemble.add_argument("--dot", help="write the assembly as a DOT digraph")
     p_assemble.add_argument("--json", dest="json_out", help="write the assembly as JSON")
     p_assemble.add_argument("--budget", type=int, default=DEFAULT_COMBINATION_BUDGET)
-    p_assemble.add_argument("--parallel", action="store_true", help="enumerate starts on a thread pool")
 
     p_sim = sub.add_parser("simulate", help="replay scenario events and log every re-assembly")
     p_sim.add_argument("--scenario", required=True)
@@ -110,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _enumerate_stage(scenario: Scenario, parallel: bool):
+def _enumerate_stage(scenario: Scenario):
     """Build the binding graph and the per-start candidate lists, so
     callers can reach the measured links and candidate counts even when
     the selection stage fails."""
@@ -119,22 +118,10 @@ def _enumerate_stage(scenario: Scenario, parallel: bool):
     svc = service_map(scenario.services)
     start_type = scenario.template.starting_type()
     start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == start_type)
-    if parallel and len(start_ids) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            lists = list(
-                pool.map(
-                    lambda sid: enumerate_candidates(graph, links, scenario.template, sid, svc),
-                    start_ids,
-                )
-            )
-        per_start = dict(zip(start_ids, lists))
-    else:
-        per_start = {
-            sid: enumerate_candidates(graph, links, scenario.template, sid, svc)
-            for sid in start_ids
-        }
+    per_start = {
+        sid: enumerate_candidates(graph, links, scenario.template, sid, svc)
+        for sid in start_ids
+    }
     return net, links, per_start
 
 
@@ -146,7 +133,7 @@ def cmd_assemble(args) -> int:
         return EXIT_PARSE
     started = time.perf_counter()
     try:
-        net, links, per_start = _enumerate_stage(scenario, args.parallel)
+        net, links, per_start = _enumerate_stage(scenario)
         result = select_assembly(per_start, scenario.services, budget=args.budget)
     except CombinationBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -214,7 +201,7 @@ def cmd_bench(args) -> int:
     feasible = True
     per_start = {}
     try:
-        net, links, per_start = _enumerate_stage(scenario, parallel=False)
+        net, links, per_start = _enumerate_stage(scenario)
         select_assembly(per_start, scenario.services, budget=args.budget)
     except CombinationBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

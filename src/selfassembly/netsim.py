@@ -166,6 +166,8 @@ class Simulator:
       by construction.
     * ``set_partitions`` optionally restricts which peers can see each
       other (range modeling); by default every live peer sees every other.
+    * ``can_see`` answers one (observer, target) visibility question by
+      the rule ``surrounding_services`` applies to every live record.
 
     Every action appends one record to the event trace, so identical
     scenarios with identical seeds serialize to byte-identical logs.
@@ -265,6 +267,19 @@ class Simulator:
 
     def visible_peers(self, observer_id: str, at: float | None = None) -> set[str]:
         return {rec.id for rec in self.surrounding_services(observer_id, at)}
+
+    def can_see(self, observer_id: str, target_id: str, at: float | None = None) -> bool:
+        """Whether ``target_id`` is among the observer's surrounding
+        services at ``at`` (default: now), answered without a registry
+        scan.  The observer's own liveness is not checked; callers that
+        need :class:`PeerUnknown` check it once with :meth:`is_live`."""
+        visible_from = self._visible_from.get(target_id)
+        return (
+            visible_from is not None
+            and visible_from <= (self.clock if at is None else float(at))
+            and target_id != observer_id
+            and self._can_see(observer_id, target_id)
+        )
 
     def set_partitions(self, groups: Iterable[Iterable[str]] | None) -> None:
         """Restrict visibility to peers sharing a group; peers assigned to

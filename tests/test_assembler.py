@@ -264,6 +264,24 @@ def test_assemble_empty_service_set():
         assemble([], seven_template(), make_net([]))
 
 
+def test_assemble_reports_an_invalid_template_before_a_duplicate_id():
+    services = seven_services()
+    duplicated = services + [services[0]]
+    bad = ApplicationTemplate((("tA", "tB"), ("tB", "tA")), (1, 1))
+    with pytest.raises(TemplateInvalid):
+        assemble(duplicated, bad, make_net(services))
+    with pytest.raises(ValueError, match="duplicate service id"):
+        assemble(duplicated, seven_template(), make_net(services))
+
+
+def test_assemble_ignores_bystanders_of_other_types(example7):
+    services, template = example7
+    bystanders = [ServiceDescriptor(f"X{i}", "tX", 1.0, 1) for i in range(50)]
+    crowded = assemble(services + bystanders, template, make_net(services + bystanders))
+    alone = assemble(services, template, make_net(services))
+    assert crowded == alone
+
+
 def test_assemble_union_deduplicates_edges(example7_net):
     services, template, net = example7_net
     result = assemble(services, template, net)
@@ -271,14 +289,6 @@ def test_assemble_union_deduplicates_edges(example7_net):
     for candidate in result.chosen.values():
         union.update(candidate.edges)
     assert result.assembly.edges == frozenset(union)
-
-
-def test_assemble_parallel_matches_sequential(example7):
-    services, template = example7
-    sequential = assemble(services, template, make_net(services))
-    parallel = assemble(services, template, make_net(services), parallel=True)
-    assert parallel.assembly == sequential.assembly
-    assert parallel.combinations_tested == sequential.combinations_tested
 
 
 def test_candidate_count_matches_binomial_products(example7_net):

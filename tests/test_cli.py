@@ -95,12 +95,6 @@ def test_assemble_budget_exit_code(tmp_path):
     assert main(["assemble", "--scenario", str(scenario_path), "--budget", "1"]) == 3
 
 
-def test_assemble_parallel_flag(tmp_path, capsys):
-    scenario_path = _write_example7(tmp_path / "example7.json")
-    assert main(["assemble", "--scenario", str(scenario_path), "--parallel"]) == 0
-    assert "combinations_tested=3" in capsys.readouterr().out
-
-
 def test_simulate_timeline(tmp_path):
     events = [
         ScenarioEvent.disappears(100.0, "B3"),

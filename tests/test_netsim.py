@@ -176,6 +176,48 @@ def test_announce_propagation_latency_delays_visibility():
     assert [r.id for r in net.surrounding_services("A1", at=10.0)] == ["B1"]
 
 
+def test_can_see_matches_the_surrounding_view():
+    net = make_net(seven_services())
+    ids = [s.id for s in seven_services()]
+    for observer in ids:
+        assert {t for t in ids if net.can_see(observer, t)} == net.visible_peers(observer)
+    assert not net.can_see("A1", "A1")
+
+
+def test_can_see_withdrawn_and_unknown_targets():
+    net = make_net(seven_services())
+    net.withdraw("B3")
+    assert not net.can_see("A1", "B3")
+    assert not net.can_see("A1", "ghost")
+
+
+def test_can_see_respects_partitions():
+    net = make_net(seven_services())
+    net.set_partitions([{"A1", "B1"}, {"A2", "B2", "C1"}])  # A3, B3 in no group
+    assert net.can_see("A1", "B1") and net.can_see("B1", "A1")
+    assert not net.can_see("A1", "B2")
+    assert not net.can_see("A3", "B1")  # ungrouped observers see nothing
+    assert not net.can_see("A2", "B3")  # ungrouped targets are never seen
+    assert not net.can_see("A3", "B3")
+    net.set_partitions(None)
+    assert net.can_see("A3", "B3")
+
+
+def test_can_see_waits_for_announce_latency():
+    net = Simulator(announce_latency_ms=10.0)
+    net.announce(ServiceDescriptor("A1", "tA", 1.0, 1), at=0.0)
+    net.announce(ServiceDescriptor("B1", "tB", 1.0, 1), at=5.0)
+    assert not net.can_see("A1", "B1")  # clock 0: B1 visible from 15
+    assert not net.can_see("A1", "B1", at=14.0)
+    assert net.can_see("A1", "B1", at=15.0)
+    # An observer that is not yet visible itself still sees others, as in
+    # surrounding_services.
+    assert net.can_see("B1", "A1", at=10.0)
+    assert net.visible_peers("B1", at=10.0) == {"A1"}
+    net.advance(15.0)
+    assert net.can_see("A1", "B1")
+
+
 # ---------------------------------------------------------------------- trace
 
 

@@ -1,13 +1,24 @@
 """Property tests over randomly generated instances."""
+import math
+from collections import deque
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfassembly import (
+    ALL,
     ApplicationTemplate,
+    AssemblyGraph,
     InsufficientServices,
     MatrixLatency,
+    NoStartingService,
+    PeerUnknown,
+    QoSMatrix,
     Role,
+    SeededLatency,
     ServiceDescriptor,
+    Simulator,
     UniformLatency,
     build_binding_graph,
     classify_roles,
@@ -18,6 +29,7 @@ from selfassembly import (
     serialize_scenario,
     service_map,
     validate_template,
+    worst_path_time,
 )
 from selfassembly.model import AllServices
 from selfassembly.oracle import _subgraphs_from, exhaustive_worst_path
@@ -193,8 +205,6 @@ def test_scenario_round_trip_semantics(service_specs, seed):
     services.append(ServiceDescriptor("NA", "tA", 1.0, 1))
     services.append(ServiceDescriptor("NB", "tB", 1.0, 1))
     template = ApplicationTemplate((("tA", "tB"),), (1,))
-    from selfassembly import SeededLatency
-
     scenario = Scenario(services, template, SeededLatency(3.0, 1.0, seed), [])
     again = parse_scenario(serialize_scenario(scenario))
     assert sorted(again.services, key=lambda s: s.id) == sorted(
@@ -203,3 +213,186 @@ def test_scenario_round_trip_semantics(service_specs, seed):
     assert again.template == scenario.template
     assert again.links == scenario.links
     assert serialize_scenario(again) == serialize_scenario(scenario)
+
+
+# ------------------------------------------------- exact bottom-up candidate costs
+
+# Non-dyadic values (0.1, 0.7, arbitrary doubles) make float rounding depend
+# on the order of additions, which dyadic values would hide.
+link_or_qos = st.one_of(
+    st.just(0.0),
+    dyadic,
+    st.integers(min_value=0, max_value=500).map(lambda q: q / 10.0),
+    st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False).map(abs),
+)
+
+
+@st.composite
+def dag_instances(draw):
+    """A random DAG template (branches, diamonds, ALL pairs) over small
+    layers of services, with a full link table between paired types.
+    Constraints may exceed the available targets."""
+    n_types = draw(st.integers(min_value=2, max_value=5))
+    types = [f"t{i}" for i in range(n_types)]
+    widths = [draw(st.integers(min_value=1, max_value=2))]
+    widths += [draw(st.integers(min_value=1, max_value=3)) for _ in types[1:]]
+    body = []
+    for j in range(1, n_types):
+        binders = draw(st.sets(st.integers(0, j - 1), min_size=1, max_size=2))
+        body.extend((types[i], types[j]) for i in sorted(binders))
+    constraints = [
+        draw(st.one_of(st.just(ALL), st.integers(min_value=1, max_value=widths[types.index(b)] + 1)))
+        for _, b in body
+    ]
+    # Keep enumeration small: the choices per start multiply over binders.
+    def choices_per_start():
+        total = 1
+        for (a, b), c in zip(body, constraints):
+            n = widths[types.index(b)]
+            pick = 1 if c is ALL or c > n else math.comb(n, c)
+            total *= pick ** (1 if a == types[0] else widths[types.index(a)])
+        return total
+
+    for index in range(len(constraints)):
+        if choices_per_start() <= 300:
+            break
+        constraints[index] = ALL
+    services = [
+        ServiceDescriptor(f"{t}s{i}", t, draw(link_or_qos), draw(st.integers(1, 3)))
+        for t, width in zip(types, widths)
+        for i in range(width)
+    ]
+    ids = {t: [s.id for s in services if s.type == t] for t in types}
+    table = {(x, y): draw(link_or_qos) for a, b in body for x in ids[a] for y in ids[b]}
+    return services, ApplicationTemplate(tuple(body), tuple(constraints)), table
+
+
+@settings(max_examples=150, deadline=None)
+@given(dag_instances())
+def test_candidate_costs_equal_worst_path_time_bit_for_bit(instance):
+    services, template, table = instance
+    net = make_net(services, MatrixLatency(table))
+    graph, links = build_binding_graph(services, template, net)
+    svc = service_map(services)
+    start_type = template.starting_type()
+    for start in sorted(s.id for s in services if s.type == start_type):
+        oracle_subgraphs = _subgraphs_from(start, template, svc)
+        try:
+            candidates = enumerate_candidates(graph, links, template, start, svc)
+        except InsufficientServices:
+            assert not oracle_subgraphs
+            continue
+        assert len(candidates) == len(oracle_subgraphs)
+        assert {c.edges for c in candidates} == {
+            tuple(sorted(edges)) for edges in oracle_subgraphs
+        }
+        keys = [(c.cost, c.edges) for c in candidates]
+        assert all(earlier < later for earlier, later in zip(keys, keys[1:]))
+        assert [c.rank for c in candidates] == list(range(len(candidates)))
+        for candidate in candidates:
+            reference = worst_path_time(candidate.graph, start, svc, links)
+            assert candidate.cost.hex() == reference.hex()
+
+
+# ------------------------------------------------- point-query visibility flood
+
+
+def reference_flood(services, template, net):
+    """The flood as a scan of each sender's whole view: every live
+    service sorted by id, one ``visible_peers`` set per sender."""
+    svc = sorted(service_map(services).values(), key=lambda s: s.id)
+    by_type = {}
+    for descriptor in svc:
+        by_type.setdefault(descriptor.type, []).append(descriptor)
+    starts = by_type.get(template.starting_type(), [])
+    if not starts:
+        raise NoStartingService("no starting service")
+    reached = {s.id for s in starts}
+    queue = deque(starts)
+    edges = []
+    links = QoSMatrix()
+    while queue:
+        sender = queue.popleft()
+        specs = template.out_edges(sender.type)
+        if not specs:
+            continue
+        visible = net.visible_peers(sender.id)
+        for to_type, _constraint in specs:
+            for target in by_type.get(to_type, []):
+                if target.id not in visible:
+                    continue
+                edges.append((sender.id, target.id))
+                links.set(sender.id, target.id, net.measure_link(sender.id, target.id))
+                if target.id not in reached:
+                    reached.add(target.id)
+                    queue.append(target)
+    return AssemblyGraph(frozenset(reached), frozenset(edges)), links
+
+
+@st.composite
+def flood_worlds(draw):
+    """Services of a three-type template, some announced late or never
+    (bystanders of other types too), partitions with ungrouped peers, a
+    positive announce latency, a clock, and one optional withdrawal."""
+    types = ["tA", "tB", "tC", "tX"]
+    services = [
+        ServiceDescriptor(f"{t}{i}", t, 1.0, 1)
+        for t in types
+        for i in range(draw(st.integers(min_value=0 if t != "tA" else 1, max_value=3)))
+    ]
+    ids = [s.id for s in services]
+    announce_at = {
+        sid: draw(st.one_of(st.none(), st.sampled_from([0.0, 2.0, 5.0]))) for sid in ids
+    }
+    groups = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=3),
+        )
+    )
+    latency_ms = draw(st.sampled_from([0.0, 1.5, 4.0]))
+    clock = draw(st.sampled_from([0.0, 2.0, 3.5, 6.0, 9.0]))
+    withdrawn = draw(st.one_of(st.none(), st.sampled_from(ids)))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 16))
+    template = ApplicationTemplate((("tA", "tB"), ("tB", "tC"), ("tA", "tC")), (1, 1, ALL))
+    return services, template, announce_at, groups, latency_ms, clock, withdrawn, seed
+
+
+def _flood_net(world):
+    services, _template, announce_at, groups, latency_ms, clock, withdrawn, seed = world
+    net = Simulator(SeededLatency(2.0, 1.0, seed), announce_latency_ms=latency_ms)
+    for descriptor in services:
+        if announce_at[descriptor.id] is not None:
+            net.announce(descriptor, at=announce_at[descriptor.id])
+    net.set_partitions(groups)
+    net.advance(clock)
+    if withdrawn is not None and net.is_live(withdrawn):
+        net.withdraw(withdrawn)
+    return net
+
+
+def _outcome(flood, world):
+    services, template = world[0], world[1]
+    net = _flood_net(world)
+    try:
+        graph, links = flood(services, template, net)
+    except (PeerUnknown, NoStartingService) as exc:
+        return type(exc), net.trace_jsonl()
+    return (graph, links), net.trace_jsonl()
+
+
+@settings(max_examples=150, deadline=None)
+@given(flood_worlds())
+def test_point_query_flood_matches_the_view_scan(world):
+    assert _outcome(build_binding_graph, world) == _outcome(reference_flood, world)
+
+
+def test_flood_from_a_sender_that_is_not_live_raises():
+    services = [ServiceDescriptor("A1", "tA", 1.0, 1), ServiceDescriptor("B1", "tB", 1.0, 1)]
+    template = ApplicationTemplate((("tA", "tB"),), (1,))
+    net = Simulator()
+    net.announce(services[1])  # A1 is passed in but was never announced
+    with pytest.raises(PeerUnknown):
+        build_binding_graph(services, template, net)
+    with pytest.raises(PeerUnknown):
+        reference_flood(services, template, net)
