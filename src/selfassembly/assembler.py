@@ -15,7 +15,10 @@ Assembly proceeds in three stages:
 3. :func:`select_assembly` walks combinations of one candidate per start
    (an odometer over the sorted lists, rightmost start varying fastest) and
    commits the first whose deduplicated union keeps every service's
-   distinct inbound bindings within its threshold.
+   distinct inbound bindings within its threshold.  Loads are updated per
+   placed candidate, and a prefix of starts that already overloads a
+   service is skipped with every combination below it, which still counts
+   as tested.
 
 The search is exhaustive but capped: it settles for the first feasible
 combination rather than a globally optimal one, which the ascending sort
@@ -24,7 +27,7 @@ keeps near-optimal in practice.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
@@ -304,6 +307,15 @@ def select_assembly(
     collapsed, every service's distinct inbound edge count stays within
     its threshold.
 
+    The odometer is walked depth first with loads kept incrementally:
+    placing or removing one candidate touches only its own edges.  Loads
+    never fall as candidates are added, so once a prefix of starts
+    overloads a service, every combination below that prefix is
+    infeasible; the whole subtree is skipped and counted as tested
+    without being built.  ``combinations_tested``, the :class:`Infeasible`
+    count and the point where the budget runs out are therefore exactly
+    those of testing every combination one by one.
+
     Raises :class:`Infeasible` after exhausting every combination and
     :class:`CombinationBudgetExceeded` if ``budget`` combinations were
     tested without an answer.
@@ -319,24 +331,76 @@ def select_assembly(
         pools.append(tuple(candidates))
 
     svc = service_map(services)
+    last = len(pools) - 1
+    # below[p]: how many full combinations share one choice at 0..p.
+    below = [1] * len(pools)
+    for position in range(last - 1, -1, -1):
+        below[position] = below[position + 1] * len(pools[position + 1])
+
+    holders: dict[tuple[str, str], int] = {}  # chosen candidates holding each edge
+    loads: dict[str, int] = {}  # distinct inbound edges per node
+    thresholds: dict[str, int] = {}  # read when a node first gets load
+    overloaded = 0  # nodes whose load exceeds their threshold
+
+    def place(candidate: CandidateSubgraph) -> None:
+        nonlocal overloaded
+        for edge in candidate.edges:
+            held = holders.get(edge, 0)
+            holders[edge] = held + 1
+            if not held:
+                target = edge[1]
+                load = loads.get(target, 0) + 1
+                loads[target] = load
+                if target not in thresholds:
+                    thresholds[target] = svc[target].threshold
+                if load == thresholds[target] + 1:
+                    overloaded += 1
+
+    def remove(candidate: CandidateSubgraph) -> None:
+        nonlocal overloaded
+        for edge in candidate.edges:
+            held = holders[edge] - 1
+            holders[edge] = held
+            if not held:
+                target = edge[1]
+                load = loads[target]
+                if load == thresholds[target] + 1:
+                    overloaded -= 1
+                loads[target] = load - 1
+
+    chosen = [0] * len(pools)
+    position = 0
     tested = 0
-    for combo in product(*pools):
-        tested += 1
-        if tested > budget:
+    while True:
+        place(pools[position][chosen[position]])
+        if not overloaded and position < last:
+            position += 1
+            chosen[position] = 0
+            continue
+        # A full feasible combination, or a prefix none of whose
+        # combinations can be feasible: count them all as tested.
+        size = below[position]
+        if tested + size > budget:
             raise CombinationBudgetExceeded(budget)
-        union_edges: set[tuple[str, str]] = set()
-        for candidate in combo:
-            union_edges.update(candidate.edges)
-        loads = Counter(target for _, target in union_edges)
-        if all(count <= svc[node].threshold for node, count in loads.items()):
-            nodes = set(start_ids)
-            for a, b in union_edges:
-                nodes.add(a)
-                nodes.add(b)
-            assembly = AssemblyGraph(frozenset(nodes), frozenset(union_edges))
-            per_load = {node: loads.get(node, 0) for node in nodes}
-            return AssemblyResult(assembly, dict(zip(start_ids, combo)), tested, per_load)
-    raise Infeasible(tested)
+        tested += size
+        if not overloaded:
+            break
+        remove(pools[position][chosen[position]])
+        while chosen[position] == len(pools[position]) - 1:
+            position -= 1
+            if position < 0:
+                raise Infeasible(tested)
+            remove(pools[position][chosen[position]])
+        chosen[position] += 1
+
+    union_edges = frozenset(edge for edge, held in holders.items() if held)
+    nodes = set(start_ids)
+    for a, b in union_edges:
+        nodes.add(a)
+        nodes.add(b)
+    combo = {sid: pool[index] for sid, pool, index in zip(start_ids, pools, chosen)}
+    per_load = {node: loads.get(node, 0) for node in sorted(nodes)}
+    return AssemblyResult(AssemblyGraph(frozenset(nodes), union_edges), combo, tested, per_load)
 
 
 def assemble(

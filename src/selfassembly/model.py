@@ -14,10 +14,10 @@ safe to share across threads.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterable, Mapping
 
 from .errors import DisconnectedNode, MissingLinkQoS, UnknownServiceType
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterable, Mapping
 
 from .errors import DuplicateId, LatencyUndefined, PeerUnknown
 from .model import ServiceDescriptor
@@ -34,6 +34,8 @@ class DiscoveryRecord:
 
     def __post_init__(self) -> None:
         attrs = self.attributes
+        if attrs == ():  # the common case, already normalised
+            return
         if isinstance(attrs, Mapping):
             attrs = tuple(sorted((str(k), str(v)) for k, v in attrs.items()))
         else:

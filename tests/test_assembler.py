@@ -1,8 +1,12 @@
+import time
+
 import pytest
 
 from selfassembly import (
     ALL,
+    DEFAULT_COMBINATION_BUDGET,
     ApplicationTemplate,
+    CandidateSubgraph,
     CombinationBudgetExceeded,
     DomainError,
     Infeasible,
@@ -236,6 +240,11 @@ def test_select_budget_cap(example7_net):
     services, template, net = example7_net
     with pytest.raises(CombinationBudgetExceeded):
         assemble(services, template, net, budget=1)
+    # The first feasible combination is number 3 (see the odometer test).
+    with pytest.raises(CombinationBudgetExceeded) as info:
+        assemble(services, template, net, budget=2)
+    assert info.value.budget == 2
+    assert assemble(services, template, net, budget=3).combinations_tested == 3
 
 
 def test_select_odometer_order(example7_net):
@@ -247,6 +256,36 @@ def test_select_odometer_order(example7_net):
     assert result.chosen["A1"].rank == 0
     assert result.chosen["A2"].rank == 0
     assert result.chosen["A3"].rank == 2
+
+
+def _first_start_always_overloads(width):
+    """Three starts with ``width`` candidates each; every candidate of the
+    first start binds the threshold-1 service H twice on its own."""
+    services = [ServiceDescriptor(f"S{i}", "tS", 1.0, 1) for i in range(3)]
+    services += [ServiceDescriptor("H", "tH", 1.0, 1), ServiceDescriptor("T", "tH", 1.0, 2)]
+
+    def pool(start, edges):
+        return [CandidateSubgraph(start, edges, float(rank), rank) for rank in range(width)]
+
+    per_start = {
+        "S0": pool("S0", (("S0", "H"), ("Y", "H"))),
+        "S1": pool("S1", (("S1", "T"),)),
+        "S2": pool("S2", (("S2", "T"),)),
+    }
+    return per_start, services
+
+
+def test_select_skips_every_combination_below_an_overloaded_prefix():
+    # 10^9 combinations: only skipping whole subtrees finishes in time.
+    per_start, services = _first_start_always_overloads(1000)
+    began = time.perf_counter()
+    with pytest.raises(Infeasible) as info:
+        select_assembly(per_start, services, budget=10**9)
+    assert info.value.combinations_tested == 10**9
+    with pytest.raises(CombinationBudgetExceeded) as capped:
+        select_assembly(per_start, services)
+    assert capped.value.budget == DEFAULT_COMBINATION_BUDGET == 10_000_000
+    assert time.perf_counter() - began < 1.0
 
 
 def test_select_requires_candidates():

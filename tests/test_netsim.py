@@ -52,6 +52,17 @@ def test_record_attribute_rules():
         DiscoveryRecord(svc, 0.0, (("", "x"),))
     with pytest.raises(ValueError):
         DiscoveryRecord(svc, 0.0, (("k", "1"), ("k", "2")))
+    for empty in ({}, (), []):
+        assert DiscoveryRecord(svc, 0.0, empty).attributes == ()
+    assert DiscoveryRecord(svc).attributes == ()
+    pairs = (("zone", "b"), ("mem", 64))
+    expected = (("mem", "64"), ("zone", "b"))
+    for form in (dict(pairs), pairs, list(pairs), iter(pairs)):
+        assert DiscoveryRecord(svc, 0.0, form).attributes == expected
+    assert Simulator().announce(svc, attributes=dict(pairs)).attributes == expected
+    for bad in ({"": "x"}, iter([("k", "1"), ("k", "2")])):
+        with pytest.raises(ValueError):
+            DiscoveryRecord(svc, 0.0, bad)
 
 
 def test_message_timestamps_must_be_ordered():

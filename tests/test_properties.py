@@ -1,6 +1,7 @@
 """Property tests over randomly generated instances."""
 import math
-from collections import deque
+from collections import Counter, deque
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,13 @@ from hypothesis import strategies as st
 
 from selfassembly import (
     ALL,
+    DEFAULT_COMBINATION_BUDGET,
     ApplicationTemplate,
     AssemblyGraph,
+    AssemblyResult,
+    CandidateSubgraph,
+    CombinationBudgetExceeded,
+    Infeasible,
     InsufficientServices,
     MatrixLatency,
     NoStartingService,
@@ -20,12 +26,14 @@ from selfassembly import (
     ServiceDescriptor,
     Simulator,
     UniformLatency,
+    assemble,
     build_binding_graph,
     classify_roles,
     count_combinations,
     enumerate_candidates,
     generate_random_instance,
     parse_scenario,
+    select_assembly,
     serialize_scenario,
     service_map,
     validate_template,
@@ -396,3 +404,121 @@ def test_flood_from_a_sender_that_is_not_live_raises():
         build_binding_graph(services, template, net)
     with pytest.raises(PeerUnknown):
         reference_flood(services, template, net)
+
+
+# ------------------------------------------------- pruned incremental selection
+
+
+def reference_select(per_start, services, budget=DEFAULT_COMBINATION_BUDGET):
+    """The plain odometer: every combination in turn, rebuilding the
+    deduplicated union and recounting its loads."""
+    start_ids = sorted(per_start)
+    pools = [tuple(per_start[sid]) for sid in start_ids]
+    svc = service_map(services)
+    tested = 0
+    for combo in product(*pools):
+        tested += 1
+        if tested > budget:
+            raise CombinationBudgetExceeded(budget)
+        union_edges = set()
+        for candidate in combo:
+            union_edges.update(candidate.edges)
+        loads = Counter(target for _, target in union_edges)
+        if all(count <= svc[node].threshold for node, count in loads.items()):
+            nodes = set(start_ids)
+            for a, b in union_edges:
+                nodes.add(a)
+                nodes.add(b)
+            assembly = AssemblyGraph(frozenset(nodes), frozenset(union_edges))
+            per_load = {node: loads.get(node, 0) for node in nodes}
+            return AssemblyResult(assembly, dict(zip(start_ids, combo)), tested, per_load)
+    raise Infeasible(tested)
+
+
+def _selection(select, per_start, services, budget):
+    try:
+        result = select(per_start, services, budget=budget)
+    except Infeasible as exc:
+        return "Infeasible", exc.combinations_tested
+    except CombinationBudgetExceeded as exc:
+        return "CombinationBudgetExceeded", exc.budget
+    return "commit", result
+
+
+def budgets(total):
+    """Budgets around the number of combinations, and the default."""
+    edges = [0, 1, total - 1, total, total + 1, DEFAULT_COMBINATION_BUDGET]
+    return st.one_of(st.sampled_from(edges), st.integers(min_value=0, max_value=total + 2))
+
+
+@st.composite
+def selection_instances(draw):
+    """Per-start candidate lists drawn from one small pool of edges, so
+    that starts share edges and the union's deduplication matters, over
+    services with thresholds 1-4, and a budget around the total."""
+    n_starts = draw(st.integers(min_value=1, max_value=4))
+    starts = [f"S{i}" for i in range(n_starts)]
+    targets = [f"N{i}" for i in range(draw(st.integers(min_value=1, max_value=3)))]
+    services = [ServiceDescriptor(sid, "tS", 1.0, 1) for sid in starts]
+    services += [
+        ServiceDescriptor(nid, "tN", 1.0, draw(st.sampled_from([1, 1, 2, 3, 4])))
+        for nid in targets
+    ]
+    edge_pool = draw(
+        st.lists(
+            st.tuples(st.sampled_from(starts + targets), st.sampled_from(targets)).filter(
+                lambda edge: edge[0] != edge[1]
+            ),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    per_start = {}
+    for sid in starts:
+        edge_set = st.sets(st.sampled_from(edge_pool), min_size=1, max_size=5)
+        edge_sets = draw(st.lists(edge_set, min_size=1, max_size=5))
+        per_start[sid] = [
+            CandidateSubgraph(sid, tuple(sorted(edges)), float(rank), rank)
+            for rank, edges in enumerate(edge_sets)
+        ]
+    total = math.prod(len(pool) for pool in per_start.values())
+    return per_start, services, draw(budgets(total))
+
+
+@settings(max_examples=300, deadline=None)
+@given(selection_instances())
+def test_pruned_selection_matches_the_plain_odometer(instance):
+    per_start, services, budget = instance
+    assert _selection(select_assembly, per_start, services, budget) == _selection(
+        reference_select, per_start, services, budget
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.data())
+def test_assemble_with_squeezed_thresholds_matches_the_plain_odometer(seed, data):
+    services, template, links = generate_random_instance(seed)
+    squeezed = [
+        ServiceDescriptor(s.id, s.type, s.qos_nominal, data.draw(st.integers(1, 2)))
+        for s in services
+    ]
+    latency = MatrixLatency(dict(links.items()))
+    graph, measured = build_binding_graph(squeezed, template, make_net(squeezed, latency))
+    svc = service_map(squeezed)
+    start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == template.starting_type())
+    try:
+        per_start = {
+            sid: enumerate_candidates(graph, measured, template, sid, svc) for sid in start_ids
+        }
+    except InsufficientServices:
+        return
+    total = math.prod(len(pool) for pool in per_start.values())
+    budget = data.draw(budgets(total))
+
+    def end_to_end(_per_start, services, budget):
+        return assemble(services, template, make_net(services, latency), budget=budget)
+
+    assert _selection(end_to_end, per_start, squeezed, budget) == _selection(
+        reference_select, per_start, squeezed, budget
+    )
