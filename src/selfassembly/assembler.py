@@ -12,6 +12,11 @@ Assembly proceeds in three stages:
    an ALL constraint), and sorts the candidates by worst-path time.  Each
    cost is computed bottom-up from the picks as the subgraph is built and
    equals :func:`~selfassembly.model.worst_path_time` of it exactly.
+   :func:`assemble` builds each start's list lazily: one bottom-up pass
+   gives every node the least cost of a candidate rooted at it, a search
+   cut off at the start's least cost lists the least-cost plateau first,
+   and the full list is built only when selection asks for an item past
+   that plateau or for its length.
 3. :func:`select_assembly` walks combinations of one candidate per start
    (an odometer over the sorted lists, rightmost start varying fastest) and
    commits the first whose deduplicated union keeps every service's
@@ -28,9 +33,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CombinationBudgetExceeded,
@@ -195,16 +201,105 @@ def enumerate_candidates(
         raise ValueError(f"start {start_id!r} is not a node of the binding graph")
     if svc[start_id].type != template.starting_type():
         raise ValueError(f"service {start_id!r} is not of the starting type")
+    return _candidates(*_index(graph, svc), links, template, start_id, svc)
 
-    # Successors of each node grouped by target type, sorted for determinism.
+
+_Edge = tuple[str, str]
+_Successors = Mapping[str, Mapping[str, Sequence[str]]]
+
+
+def _index(
+    graph: AssemblyGraph, svc: Mapping[str, ServiceDescriptor]
+) -> tuple[_Successors, Mapping[_Edge, _Edge]]:
+    """The successors of each node grouped by target type and sorted for
+    determinism, and the graph's own edge tuples, which candidates share."""
     succ_by_type: dict[str, dict[str, list[str]]] = {}
     for a, b in graph.edges:
         succ_by_type.setdefault(a, {}).setdefault(svc[b].type, []).append(b)
     for groups in succ_by_type.values():
         for targets in groups.values():
             targets.sort()
+    return succ_by_type, {edge: edge for edge in graph.edges}
 
-    shared_edge = {edge: edge for edge in graph.edges}
+
+def _least_costs(
+    succ_by_type: _Successors,
+    links: QoSMatrix,
+    template: ApplicationTemplate,
+    svc: Mapping[str, ServiceDescriptor],
+    nodes: Iterable[str],
+) -> dict[str, float | None]:
+    """The least cost of a candidate rooted at each node, or ``None`` when
+    none exists because some node it must include lacks targets.
+
+    Bottom-up in reverse type order, a node's value is ``qos + max`` over
+    its type pairs of the k-th smallest ``link + lower[target]`` (the
+    largest for ALL, nothing for k=0), in the association of the candidate
+    costs.  Float ``+`` and ``max`` are monotone, so picking the k cheapest
+    targets everywhere is optimal and a start's value equals its cheapest
+    candidate's cost bit for bit.  A node that could pick a target without
+    a value has none either: enumerating it raises
+    :class:`InsufficientServices`.
+    """
+    lookup = links.get
+    lower: dict[str, float | None] = {}
+
+    def least(node: str, specs: list[tuple[str, Constraint]]) -> float | None:
+        groups = succ_by_type.get(node, {})
+        worst: float | None = None  # the largest term over the pairs
+        for to_type, constraint in specs:
+            available = groups.get(to_type, ())
+            k = len(available) if isinstance(constraint, AllServices) else constraint
+            if k > len(available):
+                return None
+            if not k:
+                continue
+            terms = []
+            for target in available:
+                below = lower[target]
+                if below is None:
+                    return None
+                terms.append(lookup(node, target) + below)
+            terms.sort()
+            if worst is None or terms[k - 1] > worst:
+                worst = terms[k - 1]
+        qos = svc[node].qos_nominal
+        return qos if worst is None else qos + worst
+
+    by_type: dict[str, list[str]] = {}
+    for node in nodes:
+        by_type.setdefault(svc[node].type, []).append(node)
+    for node_type in reversed(template.topological_types()):
+        specs = template.out_edges(node_type)
+        for node in by_type.get(node_type, ()):
+            lower[node] = least(node, specs)
+    return lower
+
+
+def _candidates(
+    succ_by_type: _Successors,
+    shared_edge: Mapping[_Edge, _Edge],
+    links: QoSMatrix,
+    template: ApplicationTemplate,
+    start_id: str,
+    svc: Mapping[str, ServiceDescriptor],
+    lower: Mapping[str, float | None] | None = None,
+    cutoff: float = math.inf,
+) -> list[CandidateSubgraph]:
+    """The search behind :func:`enumerate_candidates`.
+
+    Given the least costs ``lower`` of :func:`_least_costs` and a
+    ``cutoff`` of at least ``lower[start_id]``, it returns only the
+    candidates whose cost is at most the cutoff: an exact prefix of the
+    full list, with the same ranks.  A binder drops every target whose
+    pick alone would lift the start's least possible cost on the branch
+    above the cutoff, counting the nodes not yet expanded at their least
+    cost.  Nothing else is checked: a cost is the largest of its
+    root-to-sink path sums, because float ``+`` is monotone, and each
+    path's last pick passed that test (an ALL pair's targets always pass,
+    as the binder's least cost already includes every one of them), so
+    every candidate the search completes is within the cutoff.
+    """
     type_order = template.topological_types()
     reverse_order = type_order[::-1]
     out_specs = {t: template.out_edges(t) for t in type_order}
@@ -233,6 +328,33 @@ def enumerate_candidates(
                     best[node] = qos
         raw.append((best[start_id], tuple(sorted(edge_acc))))
 
+    def start_bound(position: int, node: str, value: float) -> float:
+        # The start's least cost on this branch if ``node`` is worth
+        # ``value``: nodes of the types before ``position`` are worth
+        # their picks, every other node its least cost.
+        worth = {node: value}
+        for node_type in reverse_order[len(type_order) - position:]:
+            for binder in included[node_type]:
+                qos = svc[binder].qos_nominal
+                nexts = picks.get(binder)
+                if nexts:
+                    worth[binder] = qos + max(
+                        lookup(binder, nxt) + worth.get(nxt, lower[nxt]) for nxt in nexts
+                    )
+                else:
+                    worth[binder] = qos
+        return worth[start_id]
+
+    def affordable(position: int, node: str, available: Sequence[str]) -> list[str]:
+        # The targets ``node`` may pick without lifting the start's bound
+        # above the cutoff.
+        qos = svc[node].qos_nominal
+        return [
+            target
+            for target in available
+            if start_bound(position, node, qos + (lookup(node, target) + lower[target])) <= cutoff
+        ]
+
     def expand(position: int) -> None:
         if position == len(type_order):
             materialize()
@@ -254,6 +376,8 @@ def enumerate_candidates(
                 else:
                     if len(available) < constraint:
                         raise InsufficientServices(to_type, constraint, len(available))
+                    if lower is not None and constraint:  # k=0 picks no target to price
+                        available = affordable(position, node, available)
                     pool = tuple(combinations(available, constraint))
                 choice_meta.append((node, to_type, index == 0))
                 choice_pools.append(pool)
@@ -292,6 +416,14 @@ def enumerate_candidates(
     ]
 
 
+def _item(pool: Sequence[CandidateSubgraph], index: int) -> CandidateSubgraph | None:
+    """``pool[index]``, or ``None`` past the end of the pool."""
+    try:
+        return pool[index]
+    except IndexError:
+        return None
+
+
 def select_assembly(
     per_start: Mapping[str, Sequence[CandidateSubgraph]],
     services: Mapping[str, ServiceDescriptor] | Iterable[ServiceDescriptor],
@@ -314,7 +446,10 @@ def select_assembly(
     infeasible; the whole subtree is skipped and counted as tested
     without being built.  ``combinations_tested``, the :class:`Infeasible`
     count and the point where the budget runs out are therefore exactly
-    those of testing every combination one by one.
+    those of testing every combination one by one.  A list is asked for
+    its length only when a subtree below it is skipped, and for an item
+    only when the odometer reaches it, so lazily built lists are completed
+    only when the search needs them.
 
     Raises :class:`Infeasible` after exhausting every combination and
     :class:`CombinationBudgetExceeded` if ``budget`` combinations were
@@ -323,19 +458,13 @@ def select_assembly(
     if not per_start:
         raise ValueError("no starting services to combine")
     start_ids = sorted(per_start)
-    pools: list[Sequence[CandidateSubgraph]] = []
-    for sid in start_ids:
-        candidates = per_start[sid]
+    pools = [per_start[sid] for sid in start_ids]
+    for sid, candidates in zip(start_ids, pools):
         if not candidates:
             raise ValueError(f"start {sid!r} has an empty candidate list")
-        pools.append(tuple(candidates))
 
     svc = service_map(services)
     last = len(pools) - 1
-    # below[p]: how many full combinations share one choice at 0..p.
-    below = [1] * len(pools)
-    for position in range(last - 1, -1, -1):
-        below[position] = below[position + 1] * len(pools[position + 1])
 
     holders: dict[tuple[str, str], int] = {}  # chosen candidates holding each edge
     loads: dict[str, int] = {}  # distinct inbound edges per node
@@ -371,26 +500,30 @@ def select_assembly(
     chosen = [0] * len(pools)
     position = 0
     tested = 0
+    candidate = pools[0][0]
     while True:
-        place(pools[position][chosen[position]])
+        place(candidate)
         if not overloaded and position < last:
             position += 1
             chosen[position] = 0
+            candidate = pools[position][0]
             continue
         # A full feasible combination, or a prefix none of whose
         # combinations can be feasible: count them all as tested.
-        size = below[position]
+        size = math.prod(len(pool) for pool in pools[position + 1:])
         if tested + size > budget:
             raise CombinationBudgetExceeded(budget)
         tested += size
         if not overloaded:
             break
-        remove(pools[position][chosen[position]])
-        while chosen[position] == len(pools[position]) - 1:
+        remove(candidate)
+        candidate = _item(pools[position], chosen[position] + 1)
+        while candidate is None:
             position -= 1
             if position < 0:
                 raise Infeasible(tested)
             remove(pools[position][chosen[position]])
+            candidate = _item(pools[position], chosen[position] + 1)
         chosen[position] += 1
 
     union_edges = frozenset(edge for edge, held in holders.items() if held)
@@ -413,14 +546,52 @@ def assemble(
     """Run the full pipeline: flood and measure, enumerate per start,
     commit the first feasible combination.
 
-    The registry is indexed once and shared by every stage.
+    The registry and the binding graph are indexed once and shared by
+    every stage.  Each start's list is lazy (see the module docstring); a
+    start without candidates goes through :func:`enumerate_candidates`
+    to raise its :class:`InsufficientServices`.
     """
     _require_valid(template)  # reported before a duplicate id, as by the flood
     svc = service_map(services)
     graph, links = build_binding_graph(svc, template, net)
     start_type = template.starting_type()
     start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == start_type)
-    per_start = {
-        sid: enumerate_candidates(graph, links, template, sid, svc) for sid in start_ids
-    }
+    succ_by_type, shared_edge = _index(graph, svc)
+    lower = _least_costs(succ_by_type, links, template, svc, graph.nodes)
+    per_start: dict[str, Sequence[CandidateSubgraph]] = {}
+    for sid in start_ids:
+        cutoff = lower[sid]
+        if cutoff is None:
+            per_start[sid] = enumerate_candidates(graph, links, template, sid, svc)
+            continue
+        plateau = _candidates(succ_by_type, shared_edge, links, template, sid, svc, lower, cutoff)
+        complete = partial(_candidates, succ_by_type, shared_edge, links, template, sid, svc)
+        per_start[sid] = _LazyCandidates(plateau, complete)
     return select_assembly(per_start, svc, budget=budget)
+
+
+class _LazyCandidates(Sequence):
+    """One start's candidate list that holds its least-cost prefix and runs
+    the full search once, the first time an item past that prefix or the
+    length is asked for."""
+
+    def __init__(self, prefix: list[CandidateSubgraph], complete: Callable[[], list]) -> None:
+        self._items = prefix
+        self._complete: Callable[[], list] | None = complete
+
+    def _full(self) -> list[CandidateSubgraph]:
+        if self._complete is not None:
+            self._items = self._complete()
+            self._complete = None
+        return self._items
+
+    def __getitem__(self, index):
+        if isinstance(index, int) and 0 <= index < len(self._items):
+            return self._items[index]
+        return self._full()[index]
+
+    def __len__(self) -> int:
+        return len(self._full())
+
+    def __bool__(self) -> bool:
+        return bool(self._items) or bool(self._full())

@@ -66,7 +66,7 @@ class ServiceDescriptor:
             raise ValueError("service id must be non-empty")
         if not self.type:
             raise ValueError("service type must be non-empty")
-        if self.qos_nominal < 0:
+        if not self.qos_nominal >= 0:  # also rejects NaN, which costs could not order
             raise ValueError(f"qos_nominal must be >= 0, got {self.qos_nominal}")
         if self.threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {self.threshold}")
@@ -310,7 +310,7 @@ class QoSMatrix:
 
     def set(self, from_id: str, to_id: str, ms: float) -> None:
         ms = float(ms)
-        if ms < 0:
+        if not ms >= 0:  # also rejects NaN
             raise ValueError(f"link time must be >= 0, got {ms}")
         self._entries[(from_id, to_id)] = ms
 

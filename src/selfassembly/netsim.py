@@ -98,7 +98,7 @@ class MatrixLatency:
         table: dict[tuple[str, str], float] = {}
         for (a, b), value in entries.items():
             value = float(value)
-            if value < 0:
+            if not value >= 0:  # also rejects NaN
                 raise ValueError(f"latency for ({a!r}, {b!r}) must be >= 0")
             table[(a, b)] = value
         self.entries = table
@@ -210,7 +210,7 @@ class Simulator:
             record = service
         else:
             when = self.clock if at is None else float(at)
-            record = DiscoveryRecord(service, when, tuple(dict(attributes).items()))
+            record = DiscoveryRecord(service, when, attributes)
         if record.id in self._records:
             raise DuplicateId(f"service {record.id!r} is already announced")
         self._records[record.id] = record

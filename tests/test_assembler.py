@@ -18,6 +18,7 @@ from selfassembly import (
     build_binding_graph,
     count_combinations,
     enumerate_candidates,
+    generate_one_layer,
     select_assembly,
     service_map,
 )
@@ -319,6 +320,26 @@ def test_assemble_ignores_bystanders_of_other_types(example7):
     crowded = assemble(services + bystanders, template, make_net(services + bystanders))
     alone = assemble(services, template, make_net(services))
     assert crowded == alone
+
+
+def test_assemble_commits_the_cheapest_pair_of_thousands_without_listing_all_pairs():
+    # C(3000, 2) = 4498500 candidates: listing and sorting them all takes
+    # minutes, so only the least-cost plateau may be built.
+    scenario = generate_one_layer(3000, 2, seed=5)
+    net = make_net(scenario.services, scenario.links)
+    svc = service_map(scenario.services)
+    began = time.perf_counter()
+    result = assemble(scenario.services, scenario.template, net)
+    elapsed = time.perf_counter() - began
+    terms = sorted(
+        (net.measure_link("A1", sid) + svc[sid].qos_nominal, sid) for sid in svc if sid != "A1"
+    )
+    (_, first), (second_term, second) = terms[:2]
+    chosen = result.chosen["A1"]
+    assert chosen.edges == tuple(sorted((("A1", first), ("A1", second))))
+    assert chosen.cost == svc["A1"].qos_nominal + second_term
+    assert chosen.rank == 0 and result.combinations_tested == 1
+    assert elapsed < 1.0
 
 
 def test_assemble_union_deduplicates_edges(example7_net):

@@ -27,8 +27,9 @@ def test_descriptor_validation():
         ServiceDescriptor("", "tA", 1.0, 1)
     with pytest.raises(ValueError):
         ServiceDescriptor("A1", "", 1.0, 1)
-    with pytest.raises(ValueError):
-        ServiceDescriptor("A1", "tA", -0.5, 1)
+    for qos in (-0.5, float("nan")):
+        with pytest.raises(ValueError):
+            ServiceDescriptor("A1", "tA", qos, 1)
     with pytest.raises(ValueError):
         ServiceDescriptor("A1", "tA", 1.0, 0)
 
@@ -41,8 +42,9 @@ def test_qos_matrix_basics():
     assert ("B1", "A1") not in links  # entries are directional
     with pytest.raises(MissingLinkQoS):
         links.get("B1", "A1")
-    with pytest.raises(ValueError):
-        links.set("A1", "B2", -1.0)
+    for ms in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            links.set("A1", "B2", ms)
 
 
 # ----------------------------------------------------------------------- roles

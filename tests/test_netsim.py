@@ -65,6 +65,19 @@ def test_record_attribute_rules():
             DiscoveryRecord(svc, 0.0, bad)
 
 
+def test_announce_rejects_duplicate_attribute_keys():
+    svc = ServiceDescriptor("A1", "tA", 1.0, 1)
+    net = Simulator()
+    with pytest.raises(ValueError):
+        net.announce(svc, attributes=[("k", "1"), ("k", "2")])
+    assert not net.is_live("A1")
+    assert net.trace_jsonl() == ""
+    pairs = [("zone", "b"), ("mem", 64)]
+    for form in (pairs, iter(pairs), dict(pairs)):
+        record = Simulator().announce(svc, attributes=form)
+        assert record.attributes == (("mem", "64"), ("zone", "b"))
+
+
 def test_message_timestamps_must_be_ordered():
     with pytest.raises(ValueError):
         TimestampedMessage("A1", "B1", MessageKind.PROBE, 5.0, 4.0)
@@ -83,6 +96,9 @@ def test_measure_matrix_is_a_table_lookup():
     assert net.measure_link("B1", "A1") == 3.0
     with pytest.raises(LatencyUndefined):
         net.measure_link("A1", "B1")
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            MatrixLatency({("B1", "A1"): bad})
 
 
 def test_measure_seeded_reproducible_across_fresh_simulators():

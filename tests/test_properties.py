@@ -39,6 +39,7 @@ from selfassembly import (
     validate_template,
     worst_path_time,
 )
+from selfassembly.assembler import _candidates, _index, _least_costs
 from selfassembly.model import AllServices
 from selfassembly.oracle import _subgraphs_from, exhaustive_worst_path
 from selfassembly.scenario import Scenario
@@ -236,7 +237,7 @@ link_or_qos = st.one_of(
 
 
 @st.composite
-def dag_instances(draw):
+def dag_instances(draw, values=link_or_qos):
     """A random DAG template (branches, diamonds, ALL pairs) over small
     layers of services, with a full link table between paired types.
     Constraints may exceed the available targets."""
@@ -266,12 +267,12 @@ def dag_instances(draw):
             break
         constraints[index] = ALL
     services = [
-        ServiceDescriptor(f"{t}s{i}", t, draw(link_or_qos), draw(st.integers(1, 3)))
+        ServiceDescriptor(f"{t}s{i}", t, draw(values), draw(st.integers(1, 3)))
         for t, width in zip(types, widths)
         for i in range(width)
     ]
     ids = {t: [s.id for s in services if s.type == t] for t in types}
-    table = {(x, y): draw(link_or_qos) for a, b in body for x in ids[a] for y in ids[b]}
+    table = {(x, y): draw(values) for a, b in body for x in ids[a] for y in ids[b]}
     return services, ApplicationTemplate(tuple(body), tuple(constraints)), table
 
 
@@ -522,3 +523,73 @@ def test_assemble_with_squeezed_thresholds_matches_the_plain_odometer(seed, data
     assert _selection(end_to_end, per_start, squeezed, budget) == _selection(
         reference_select, per_start, squeezed, budget
     )
+
+
+# ------------------------------------------------- least-cost plateau first
+
+# Few distinct values, two of them non-dyadic, so that equal costs and
+# plateaus of several candidates are common.
+tie_prone = st.sampled_from([0.0, 0.1, 0.7, 1.0])
+
+
+def _full_lists(services, template, graph, links):
+    """Each start's full candidate list, or the exception enumerating it raised."""
+    svc = service_map(services)
+    out = {}
+    for sid in sorted(s.id for s in services if s.type == template.starting_type()):
+        try:
+            out[sid] = enumerate_candidates(graph, links, template, sid, svc)
+        except InsufficientServices as exc:
+            out[sid] = exc
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(dag_instances(), dag_instances(tie_prone)), st.data())
+def test_least_cost_plateaus_are_exact_prefixes_of_the_full_lists(instance, data):
+    services, template, table = instance
+    graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
+    svc = service_map(services)
+    succ, shared_edge = _index(graph, svc)
+    lower = _least_costs(succ, links, template, svc, graph.nodes)
+    for sid, full in _full_lists(services, template, graph, links).items():
+        if isinstance(full, InsufficientServices):
+            assert lower[sid] is None
+            continue
+        assert lower[sid] is not None
+        assert lower[sid].hex() == full[0].cost.hex()
+        for cutoff in (lower[sid], data.draw(st.sampled_from(full)).cost):
+            assert _candidates(succ, shared_edge, links, template, sid, svc, lower, cutoff) == [
+                c for c in full if c.cost <= cutoff
+            ]
+
+
+def _assembly(run):
+    """What one assembly gives: its result, or its exception's type, message and count."""
+    try:
+        return run()
+    except (Infeasible, CombinationBudgetExceeded, InsufficientServices) as exc:
+        count = getattr(exc, "combinations_tested", getattr(exc, "budget", None))
+        return type(exc).__name__, str(exc), count
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dag_instances(), dag_instances(tie_prone)), st.data())
+def test_lazy_assemble_matches_selection_over_full_lists(instance, data):
+    services, template, table = instance
+    latency = MatrixLatency(table)
+    graph, links = build_binding_graph(services, template, make_net(services, latency))
+    lists = _full_lists(services, template, graph, links)
+    failed = [exc for exc in lists.values() if isinstance(exc, InsufficientServices)]
+    total = 0 if failed else math.prod(len(pool) for pool in lists.values())
+    budget = data.draw(budgets(total))
+
+    def eager():
+        if failed:
+            raise failed[0]
+        return select_assembly(lists, services, budget=budget)
+
+    def lazy():
+        return assemble(services, template, make_net(services, latency), budget=budget)
+
+    assert _assembly(lazy) == _assembly(eager)
