@@ -116,16 +116,34 @@ class AssemblyResult:
     per_service_load: dict[str, int]
 
 
-def _require_valid(template: ApplicationTemplate) -> None:
-    report = validate_template(template)
-    if not report.ok:
-        raise TemplateInvalid(report)
+@dataclass(frozen=True, slots=True)
+class _TemplateFacts:
+    """What the stages read of a template, worked out once per assembly: the
+    starting type, the types in dependency order and each type's out pairs."""
+
+    start_type: str
+    order: list[str]
+    specs: dict[str, list[tuple[str, Constraint]]]
+
+
+def _facts(template: ApplicationTemplate, *, check: bool = False) -> _TemplateFacts:
+    """The template's facts.  With ``check``, an invalid template raises
+    :class:`TemplateInvalid`; without, the template's own ``ValueError``."""
+    if check:
+        report = validate_template(template)
+        if not report.ok:
+            raise TemplateInvalid(report)
+    order = template.topological_types()
+    specs = {t: template.out_edges(t) for t in order}
+    return _TemplateFacts(template.starting_type(), order, specs)
 
 
 def build_binding_graph(
     services: Iterable[ServiceDescriptor],
     template: ApplicationTemplate,
     net: Simulator,
+    *,
+    facts: _TemplateFacts | None = None,
 ) -> tuple[AssemblyGraph, QoSMatrix]:
     """Flood the template from the starting services and measure links.
 
@@ -135,18 +153,20 @@ def build_binding_graph(
     per allowed binding and one link measurement per edge.  Only services
     of template types are considered, and visibility is asked per (sender,
     target) pair with :meth:`Simulator.can_see`, so the cost follows the
-    template's services rather than the registry size.
+    template's services rather than the registry size.  :func:`assemble`
+    passes the template's ``facts``, checked once.
     """
-    _require_valid(template)
-    types = template.types()
+    if facts is None:
+        facts = _facts(template, check=True)
+    specs_of = facts.specs
     svc = sorted(
-        (s for s in service_map(services).values() if s.type in types), key=lambda s: s.id
+        (s for s in service_map(services).values() if s.type in specs_of), key=lambda s: s.id
     )
     by_type: dict[str, list[ServiceDescriptor]] = {}
     for descriptor in svc:
         by_type.setdefault(descriptor.type, []).append(descriptor)
 
-    start_type = template.starting_type()
+    start_type = facts.start_type
     starts = by_type.get(start_type, [])
     if not starts:
         raise NoStartingService(f"no live service of starting type {start_type!r}")
@@ -157,7 +177,7 @@ def build_binding_graph(
     links = QoSMatrix()
     while queue:
         sender = queue.popleft()
-        specs = template.out_edges(sender.type)
+        specs = specs_of[sender.type]
         if not specs:
             continue
         if not net.is_live(sender.id):
@@ -201,7 +221,7 @@ def enumerate_candidates(
         raise ValueError(f"start {start_id!r} is not a node of the binding graph")
     if svc[start_id].type != template.starting_type():
         raise ValueError(f"service {start_id!r} is not of the starting type")
-    return _candidates(*_index(graph, svc), links, template, start_id, svc)
+    return _candidates(*_index(graph, svc), links, _facts(template), start_id, svc)
 
 
 _Edge = tuple[str, str]
@@ -225,7 +245,7 @@ def _index(
 def _least_costs(
     succ_by_type: _Successors,
     links: QoSMatrix,
-    template: ApplicationTemplate,
+    facts: _TemplateFacts,
     svc: Mapping[str, ServiceDescriptor],
     nodes: Iterable[str],
 ) -> dict[str, float | None]:
@@ -269,10 +289,9 @@ def _least_costs(
     by_type: dict[str, list[str]] = {}
     for node in nodes:
         by_type.setdefault(svc[node].type, []).append(node)
-    for node_type in reversed(template.topological_types()):
-        specs = template.out_edges(node_type)
+    for node_type in reversed(facts.order):
         for node in by_type.get(node_type, ()):
-            lower[node] = least(node, specs)
+            lower[node] = least(node, facts.specs[node_type])
     return lower
 
 
@@ -280,7 +299,7 @@ def _candidates(
     succ_by_type: _Successors,
     shared_edge: Mapping[_Edge, _Edge],
     links: QoSMatrix,
-    template: ApplicationTemplate,
+    facts: _TemplateFacts,
     start_id: str,
     svc: Mapping[str, ServiceDescriptor],
     lower: Mapping[str, float | None] | None = None,
@@ -300,9 +319,8 @@ def _candidates(
     as the binder's least cost already includes every one of them), so
     every candidate the search completes is within the cutoff.
     """
-    type_order = template.topological_types()
+    type_order = facts.order
     reverse_order = type_order[::-1]
-    out_specs = {t: template.out_edges(t) for t in type_order}
     lookup = links.get
 
     included: dict[str, list[str]] = {t: [] for t in type_order}
@@ -361,7 +379,7 @@ def _candidates(
             return
         binder_type = type_order[position]
         binders = included[binder_type]
-        specs = out_specs[binder_type]
+        specs = facts.specs[binder_type]
         if not binders or not specs:
             expand(position + 1)
             return
@@ -546,26 +564,25 @@ def assemble(
     """Run the full pipeline: flood and measure, enumerate per start,
     commit the first feasible combination.
 
-    The registry and the binding graph are indexed once and shared by
-    every stage.  Each start's list is lazy (see the module docstring); a
-    start without candidates goes through :func:`enumerate_candidates`
-    to raise its :class:`InsufficientServices`.
+    The template is checked once, and it, the registry and the binding
+    graph are indexed once and shared by every stage.  Each start's list
+    is lazy (see the module docstring); for a start without candidates
+    the unbounded search raises its :class:`InsufficientServices`.
     """
-    _require_valid(template)  # reported before a duplicate id, as by the flood
+    facts = _facts(template, check=True)  # reported before a duplicate id, as by the flood
     svc = service_map(services)
-    graph, links = build_binding_graph(svc, template, net)
-    start_type = template.starting_type()
-    start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == start_type)
+    graph, links = build_binding_graph(svc, template, net, facts=facts)
+    start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == facts.start_type)
     succ_by_type, shared_edge = _index(graph, svc)
-    lower = _least_costs(succ_by_type, links, template, svc, graph.nodes)
+    lower = _least_costs(succ_by_type, links, facts, svc, graph.nodes)
     per_start: dict[str, Sequence[CandidateSubgraph]] = {}
     for sid in start_ids:
         cutoff = lower[sid]
         if cutoff is None:
-            per_start[sid] = enumerate_candidates(graph, links, template, sid, svc)
+            per_start[sid] = _candidates(succ_by_type, shared_edge, links, facts, sid, svc)
             continue
-        plateau = _candidates(succ_by_type, shared_edge, links, template, sid, svc, lower, cutoff)
-        complete = partial(_candidates, succ_by_type, shared_edge, links, template, sid, svc)
+        plateau = _candidates(succ_by_type, shared_edge, links, facts, sid, svc, lower, cutoff)
+        complete = partial(_candidates, succ_by_type, shared_edge, links, facts, sid, svc)
         per_start[sid] = _LazyCandidates(plateau, complete)
     return select_assembly(per_start, svc, budget=budget)
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .export import assembly_to_dot, assembly_to_json
 from .model import service_map
-from .netsim import MatrixLatency, Simulator
+from .netsim import MatrixLatency
 from .oracle import check_assembly, exhaustive_assemblies
 from .runtime import run_scenario, timeline_jsonl
 from .scenario import (
@@ -233,9 +233,8 @@ def cmd_verify(args) -> int:
     for index in range(args.random):
         seed = args.seed * 1_000_003 + index
         services, template, links = generate_random_instance(seed, args.max_services)
-        net = Simulator(MatrixLatency(dict(links.items())), trace=False)
-        for descriptor in sorted(services, key=lambda s: s.id):
-            net.announce(descriptor, at=0.0)
+        latency = MatrixLatency(dict(links.items()))
+        net = build_simulator(Scenario(services, template, latency), trace=False)
         assembler_feasible = True
         result = None
         try:

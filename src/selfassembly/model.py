@@ -47,7 +47,7 @@ ALL = AllServices()
 Constraint = int | AllServices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceDescriptor:
     """One service's self-description.
 
@@ -193,11 +193,8 @@ def validate_template(
             violations.append("no starting type: every type has an inbound pair")
         elif len(starts) > 1:
             violations.append("multiple starting types: " + ", ".join(starts))
-        succ: dict[str, list[str]] = {}
-        for a, b in body:
-            succ.setdefault(a, []).append(b)
         try:
-            _topological(template.types(), succ)
+            template.topological_types()
         except ValueError:
             violations.append("type graph contains a cycle")
 

@@ -23,29 +23,12 @@ from .errors import DuplicateId, LatencyUndefined, PeerUnknown
 from .model import ServiceDescriptor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscoveryRecord:
-    """Self-description a peer broadcasts: its service plus free-form
-    attributes (e.g. ``required_memory``)."""
+    """Self-description a peer broadcasts: its service, and when."""
 
     service: ServiceDescriptor
     announced_at: float = 0.0
-    attributes: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        attrs = self.attributes
-        if attrs == ():  # the common case, already normalised
-            return
-        if isinstance(attrs, Mapping):
-            attrs = tuple(sorted((str(k), str(v)) for k, v in attrs.items()))
-        else:
-            attrs = tuple(sorted((str(k), str(v)) for k, v in attrs))
-        keys = [k for k, _ in attrs]
-        if any(not k for k in keys):
-            raise ValueError("attribute keys must be non-empty")
-        if len(set(keys)) != len(keys):
-            raise ValueError("attribute keys must be unique")
-        object.__setattr__(self, "attributes", attrs)
 
     @property
     def id(self) -> str:
@@ -168,8 +151,8 @@ class Simulator:
       by construction.
     * ``set_partitions`` optionally restricts which peers can see each
       other (range modeling); by default every live peer sees every other.
-    * ``can_see`` answers one (observer, target) visibility question by
-      the rule ``surrounding_services`` applies to every live record.
+    * ``can_see`` answers one (observer, target) visibility question;
+      ``surrounding_services`` applies it to every live record.
 
     Every action appends one record to the event trace, so identical
     scenarios with identical seeds serialize to byte-identical logs.
@@ -198,32 +181,21 @@ class Simulator:
 
     # ------------------------------------------------------------------ registry
 
-    def announce(
-        self,
-        service: ServiceDescriptor | DiscoveryRecord,
-        at: float | None = None,
-        attributes: Mapping[str, str] | Iterable[tuple[str, str]] = (),
-    ) -> DiscoveryRecord:
-        """Register a peer's self-description; visible after the
-        configured propagation latency."""
-        if isinstance(service, DiscoveryRecord):
-            record = service
-        else:
-            when = self.clock if at is None else float(at)
-            record = DiscoveryRecord(service, when, attributes)
-        if record.id in self._records:
-            raise DuplicateId(f"service {record.id!r} is already announced")
-        self._records[record.id] = record
-        self._visible_from[record.id] = record.announced_at + self.announce_latency_ms
-        self.log_event(
-            "announce",
-            record.id,
-            None,
-            t=record.announced_at,
-            type=record.service.type,
-            qos_ms=record.service.qos_nominal,
-            threshold=record.service.threshold,
-        )
+    def announce(self, service: ServiceDescriptor, at: float | None = None) -> DiscoveryRecord:
+        """Register a peer's self-description, visible after the propagation latency."""
+        sid = service.id
+        if sid in self._records:
+            raise DuplicateId(f"service {sid!r} is already announced")
+        when = self.clock if at is None else float(at)
+        record = self._records[sid] = DiscoveryRecord(service, when)
+        self._visible_from[sid] = when + self.announce_latency_ms
+        if self._trace_enabled:  # the record log_event would append, built inline
+            detail = {
+                "type": service.type, "qos_ms": service.qos_nominal, "threshold": service.threshold
+            }
+            self._trace.append(
+                {"t": when, "kind": "announce", "from": sid, "to": None, "detail": detail}
+            )
         return record
 
     def withdraw(self, service_id: str, at: float | None = None) -> None:
@@ -238,32 +210,14 @@ class Simulator:
     def is_live(self, service_id: str) -> bool:
         return service_id in self._records
 
-    def live_services(self, at: float | None = None) -> list[ServiceDescriptor]:
-        """Descriptors of all peers visible at ``at`` (default: now), by id."""
-        when = self.clock if at is None else float(at)
-        out = [
-            rec.service
-            for sid, rec in self._records.items()
-            if self._visible_from[sid] <= when
-        ]
-        out.sort(key=lambda s: s.id)
-        return out
-
     def surrounding_services(
         self, observer_id: str, at: float | None = None
     ) -> list[DiscoveryRecord]:
-        """Every live record the observer can currently see, excluding its
-        own; sorted by id."""
+        """Every live record the observer can see now, excluding its own, by id."""
         if observer_id not in self._records:
             raise PeerUnknown(f"observer {observer_id!r} is not live")
         when = self.clock if at is None else float(at)
-        out = [
-            rec
-            for sid, rec in self._records.items()
-            if sid != observer_id
-            and self._visible_from[sid] <= when
-            and self._can_see(observer_id, sid)
-        ]
+        out = [rec for sid, rec in self._records.items() if self.can_see(observer_id, sid, when)]
         out.sort(key=lambda r: r.id)
         return out
 
@@ -271,10 +225,9 @@ class Simulator:
         return {rec.id for rec in self.surrounding_services(observer_id, at)}
 
     def can_see(self, observer_id: str, target_id: str, at: float | None = None) -> bool:
-        """Whether ``target_id`` is among the observer's surrounding
-        services at ``at`` (default: now), answered without a registry
-        scan.  The observer's own liveness is not checked; callers that
-        need :class:`PeerUnknown` check it once with :meth:`is_live`."""
+        """Whether the observer sees ``target_id`` at ``at`` (default: now),
+        without a registry scan.  The observer's own liveness is not checked:
+        callers that need :class:`PeerUnknown` check :meth:`is_live` once."""
         visible_from = self._visible_from.get(target_id)
         return (
             visible_from is not None
@@ -312,22 +265,11 @@ class Simulator:
         self._overrides[(from_id, to_id)] = new_ms
         self.log_event("link_degrade", from_id, to_id, new_ms=new_ms)
 
-    def link_latency(
-        self, from_id: str, to_id: str, model: LatencyModel | None = None
-    ) -> float:
+    def link_latency(self, from_id: str, to_id: str) -> float:
         override = self._overrides.get((from_id, to_id))
-        if override is not None:
-            return override
-        chosen = model if model is not None else self.latency
-        return chosen.sample(from_id, to_id)
+        return override if override is not None else self.latency.sample(from_id, to_id)
 
-    def measure_link(
-        self,
-        from_id: str,
-        to_id: str,
-        at: float | None = None,
-        model: LatencyModel | None = None,
-    ) -> float:
+    def measure_link(self, from_id: str, to_id: str, at: float | None = None) -> float:
         """Measured transfer time of one directed link.
 
         Simulates a stamped message: it leaves ``from_id`` at ``t_sent``
@@ -338,7 +280,7 @@ class Simulator:
             if sid not in self._records:
                 raise PeerUnknown(f"service {sid!r} is not live")
         t_sent = self.clock if at is None else float(at)
-        link_ms = self.link_latency(from_id, to_id, model)
+        link_ms = self.link_latency(from_id, to_id)
         self.log_event(
             "measure",
             from_id,

@@ -2,9 +2,9 @@
 
 A committed assembly stays in place until an event invalidates it or could
 improve it; the reaction is always a full re-run of the assembly pipeline
-on the current live set (an atomic swap, never an in-place patch).  An
-infeasible re-run leaves the system without a committed assembly, waiting
-for a restorative event.
+on the live services of template types (an atomic swap, never an in-place
+patch).  An infeasible re-run leaves the system without a committed
+assembly, waiting for a restorative event.
 """
 from __future__ import annotations
 
@@ -201,19 +201,23 @@ def run_scenario(
         raise TemplateInvalid(report)
 
     live: dict[str, ServiceDescriptor] = {}
+    typed: dict[str, ServiceDescriptor] = {}  # the live services that can bind
+    types = template.types()
     for descriptor in sorted(initial_services, key=lambda s: s.id):
         if descriptor.id in live:
             raise ValueError(f"duplicate service id {descriptor.id!r}")
         if not net.is_live(descriptor.id):
             net.announce(descriptor)
         live[descriptor.id] = descriptor
+        if descriptor.type in types:
+            typed[descriptor.id] = descriptor
 
     timeline: list[TimelineEntry] = []
     committed: AssemblyResult | None = None
 
     def attempt(at: float, trigger: str, exclude: str | None = None) -> None:
         nonlocal committed
-        pool = [d for d in live.values() if d.id != exclude]
+        pool = [d for sid, d in typed.items() if sid != exclude]
         try:
             result = assemble(pool, template, net, budget=budget)
             committed = result
@@ -244,6 +248,8 @@ def run_scenario(
             assert descriptor is not None
             net.announce(descriptor, at=event.at)
             live[descriptor.id] = descriptor
+            if descriptor.type in types:
+                typed[descriptor.id] = descriptor
             attempt(event.at, f"service_appears:{descriptor.id}")
         elif event.kind is EventKind.SERVICE_DISAPPEARS:
             sid = event.service_id
@@ -253,6 +259,7 @@ def run_scenario(
             used = committed is not None and sid in committed.assembly.nodes
             net.withdraw(sid, at=event.at)
             del live[sid]
+            typed.pop(sid, None)
             if used:
                 attempt(event.at, f"service_disappears:{sid}")
         elif event.kind is EventKind.LINK_DEGRADES:

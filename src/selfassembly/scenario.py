@@ -8,6 +8,7 @@ strict: unknown keys are rejected at every level so typos surface early.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any
@@ -58,7 +59,29 @@ def _number(value: Any, where: str) -> float:
     return float(value)
 
 
-def _parse_service(obj: Any, where: str) -> ServiceDescriptor:
+def _parse_service(obj: Any, where: str, index: int | None = None) -> ServiceDescriptor:
+    """One service entry, named ``where`` (plus ``[index]``) in errors.  A
+    decoded JSON entry of the four keys, with string id and type, an int
+    threshold and an int or float ``qos_ms``, goes straight to the
+    descriptor, which checks the values; any other is checked key by key."""
+    if type(obj) is dict and len(obj) == 4:
+        try:
+            sid, kind, qos, threshold = obj["id"], obj["type"], obj["qos_ms"], obj["threshold"]
+        except KeyError:
+            pass  # an unknown key in place of a required one
+        else:
+            if (
+                type(sid) is str
+                and type(kind) is str
+                and type(threshold) is int
+                and (type(qos) is float or type(qos) is int)
+            ):
+                try:
+                    return ServiceDescriptor(sid, kind, float(qos), threshold)
+                except ValueError:
+                    pass  # reported below, with the entry's name
+    if index is not None:
+        where = f"{where}[{index}]"
     if not isinstance(obj, dict):
         raise ScenarioFormatError(f"{where}: expected an object")
     _check_keys(obj, {"id", "type", "qos_ms", "threshold"}, set(), where)
@@ -153,10 +176,10 @@ def _parse_links(obj: Any) -> LatencyModel:
 
 
 _EVENT_KEYS = {
-    "service_appears": ({"at_ms", "kind", "service"}, set()),
-    "service_disappears": ({"at_ms", "kind", "id"}, set()),
-    "link_degrades": ({"at_ms", "kind", "from", "to", "new_ms"}, set()),
-    "inject_out_contract": ({"at_ms", "kind", "id"}, set()),
+    "service_appears": {"at_ms", "kind", "service"},
+    "service_disappears": {"at_ms", "kind", "id"},
+    "link_degrades": {"at_ms", "kind", "from", "to", "new_ms"},
+    "inject_out_contract": {"at_ms", "kind", "id"},
 }
 
 
@@ -166,8 +189,7 @@ def _parse_event(obj: Any, where: str) -> ScenarioEvent:
     kind = obj.get("kind")
     if kind not in _EVENT_KEYS:
         raise ScenarioFormatError(f"{where}.kind: unknown event kind {kind!r}")
-    required, optional = _EVENT_KEYS[kind]
-    _check_keys(obj, required, optional, where)
+    _check_keys(obj, _EVENT_KEYS[kind], set(), where)
     at = _number(obj["at_ms"], f"{where}.at_ms")
     if kind == "service_appears":
         return ScenarioEvent.appears(at, _parse_service(obj["service"], f"{where}.service"))
@@ -203,10 +225,10 @@ def parse_scenario(document: str | dict) -> Scenario:
     if not isinstance(raw_services, list):
         raise ScenarioFormatError("services: expected a list")
     services = [
-        _parse_service(entry, f"services[{idx}]") for idx, entry in enumerate(raw_services)
+        _parse_service(entry, "services", idx) for idx, entry in enumerate(raw_services)
     ]
-    ids = [s.id for s in services]
-    if len(set(ids)) != len(ids):
+    live = {s.id for s in services}
+    if len(live) != len(services):
         raise ScenarioFormatError("services: duplicate ids")
     template = _parse_template(obj["template"])
     links = _parse_links(obj["links"])
@@ -220,7 +242,28 @@ def parse_scenario(document: str | dict) -> Scenario:
         for earlier, later in zip(events, events[1:]):
             if later.at < earlier.at:
                 raise ScenarioFormatError("events: not sorted by at_ms")
+        _check_live_ids(events, live)
     return Scenario(services, template, links, events)
+
+
+def _check_live_ids(events: list[ScenarioEvent], live: set[str]) -> None:
+    """Reject an event naming a service not live at its time, or announcing
+    one that is; ``live`` starts as the initial ids and follows the events."""
+    for idx, event in enumerate(events):
+        if event.kind is EventKind.SERVICE_APPEARS:
+            sid = event.service.id
+            if sid in live:
+                raise ScenarioFormatError(f"events[{idx}]: service {sid!r} is already live")
+            live.add(sid)
+            continue
+        named = (event.service_id,)
+        if event.kind is EventKind.LINK_DEGRADES:
+            named = (event.link_from, event.link_to)
+        for sid in named:
+            if sid not in live:
+                raise ScenarioFormatError(f"events[{idx}]: service {sid!r} is not live")
+        if event.kind is EventKind.SERVICE_DISAPPEARS:
+            live.remove(event.service_id)
 
 
 def load_scenario(path) -> Scenario:
@@ -510,9 +553,4 @@ def generate_random_instance(
 
 
 def _binom(n: int, k: int) -> int:
-    if k > n:
-        return 10 ** 9  # forces a resample; the instance is unsatisfiable anyway
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+    return math.comb(n, k) if k <= n else 10 ** 9  # 10**9 forces a resample

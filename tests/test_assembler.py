@@ -22,6 +22,7 @@ from selfassembly import (
     select_assembly,
     service_map,
 )
+from selfassembly import model
 from selfassembly.oracle import binomial_table, check_assembly, exhaustive_worst_path
 
 from conftest import make_net, seven_services, seven_template
@@ -340,6 +341,25 @@ def test_assemble_commits_the_cheapest_pair_of_thousands_without_listing_all_pai
     assert chosen.cost == svc["A1"].qos_nominal + second_term
     assert chosen.rank == 0 and result.combinations_tested == 1
     assert elapsed < 1.0
+
+
+def test_assemble_works_the_template_out_once(example7_net, monkeypatch):
+    # One dependency sort to validate the template and one for the stages'
+    # type order, not one per stage and per start.
+    services, template, net = example7_net
+    real = model._topological
+    sorts = []
+    monkeypatch.setattr(model, "_topological", lambda *args: sorts.append(1) or real(*args))
+    assemble(services, template, net)
+    assert len(sorts) == 2
+
+
+def test_enumerate_candidates_on_its_own_still_rejects_a_cyclic_template(example7_net):
+    services, template, net = example7_net
+    graph, links = build_binding_graph(services, template, net)
+    cyclic = ApplicationTemplate((("tA", "tB"), ("tB", "tC"), ("tC", "tB")), (2, 1, 1))
+    with pytest.raises(ValueError, match="cycle"):
+        enumerate_candidates(graph, links, cyclic, "A1", service_map(services))
 
 
 def test_assemble_union_deduplicates_edges(example7_net):

@@ -118,6 +118,15 @@ def test_simulate_final_infeasible_exit_code(tmp_path):
     assert main(["simulate", "--scenario", str(scenario_path)]) == 2
 
 
+def test_simulate_rejects_an_event_on_an_unknown_id(tmp_path, capsys):
+    events = [ScenarioEvent.disappears(100.0, "ZZ")]
+    scenario_path = _write_example7(tmp_path / "unknown.json", events=events)
+    assert main(["simulate", "--scenario", str(scenario_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: events[0]: service 'ZZ' is not live")
+    assert "Traceback" not in err
+
+
 def test_bench_one_layer_row(tmp_path):
     csv_path = tmp_path / "bench.csv"
     code = main(

@@ -1,7 +1,6 @@
 import pytest
 
 from selfassembly import (
-    DiscoveryRecord,
     DuplicateId,
     LatencyUndefined,
     MatrixLatency,
@@ -42,40 +41,6 @@ def test_duplicate_announce_rejected():
 def test_withdraw_unknown_peer():
     with pytest.raises(PeerUnknown):
         Simulator().withdraw("ghost")
-
-
-def test_record_attribute_rules():
-    svc = ServiceDescriptor("A1", "tA", 1.0, 1)
-    record = DiscoveryRecord(svc, 0.0, {"required_memory": "64MB"})
-    assert record.attributes == (("required_memory", "64MB"),)
-    with pytest.raises(ValueError):
-        DiscoveryRecord(svc, 0.0, (("", "x"),))
-    with pytest.raises(ValueError):
-        DiscoveryRecord(svc, 0.0, (("k", "1"), ("k", "2")))
-    for empty in ({}, (), []):
-        assert DiscoveryRecord(svc, 0.0, empty).attributes == ()
-    assert DiscoveryRecord(svc).attributes == ()
-    pairs = (("zone", "b"), ("mem", 64))
-    expected = (("mem", "64"), ("zone", "b"))
-    for form in (dict(pairs), pairs, list(pairs), iter(pairs)):
-        assert DiscoveryRecord(svc, 0.0, form).attributes == expected
-    assert Simulator().announce(svc, attributes=dict(pairs)).attributes == expected
-    for bad in ({"": "x"}, iter([("k", "1"), ("k", "2")])):
-        with pytest.raises(ValueError):
-            DiscoveryRecord(svc, 0.0, bad)
-
-
-def test_announce_rejects_duplicate_attribute_keys():
-    svc = ServiceDescriptor("A1", "tA", 1.0, 1)
-    net = Simulator()
-    with pytest.raises(ValueError):
-        net.announce(svc, attributes=[("k", "1"), ("k", "2")])
-    assert not net.is_live("A1")
-    assert net.trace_jsonl() == ""
-    pairs = [("zone", "b"), ("mem", 64)]
-    for form in (pairs, iter(pairs), dict(pairs)):
-        record = Simulator().announce(svc, attributes=form)
-        assert record.attributes == (("mem", "64"), ("zone", "b"))
 
 
 def test_message_timestamps_must_be_ordered():

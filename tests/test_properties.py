@@ -22,6 +22,7 @@ from selfassembly import (
     PeerUnknown,
     QoSMatrix,
     Role,
+    ScenarioFormatError,
     SeededLatency,
     ServiceDescriptor,
     Simulator,
@@ -31,17 +32,22 @@ from selfassembly import (
     classify_roles,
     count_combinations,
     enumerate_candidates,
+    generate_medical,
     generate_random_instance,
     parse_scenario,
+    run_scenario,
     select_assembly,
     serialize_scenario,
     service_map,
+    timeline_jsonl,
     validate_template,
     worst_path_time,
 )
-from selfassembly.assembler import _candidates, _index, _least_costs
+from selfassembly import runtime
+from selfassembly.assembler import _candidates, _facts, _index, _least_costs
 from selfassembly.model import AllServices
 from selfassembly.oracle import _subgraphs_from, exhaustive_worst_path
+from selfassembly.runtime import EventKind, ScenarioEvent, TimelineEntry
 from selfassembly.scenario import Scenario
 
 from conftest import make_net
@@ -551,7 +557,8 @@ def test_least_cost_plateaus_are_exact_prefixes_of_the_full_lists(instance, data
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
     succ, shared_edge = _index(graph, svc)
-    lower = _least_costs(succ, links, template, svc, graph.nodes)
+    facts = _facts(template)
+    lower = _least_costs(succ, links, facts, svc, graph.nodes)
     for sid, full in _full_lists(services, template, graph, links).items():
         if isinstance(full, InsufficientServices):
             assert lower[sid] is None
@@ -559,7 +566,7 @@ def test_least_cost_plateaus_are_exact_prefixes_of_the_full_lists(instance, data
         assert lower[sid] is not None
         assert lower[sid].hex() == full[0].cost.hex()
         for cutoff in (lower[sid], data.draw(st.sampled_from(full)).cost):
-            assert _candidates(succ, shared_edge, links, template, sid, svc, lower, cutoff) == [
+            assert _candidates(succ, shared_edge, links, facts, sid, svc, lower, cutoff) == [
                 c for c in full if c.cost <= cutoff
             ]
 
@@ -593,3 +600,283 @@ def test_lazy_assemble_matches_selection_over_full_lists(instance, data):
         return assemble(services, template, make_net(services, latency), budget=budget)
 
     assert _assembly(lazy) == _assembly(eager)
+
+
+# ------------------------------------------------- single-pass service parsing
+
+
+def _reference_check_keys(obj, required, optional, where):
+    keys = set(obj)
+    missing = required - keys
+    if missing:
+        raise ScenarioFormatError(f"{where}: missing key(s) {sorted(missing)}")
+    unknown = keys - required - optional
+    if unknown:
+        raise ScenarioFormatError(f"{where}: unknown key(s) {sorted(unknown)}")
+
+
+def _reference_number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def reference_parse_service(obj, where):
+    """The service-entry parser as it was: every check in turn."""
+    if not isinstance(obj, dict):
+        raise ScenarioFormatError(f"{where}: expected an object")
+    _reference_check_keys(obj, {"id", "type", "qos_ms", "threshold"}, set(), where)
+    if not isinstance(obj["id"], str) or not isinstance(obj["type"], str):
+        raise ScenarioFormatError(f"{where}: id and type must be strings")
+    if isinstance(obj["threshold"], bool) or not isinstance(obj["threshold"], int):
+        raise ScenarioFormatError(f"{where}: threshold must be an integer")
+    try:
+        return ServiceDescriptor(
+            obj["id"], obj["type"], _reference_number(obj["qos_ms"], where), obj["threshold"]
+        )
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{where}: {exc}") from None
+
+
+class _Dict(dict):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+ODD_VALUES = {
+    "id": ["", "x", "1", None, 1, True, []],
+    "type": ["", "tZ", None, 2.5, ["tA"]],
+    "qos_ms": [True, False, "2", None, math.nan, -0.5, -1e-300, -0.0, 0, 10 ** 20, math.inf,
+               -math.inf, _Int(2), _Float(1.5)],
+    "threshold": [True, False, 1.0, 2.5, "1", None, 0, -1, 10 ** 20, _Int(2), _Float(2.0)],
+}
+
+
+@st.composite
+def service_entries(draw, prefix):
+    """A well-formed service entry, or one with a mutation: odd values for
+    one or two keys, a key dropped, extra keys, a dict subclass, or no dict
+    at all.  Ids start with ``prefix`` unless replaced."""
+    entry = {
+        "id": f"{prefix}{draw(st.integers(1, 3))}",
+        "type": draw(st.sampled_from(["tA", "tB"])),
+        "qos_ms": draw(st.sampled_from([0, 3, 0.5, 2.25])),
+        "threshold": draw(st.sampled_from([1, 2, 7])),
+    }
+    mutation = draw(st.sampled_from(["none", "odd", "odd", "odd", "drop", "extra", "shape"]))
+    if mutation == "odd":
+        for key in draw(st.sets(st.sampled_from(sorted(entry)), min_size=1, max_size=2)):
+            entry[key] = draw(st.sampled_from(ODD_VALUES[key]))
+    elif mutation == "drop":
+        del entry[draw(st.sampled_from(sorted(entry)))]
+    elif mutation == "extra":
+        for extra in draw(st.sets(st.sampled_from(["extra", "ID", "qos"]), min_size=1, max_size=2)):
+            entry[extra] = 1
+    elif mutation == "shape":
+        return draw(st.sampled_from([_Dict(entry), list(entry.items()), "S1", None, 3]))
+    return entry
+
+
+def _parsed(parse):
+    try:
+        return parse()
+    except ScenarioFormatError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(service_entries("S"), max_size=3),
+    st.one_of(st.none(), service_entries("E")),
+)
+def test_single_pass_service_parsing_matches_the_checked_parser(entries, appearing):
+    events = [] if appearing is None else [
+        {"at_ms": 1, "kind": "service_appears", "service": appearing}
+    ]
+    document = {
+        "services": entries,
+        "template": {"body": [["tA", "tB"]], "constraints": [1]},
+        "links": {"kind": "uniform", "base_ms": 1},
+        "events": events,
+    }
+
+    def reference():
+        services = [reference_parse_service(e, f"services[{i}]") for i, e in enumerate(entries)]
+        if len({s.id for s in services}) != len(services):
+            raise ScenarioFormatError("services: duplicate ids")
+        parsed = [ScenarioEvent.appears(1.0, reference_parse_service(appearing, "events[0].service"))
+                  for _ in events]
+        if parsed and parsed[0].service.id in {s.id for s in services}:  # an odd id of both
+            raise ScenarioFormatError(f"events[0]: service {parsed[0].service.id!r} is already live")
+        return repr((services, parsed))  # tells 3 from 3.0 and -0.0 from 0.0
+
+    def single_pass():
+        scenario = parse_scenario(document)
+        return repr((scenario.services, scenario.events))
+
+    assert _parsed(single_pass) == _parsed(reference)
+
+
+# ------------------------------------------------- template-typed live index
+
+
+def reference_run_scenario(initial, template, events, net, *, budget=DEFAULT_COMBINATION_BUDGET):
+    """``run_scenario`` as it was: every attempt hands the whole live
+    registry, bystanders included, to ``assemble``."""
+    live = {}
+    for descriptor in sorted(initial, key=lambda s: s.id):
+        if not net.is_live(descriptor.id):
+            net.announce(descriptor)
+        live[descriptor.id] = descriptor
+    timeline = []
+    committed = None
+
+    def attempt(at, trigger, exclude=None):
+        nonlocal committed
+        pool = [d for d in live.values() if d.id != exclude]
+        try:
+            committed = assemble(pool, template, net, budget=budget)
+            entry = TimelineEntry(at, trigger, committed, None, committed.combinations_tested)
+        except Infeasible as exc:
+            committed = None
+            entry = TimelineEntry(at, trigger, None, str(exc), exc.combinations_tested)
+        except (InsufficientServices, NoStartingService, CombinationBudgetExceeded) as exc:
+            committed = None
+            entry = TimelineEntry(at, trigger, None, str(exc), 0)
+        timeline.append(entry)
+        net.log_event("reassembly", None, None, t=at, trigger=trigger, feasible=entry.feasible)
+
+    def uses(sid):
+        return committed is not None and sid in committed.assembly.nodes
+
+    attempt(0.0, "initial")
+    for event in events:
+        if event.at > net.clock:
+            net.advance(event.at)
+        if event.kind is EventKind.SERVICE_APPEARS:
+            net.announce(event.service, at=event.at)
+            live[event.service.id] = event.service
+            attempt(event.at, f"service_appears:{event.service.id}")
+        elif event.kind is EventKind.SERVICE_DISAPPEARS:
+            sid = event.service_id
+            used = uses(sid)
+            net.withdraw(sid, at=event.at)
+            del live[sid]
+            if used:
+                attempt(event.at, f"service_disappears:{sid}")
+        elif event.kind is EventKind.LINK_DEGRADES:
+            link = (event.link_from, event.link_to)
+            net.degrade_link(*link, event.new_ms)
+            if committed is not None and link in committed.assembly.edges:
+                attempt(event.at, f"link_degrades:{link[0]}->{link[1]}")
+        else:
+            sid = event.service_id
+            net.log_event("out_contract", sid, None, t=event.at, status="OutContract",
+                          cause="Injected")
+            if uses(sid):
+                attempt(event.at, f"out_contract:{sid}", exclude=sid)
+    return timeline
+
+
+CHURN_TYPES = ["tA", "tB", "tC", "tX", "tY"]
+
+
+@st.composite
+def churn_worlds(draw):
+    """A two-pair template over a few services of its types plus
+    bystanders of two other types, jittered links, sometimes an announce
+    latency, partitions or a small budget, and a churn trace whose events
+    name only ids live at their time: appearances of either kind,
+    withdrawals, link degradations and out-of-contract reports, of
+    template services (often committed ones) and bystanders alike."""
+
+    def service(sid, service_type):
+        return ServiceDescriptor(
+            sid, service_type, draw(st.sampled_from([0.5, 1.0, 2.5])), draw(st.integers(1, 3))
+        )
+
+    widths = {"tA": (1, 3), "tB": (1, 3), "tC": (1, 2), "tX": (0, 4), "tY": (0, 3)}
+    services = [
+        service(f"{t}{i}", t) for t, (low, high) in widths.items()
+        for i in range(draw(st.integers(low, high)))
+    ]
+    live = [s.id for s in services]
+    every_id = list(live)
+    events = []
+    at = 0.0
+    for fresh in range(draw(st.integers(0, 8))):
+        at += draw(st.sampled_from([0.0, 5.0, 10.0]))
+        kind = draw(st.sampled_from(["appears", "disappears", "degrades", "out_contract"]))
+        if kind == "appears" or len(live) < 2:
+            descriptor = service(f"n{fresh}", draw(st.sampled_from(CHURN_TYPES)))
+            events.append(ScenarioEvent.appears(at, descriptor))
+            live.append(descriptor.id)
+            every_id.append(descriptor.id)
+        elif kind == "disappears":
+            sid = draw(st.sampled_from(live))
+            live.remove(sid)
+            events.append(ScenarioEvent.disappears(at, sid))
+        elif kind == "degrades":  # a sensor-gateway link is often a committed one
+            pairs = [(a, b) for a in live for b in live if (a[:2], b[:2]) == ("tA", "tB")]
+            a, b = draw(st.sampled_from(pairs)) if pairs and draw(st.booleans()) else (
+                draw(st.sampled_from(live)), draw(st.sampled_from(live)))
+            events.append(ScenarioEvent.link_degrades(at, a, b, draw(st.sampled_from([0.0, 9.0]))))
+        else:
+            events.append(ScenarioEvent.inject_out_contract(at, draw(st.sampled_from(live))))
+    template = ApplicationTemplate((("tA", "tB"), ("tB", "tC")), (draw(st.integers(1, 2)), 1))
+    groups = draw(st.one_of(st.none(), st.sets(st.sampled_from(every_id))))
+    if groups is not None:
+        groups = [groups, set(every_id) - groups]
+    network = (draw(st.integers(0, 2 ** 16)), draw(st.sampled_from([0.0, 0.0, 7.5])), groups)
+    budget = draw(st.sampled_from([DEFAULT_COMBINATION_BUDGET] * 3 + [1]))
+    return services, template, events, network, budget
+
+
+def _churn(run, world):
+    services, template, events, (seed, announce_ms, groups), budget = world
+    net = Simulator(SeededLatency(2.0, 1.5, seed), announce_latency_ms=announce_ms)
+    net.set_partitions(groups)
+    timeline = run(services, template, events, net, budget=budget)
+    entries = [(entry.trigger, entry.reason, entry.result) for entry in timeline]
+    return timeline_jsonl(timeline), net.trace_jsonl(), entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(churn_worlds())
+def test_template_typed_index_matches_handing_over_the_whole_registry(world):
+    assert _churn(run_scenario, world) == _churn(reference_run_scenario, world)
+
+
+def test_run_scenario_hands_assemble_only_template_typed_services(monkeypatch):
+    scenario = generate_medical(0)
+    types = scenario.template.types()
+    bystanders = [ServiceDescriptor(f"X{i}", "tX", 1.0, 1) for i in range(5)]
+    events = [
+        ScenarioEvent.appears(10.0, ServiceDescriptor("X9", "tX", 1.0, 1)),
+        ScenarioEvent.appears(20.0, ServiceDescriptor("B10", "tB", 1.0, 10)),
+        ScenarioEvent.disappears(30.0, "X0"),
+        ScenarioEvent.inject_out_contract(40.0, "A1"),
+    ]
+    handed = []
+
+    def spy(services, template, net, **options):
+        services = list(services)
+        handed.append(sorted(s.id for s in services if s.type not in types))
+        return assemble(services, template, net, **options)
+
+    monkeypatch.setattr(runtime, "assemble", spy)
+    timeline = run_scenario(
+        scenario.services + bystanders, scenario.template, events, Simulator(UniformLatency(1.0))
+    )
+    assert [entry.trigger for entry in timeline] == [
+        "initial", "service_appears:X9", "service_appears:B10", "out_contract:A1"
+    ]
+    assert all(entry.feasible for entry in timeline)
+    assert handed == [[], [], [], []]

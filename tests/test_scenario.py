@@ -126,6 +126,69 @@ def test_unsorted_events_rejected():
         parse_scenario(obj)
 
 
+def _with_events(*events):
+    """Two live services, A1 and B1, and the given events."""
+    return {
+        "services": [
+            {"id": "A1", "type": "tA", "qos_ms": 1, "threshold": 1},
+            {"id": "B1", "type": "tB", "qos_ms": 1, "threshold": 1},
+        ],
+        "template": {"body": [["tA", "tB"]], "constraints": [1]},
+        "links": {"kind": "uniform", "base_ms": 1},
+        "events": list(events),
+    }
+
+
+def _appears(at, sid):
+    return {"at_ms": at, "kind": "service_appears",
+            "service": {"id": sid, "type": "tB", "qos_ms": 1, "threshold": 1}}
+
+
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        ([{"at_ms": 1, "kind": "service_disappears", "id": "ZZ"}],
+         "events[0]: service 'ZZ' is not live"),
+        ([{"at_ms": 1, "kind": "service_disappears", "id": "B1"},
+          {"at_ms": 2, "kind": "service_disappears", "id": "B1"}],
+         "events[1]: service 'B1' is not live"),
+        ([{"at_ms": 1, "kind": "inject_out_contract", "id": "ZZ"}],
+         "events[0]: service 'ZZ' is not live"),
+        ([{"at_ms": 1, "kind": "service_disappears", "id": "B1"},
+          {"at_ms": 2, "kind": "inject_out_contract", "id": "B1"}],
+         "events[1]: service 'B1' is not live"),
+        ([{"at_ms": 1, "kind": "link_degrades", "from": "ZZ", "to": "B1", "new_ms": 2}],
+         "events[0]: service 'ZZ' is not live"),
+        ([{"at_ms": 1, "kind": "link_degrades", "from": "A1", "to": "ZZ", "new_ms": 2}],
+         "events[0]: service 'ZZ' is not live"),
+        ([_appears(1, "B1")], "events[0]: service 'B1' is already live"),
+        ([_appears(1, "B2"), _appears(2, "B2")], "events[1]: service 'B2' is already live"),
+        # The order check comes first, so its message is unchanged.
+        ([{"at_ms": 2, "kind": "service_disappears", "id": "ZZ"},
+          {"at_ms": 1, "kind": "service_disappears", "id": "ZZ"}],
+         "events: not sorted by at_ms"),
+    ],
+)
+def test_events_on_ids_not_live_at_their_time_rejected(events, message):
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(_with_events(*events))
+    assert str(info.value) == message
+
+
+def test_events_follow_the_live_set():
+    scenario = parse_scenario(
+        _with_events(
+            {"at_ms": 1, "kind": "service_disappears", "id": "B1"},
+            _appears(2, "B1"),
+            _appears(3, "B2"),
+            {"at_ms": 4, "kind": "link_degrades", "from": "A1", "to": "B2", "new_ms": 2},
+            {"at_ms": 5, "kind": "inject_out_contract", "id": "B2"},
+            {"at_ms": 6, "kind": "service_disappears", "id": "B2"},
+        )
+    )
+    assert len(scenario.events) == 6
+
+
 def test_not_json_rejected():
     with pytest.raises(ScenarioFormatError):
         parse_scenario("{nope")
