@@ -72,7 +72,6 @@ from .runtime import (
     ScenarioEvent,
     TimelineEntry,
     check_contract,
-    inflight_load,
     run_scenario,
     timeline_jsonl,
 )

@@ -18,6 +18,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .errors import DisconnectedNode, MissingLinkQoS, UnknownServiceType
 
@@ -47,29 +48,38 @@ ALL = AllServices()
 Constraint = int | AllServices
 
 
-@dataclass(frozen=True, slots=True)
-class ServiceDescriptor:
-    """One service's self-description.
-
-    ``qos_nominal`` is the processing time (ms) the service offers under
-    normal load; ``threshold`` is the number of simultaneous bindings it
-    accepts while still honoring that time.
-    """
-
+class _ServiceFields(NamedTuple):
     id: str
     type: str
     qos_nominal: float
     threshold: int
 
-    def __post_init__(self) -> None:
-        if not self.id:
+
+class ServiceDescriptor(_ServiceFields):
+    """One service's self-description.
+
+    ``qos_nominal`` is the processing time (ms) the service offers under
+    normal load; ``threshold`` is the number of simultaneous bindings it
+    accepts while still honoring that time.  A validated named tuple, so
+    it equals the plain 4-tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, type: str, qos_nominal: float, threshold: int):
+        if not id:
             raise ValueError("service id must be non-empty")
-        if not self.type:
+        if not type:
             raise ValueError("service type must be non-empty")
-        if not self.qos_nominal >= 0:  # also rejects NaN, which costs could not order
-            raise ValueError(f"qos_nominal must be >= 0, got {self.qos_nominal}")
-        if self.threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {self.threshold}")
+        if not qos_nominal >= 0:  # also rejects NaN, which costs could not order
+            raise ValueError(f"qos_nominal must be >= 0, got {qos_nominal}")
+        if threshold < 1:
+            raise ValueError(f"threshold must be >= 1, got {threshold}")
+        return tuple.__new__(cls, (id, type, qos_nominal, threshold))
+
+    @classmethod
+    def _make(cls, iterable) -> "ServiceDescriptor":  # so that _replace validates too
+        return cls(*iterable)
 
 
 class Role(Enum):
@@ -333,11 +343,6 @@ class QoSMatrix:
 
     def items(self) -> list[tuple[tuple[str, str], float]]:
         return sorted(self._entries.items())
-
-    def copy(self) -> "QoSMatrix":
-        fresh = QoSMatrix()
-        fresh._entries = dict(self._entries)
-        return fresh
 
 
 def service_map(

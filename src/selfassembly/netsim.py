@@ -170,33 +170,27 @@ class Simulator:
         self.clock = 0.0
         self.latency = latency if latency is not None else UniformLatency(0.0)
         self.announce_latency_ms = float(announce_latency_ms)
-        self._records: dict[str, DiscoveryRecord] = {}
+        self._records: dict[str, tuple[ServiceDescriptor, float]] = {}  # sid -> (service, at)
         self._visible_from: dict[str, float] = {}
         self._pending: list[tuple[float, int, TimestampedMessage]] = []
         self._sequence = 0
         self._groups: dict[str, int] | None = None
         self._overrides: dict[tuple[str, str], float] = {}
         self._trace_enabled = trace
-        self._trace: list[dict] = []
+        self._trace: list[dict | tuple] = []  # records, or tuples for _render
 
     # ------------------------------------------------------------------ registry
 
-    def announce(self, service: ServiceDescriptor, at: float | None = None) -> DiscoveryRecord:
+    def announce(self, service: ServiceDescriptor, at: float | None = None) -> None:
         """Register a peer's self-description, visible after the propagation latency."""
         sid = service.id
         if sid in self._records:
             raise DuplicateId(f"service {sid!r} is already announced")
         when = self.clock if at is None else float(at)
-        record = self._records[sid] = DiscoveryRecord(service, when)
+        self._records[sid] = (service, when)
         self._visible_from[sid] = when + self.announce_latency_ms
-        if self._trace_enabled:  # the record log_event would append, built inline
-            detail = {
-                "type": service.type, "qos_ms": service.qos_nominal, "threshold": service.threshold
-            }
-            self._trace.append(
-                {"t": when, "kind": "announce", "from": sid, "to": None, "detail": detail}
-            )
-        return record
+        if self._trace_enabled:
+            self._trace.append((when, service))
 
     def withdraw(self, service_id: str, at: float | None = None) -> None:
         """Remove a peer; it disappears from every later view and any
@@ -217,7 +211,8 @@ class Simulator:
         if observer_id not in self._records:
             raise PeerUnknown(f"observer {observer_id!r} is not live")
         when = self.clock if at is None else float(at)
-        out = [rec for sid, rec in self._records.items() if self.can_see(observer_id, sid, when)]
+        can_see, records = self.can_see, self._records.items()
+        out = [DiscoveryRecord(*rec) for sid, rec in records if can_see(observer_id, sid, when)]
         out.sort(key=lambda r: r.id)
         return out
 
@@ -281,15 +276,8 @@ class Simulator:
                 raise PeerUnknown(f"service {sid!r} is not live")
         t_sent = self.clock if at is None else float(at)
         link_ms = self.link_latency(from_id, to_id)
-        self.log_event(
-            "measure",
-            from_id,
-            to_id,
-            t=t_sent,
-            t_sent=t_sent,
-            t_received=t_sent + link_ms,
-            link_ms=link_ms,
-        )
+        if self._trace_enabled:
+            self._trace.append((t_sent, from_id, to_id, link_ms))
         return link_ms
 
     # ------------------------------------------------------------------ messages
@@ -377,13 +365,26 @@ class Simulator:
         )
 
     def trace_records(self) -> list[dict]:
-        return list(self._trace)
+        return [rec if type(rec) is dict else _render(rec) for rec in self._trace]
 
     def trace_jsonl(self) -> str:
         """The event trace as line-delimited JSON (one record per line)."""
-        lines = [json.dumps(rec, sort_keys=True) for rec in self._trace]
+        lines = [json.dumps(rec, sort_keys=True) for rec in self.trace_records()]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write_trace(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.trace_jsonl())
+
+
+def _render(entry: tuple) -> dict:
+    """The trace record of a compact entry.  ``announce`` and ``measure_link``,
+    the calls a large registry makes most, append ``(t, service)`` and
+    ``(t_sent, from, to, link_ms)``, and the record is built when read."""
+    if len(entry) == 2:
+        when, (sid, kind, qos, threshold) = entry
+        detail = {"type": kind, "qos_ms": qos, "threshold": threshold}
+        return {"t": when, "kind": "announce", "from": sid, "to": None, "detail": detail}
+    t_sent, from_id, to_id, link_ms = entry
+    detail = {"t_sent": t_sent, "t_received": t_sent + link_ms, "link_ms": link_ms}
+    return {"t": t_sent, "kind": "measure", "from": from_id, "to": to_id, "detail": detail}

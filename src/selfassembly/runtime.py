@@ -168,12 +168,6 @@ def timeline_jsonl(timeline: Iterable[TimelineEntry]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def inflight_load(result: AssemblyResult) -> dict[str, int]:
-    """Distinct inbound bindings per service of a committed assembly,
-    recounted from the graph itself (zero for pure binders)."""
-    return result.assembly.in_degrees()
-
-
 def run_scenario(
     initial_services: Iterable[ServiceDescriptor],
     template: ApplicationTemplate,
@@ -190,7 +184,8 @@ def run_scenario(
     the affected service or link is part of the committed assembly.  A
     service reported out of contract is left out of the re-run it
     triggers, but stays available afterwards.  Infeasible re-runs are
-    recorded and the loop continues.
+    recorded and the loop continues.  Initial services not yet live on
+    ``net`` are announced first, in id order.
     """
     events = list(events)
     for earlier, later in zip(events, events[1:]):
@@ -200,17 +195,17 @@ def run_scenario(
     if not report.ok:
         raise TemplateInvalid(report)
 
-    live: dict[str, ServiceDescriptor] = {}
-    typed: dict[str, ServiceDescriptor] = {}  # the live services that can bind
+    initial = list(initial_services)
+    live = {descriptor.id: descriptor for descriptor in initial}
+    if len(live) != len(initial):
+        ids = sorted(d.id for d in initial)
+        twice = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        raise ValueError(f"duplicate service id {twice!r}")
+    is_live = net.is_live
+    for sid in sorted(sid for sid in live if not is_live(sid)):
+        net.announce(live[sid])
     types = template.types()
-    for descriptor in sorted(initial_services, key=lambda s: s.id):
-        if descriptor.id in live:
-            raise ValueError(f"duplicate service id {descriptor.id!r}")
-        if not net.is_live(descriptor.id):
-            net.announce(descriptor)
-        live[descriptor.id] = descriptor
-        if descriptor.type in types:
-            typed[descriptor.id] = descriptor
+    typed = dict(sorted((d.id, d) for d in initial if d.type in types))  # those that can bind
 
     timeline: list[TimelineEntry] = []
     committed: AssemblyResult | None = None

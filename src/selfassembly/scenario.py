@@ -11,6 +11,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 from .errors import ScenarioFormatError
@@ -53,35 +54,18 @@ def _check_keys(obj: dict, required: set[str], optional: set[str], where: str) -
         raise ScenarioFormatError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _number(value: Any, where: str) -> float:
+def _number(value: Any, where: str, key: str = "") -> float:
+    """``value`` as a float; ``key`` names the field of an int too large for one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioFormatError(f"{where}{key}: integer too large for a float") from None
 
 
-def _parse_service(obj: Any, where: str, index: int | None = None) -> ServiceDescriptor:
-    """One service entry, named ``where`` (plus ``[index]``) in errors.  A
-    decoded JSON entry of the four keys, with string id and type, an int
-    threshold and an int or float ``qos_ms``, goes straight to the
-    descriptor, which checks the values; any other is checked key by key."""
-    if type(obj) is dict and len(obj) == 4:
-        try:
-            sid, kind, qos, threshold = obj["id"], obj["type"], obj["qos_ms"], obj["threshold"]
-        except KeyError:
-            pass  # an unknown key in place of a required one
-        else:
-            if (
-                type(sid) is str
-                and type(kind) is str
-                and type(threshold) is int
-                and (type(qos) is float or type(qos) is int)
-            ):
-                try:
-                    return ServiceDescriptor(sid, kind, float(qos), threshold)
-                except ValueError:
-                    pass  # reported below, with the entry's name
-    if index is not None:
-        where = f"{where}[{index}]"
+def _parse_service(obj: Any, where: str) -> ServiceDescriptor:
+    """One service entry, checked key by key and named ``where`` in errors."""
     if not isinstance(obj, dict):
         raise ScenarioFormatError(f"{where}: expected an object")
     _check_keys(obj, {"id", "type", "qos_ms", "threshold"}, set(), where)
@@ -91,7 +75,7 @@ def _parse_service(obj: Any, where: str, index: int | None = None) -> ServiceDes
         raise ScenarioFormatError(f"{where}: threshold must be an integer")
     try:
         return ServiceDescriptor(
-            obj["id"], obj["type"], _number(obj["qos_ms"], where), obj["threshold"]
+            obj["id"], obj["type"], _number(obj["qos_ms"], where, ".qos_ms"), obj["threshold"]
         )
     except ValueError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from None
@@ -141,7 +125,7 @@ def _parse_links(obj: Any) -> LatencyModel:
     kind = obj.get("kind")
     if kind == "uniform":
         _check_keys(obj, {"kind", "base_ms"}, set(), where)
-        return UniformLatency(_number(obj["base_ms"], where))
+        return UniformLatency(_number(obj["base_ms"], where, ".base_ms"))
     if kind == "matrix":
         _check_keys(obj, {"kind", "entries"}, set(), where)
         entries = obj["entries"]
@@ -167,9 +151,8 @@ def _parse_links(obj: Any) -> LatencyModel:
         _check_keys(obj, {"kind", "base_ms", "jitter_ms", "seed"}, set(), where)
         if isinstance(obj["seed"], bool) or not isinstance(obj["seed"], int):
             raise ScenarioFormatError(f"{where}.seed: expected an integer")
-        return SeededLatency(
-            _number(obj["base_ms"], where), _number(obj["jitter_ms"], where), obj["seed"]
-        )
+        base_ms, jitter_ms = (_number(obj[k], where, f".{k}") for k in ("base_ms", "jitter_ms"))
+        return SeededLatency(base_ms, jitter_ms, obj["seed"])
     raise ScenarioFormatError(
         f"{where}.kind: expected \"uniform\", \"matrix\" or \"seeded\", got {kind!r}"
     )
@@ -214,7 +197,7 @@ def parse_scenario(document: str | dict) -> Scenario:
     if isinstance(document, str):
         try:
             obj = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
             raise ScenarioFormatError(f"not valid JSON: {exc}") from None
     else:
         obj = document
@@ -224,9 +207,26 @@ def parse_scenario(document: str | dict) -> Scenario:
     raw_services = obj["services"]
     if not isinstance(raw_services, list):
         raise ScenarioFormatError("services: expected a list")
-    services = [
-        _parse_service(entry, "services", idx) for idx, entry in enumerate(raw_services)
-    ]
+    services = []
+    for idx, entry in enumerate(raw_services):
+        # A plain entry of the four keys, of the types JSON decodes them to,
+        # goes straight to the descriptor, which checks the values; any other,
+        # or one the descriptor rejects, is checked key by key for a named error.
+        if type(entry) is dict and len(entry) == 4:
+            try:
+                sid, kind, qos = entry["id"], entry["type"], entry["qos_ms"]
+                threshold = entry["threshold"]
+                if (
+                    type(sid) is str
+                    and type(kind) is str
+                    and type(threshold) is int
+                    and (type(qos) is float or type(qos) is int)
+                ):
+                    services.append(ServiceDescriptor(sid, kind, float(qos), threshold))
+                    continue
+            except (KeyError, ValueError, OverflowError):
+                pass
+        services.append(_parse_service(entry, f"services[{idx}]"))
     live = {s.id for s in services}
     if len(live) != len(services):
         raise ScenarioFormatError("services: duplicate ids")
@@ -339,7 +339,7 @@ def write_scenario(scenario: Scenario, path) -> None:
 def build_simulator(scenario: Scenario, *, trace: bool = True) -> Simulator:
     """A fresh simulator with every scenario service announced at time zero."""
     net = Simulator(scenario.links, trace=trace)
-    for descriptor in sorted(scenario.services, key=lambda s: s.id):
+    for descriptor in sorted(scenario.services, key=attrgetter("id")):
         net.announce(descriptor, at=0.0)
     return net
 

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import re
-
+import subprocess
+import sys
+from pathlib import Path
 
 from selfassembly.cli import main
 from selfassembly.scenario import (
     Scenario,
+    generate_medical,
     generate_one_layer,
     serialize_scenario,
     write_scenario,
@@ -14,6 +18,8 @@ from selfassembly import ServiceDescriptor, UniformLatency
 from selfassembly.runtime import ScenarioEvent
 
 from conftest import seven_services, seven_template
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write_example7(path, events=(), c1_threshold=3):
@@ -125,6 +131,22 @@ def test_simulate_rejects_an_event_on_an_unknown_id(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: events[0]: service 'ZZ' is not live")
     assert "Traceback" not in err
+
+
+def test_simulate_rejects_a_qos_too_large_for_a_float(tmp_path):
+    document = json.loads(serialize_scenario(generate_medical(0)))
+    document["services"][0]["qos_ms"] = 10 ** 400
+    scenario_path = tmp_path / "huge.json"
+    scenario_path.write_text(json.dumps(document))
+    run = subprocess.run(
+        [sys.executable, "-m", "selfassembly", "simulate", "--scenario", str(scenario_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert run.returncode == 1
+    assert run.stderr == "error: services[0].qos_ms: integer too large for a float\n"
 
 
 def test_bench_one_layer_row(tmp_path):

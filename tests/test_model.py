@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import dataclass
+
 import pytest
 
 from selfassembly import (
@@ -32,6 +36,81 @@ def test_descriptor_validation():
             ServiceDescriptor("A1", "tA", qos, 1)
     with pytest.raises(ValueError):
         ServiceDescriptor("A1", "tA", 1.0, 0)
+
+
+@dataclass(frozen=True, slots=True)
+class _DataclassDescriptor:
+    """The descriptor as a frozen dataclass, as it was before it became a
+    named tuple: the reference for ``repr`` and ``hash``."""
+
+    id: str
+    type: str
+    qos_nominal: float
+    threshold: int
+
+
+DESCRIPTOR_FIELDS = [("A1", "tA", 1.0, 1), ("gw-7", "tB", 0.1, 10), ("x", "y", 0, 3)]
+
+
+@pytest.mark.parametrize("fields", DESCRIPTOR_FIELDS)
+def test_descriptor_repr_and_hash_match_the_dataclass(fields):
+    svc = ServiceDescriptor(*fields)
+    old = _DataclassDescriptor(*fields)
+    assert repr(svc) == repr(old).replace("_DataclassDescriptor", "ServiceDescriptor")
+    assert hash(svc) == hash(old) == hash(fields)
+    assert (svc.id, svc.type, svc.qos_nominal, svc.threshold) == fields
+    assert ServiceDescriptor(
+        id=fields[0], type=fields[1], qos_nominal=fields[2], threshold=fields[3]
+    ) == svc
+
+
+@pytest.mark.parametrize("fields", DESCRIPTOR_FIELDS)
+def test_descriptor_survives_pickle_and_copy(fields):
+    svc = ServiceDescriptor(*fields)
+    for twin in (pickle.loads(pickle.dumps(svc)), copy.copy(svc), copy.deepcopy(svc)):
+        assert type(twin) is ServiceDescriptor
+        assert twin == svc and repr(twin) == repr(svc)
+
+
+def test_descriptor_is_immutable():
+    svc = ServiceDescriptor("A1", "tA", 1.0, 1)
+    with pytest.raises(AttributeError):
+        svc.qos_nominal = 2.0
+    with pytest.raises(AttributeError):  # the slotted dataclass raised TypeError here
+        svc.extra = 1
+
+
+def test_descriptor_replace_validates():
+    svc = ServiceDescriptor("A1", "tA", 1.0, 1)
+    slower = svc._replace(qos_nominal=2.5)
+    assert type(slower) is ServiceDescriptor and slower == ("A1", "tA", 2.5, 1)
+    with pytest.raises(ValueError, match="qos_nominal must be >= 0, got -1.0"):
+        svc._replace(qos_nominal=-1.0)
+    with pytest.raises(ValueError, match="threshold must be >= 1, got 0"):
+        ServiceDescriptor._make(("A1", "tA", 1.0, 0))
+
+
+def test_descriptor_validation_messages():
+    cases = [
+        (("", "tA", 1.0, 1), "service id must be non-empty"),
+        (("A1", "", 1.0, 1), "service type must be non-empty"),
+        (("A1", "tA", -0.5, 1), "qos_nominal must be >= 0, got -0.5"),
+        (("A1", "tA", float("nan"), 1), "qos_nominal must be >= 0, got nan"),
+        (("A1", "tA", 1.0, 0), "threshold must be >= 1, got 0"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(ValueError) as info:
+            ServiceDescriptor(*fields)
+        assert str(info.value) == message
+
+
+def test_descriptor_equals_its_plain_tuple():
+    # The one behaviour the dataclass did not have: a descriptor is a
+    # tuple, so it equals (and hashes like) the plain 4-tuple of its fields.
+    svc = ServiceDescriptor("A1", "tA", 1.0, 1)
+    assert svc == ("A1", "tA", 1.0, 1)
+    assert _DataclassDescriptor("A1", "tA", 1.0, 1) != ("A1", "tA", 1.0, 1)
+    assert {("A1", "tA", 1.0, 1): "plain"}[svc] == "plain"
 
 
 def test_qos_matrix_basics():
@@ -246,7 +325,7 @@ def test_worst_path_monotone_in_link_time():
     for edge in graph.edges:
         links.set(*edge, 1.0)
     before = worst_path_time(graph, "A1", svc, links)
-    worse = links.copy()
+    worse = QoSMatrix({edge: 1.0 for edge in graph.edges})
     worse.set("B3", "C1", 4.0)  # on the max-cost path
     assert worst_path_time(graph, "A1", svc, worse) >= before
 

@@ -1,7 +1,9 @@
 """Property tests over randomly generated instances."""
 import math
+import random
 from collections import Counter, deque
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from selfassembly import (
     AssemblyResult,
     CandidateSubgraph,
     CombinationBudgetExceeded,
+    DuplicateId,
     Infeasible,
     InsufficientServices,
     MatrixLatency,
@@ -29,6 +32,7 @@ from selfassembly import (
     UniformLatency,
     assemble,
     build_binding_graph,
+    build_simulator,
     classify_roles,
     count_combinations,
     enumerate_candidates,
@@ -44,6 +48,7 @@ from selfassembly import (
     worst_path_time,
 )
 from selfassembly import runtime
+from selfassembly import scenario as scenario_module
 from selfassembly.assembler import _candidates, _facts, _index, _least_costs
 from selfassembly.model import AllServices
 from selfassembly.oracle import _subgraphs_from, exhaustive_worst_path
@@ -618,6 +623,8 @@ def _reference_check_keys(obj, required, optional, where):
 def _reference_number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
+    if isinstance(value, int) and abs(value) >= 2 ** 1024 - 2 ** 970:  # float() overflows
+        raise ScenarioFormatError(f"{where}.qos_ms: integer too large for a float")
     return float(value)
 
 
@@ -654,7 +661,7 @@ ODD_VALUES = {
     "id": ["", "x", "1", None, 1, True, []],
     "type": ["", "tZ", None, 2.5, ["tA"]],
     "qos_ms": [True, False, "2", None, math.nan, -0.5, -1e-300, -0.0, 0, 10 ** 20, math.inf,
-               -math.inf, _Int(2), _Float(1.5)],
+               -math.inf, _Int(2), _Float(1.5), 10 ** 400, -(10 ** 400)],
     "threshold": [True, False, 1.0, 2.5, "1", None, 0, -1, 10 ** 20, _Int(2), _Float(2.0)],
 }
 
@@ -789,7 +796,7 @@ CHURN_TYPES = ["tA", "tB", "tC", "tX", "tY"]
 
 
 @st.composite
-def churn_worlds(draw):
+def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
     """A two-pair template over a few services of its types plus
     bystanders of two other types, jittered links, sometimes an announce
     latency, partitions or a small budget, and a churn trace whose events
@@ -799,7 +806,7 @@ def churn_worlds(draw):
 
     def service(sid, service_type):
         return ServiceDescriptor(
-            sid, service_type, draw(st.sampled_from([0.5, 1.0, 2.5])), draw(st.integers(1, 3))
+            sid, service_type, draw(st.sampled_from(qos_values)), draw(st.integers(1, 3))
         )
 
     widths = {"tA": (1, 3), "tB": (1, 3), "tC": (1, 2), "tX": (0, 4), "tY": (0, 3)}
@@ -880,3 +887,68 @@ def test_run_scenario_hands_assemble_only_template_typed_services(monkeypatch):
     ]
     assert all(entry.feasible for entry in timeline)
     assert handed == [[], [], [], []]
+
+
+# ------------------------------------------------------------ deferred trace
+
+
+class EagerTraceSimulator(Simulator):
+    """The simulator as it traced before: ``announce`` and ``measure_link``
+    build each trace record as a dict when the event happens, instead of a
+    tuple rendered when the trace is read."""
+
+    def announce(self, service, at=None):
+        sid = service.id
+        if sid in self._records:
+            raise DuplicateId(f"service {sid!r} is already announced")
+        when = self.clock if at is None else float(at)
+        self._records[sid] = (service, when)
+        self._visible_from[sid] = when + self.announce_latency_ms
+        detail = {
+            "type": service.type, "qos_ms": service.qos_nominal, "threshold": service.threshold
+        }
+        self._trace.append(
+            {"t": when, "kind": "announce", "from": sid, "to": None, "detail": detail}
+        )
+
+    def measure_link(self, from_id, to_id, at=None):
+        for sid in (from_id, to_id):
+            if sid not in self._records:
+                raise PeerUnknown(f"service {sid!r} is not live")
+        t_sent = self.clock if at is None else float(at)
+        link_ms = self.link_latency(from_id, to_id)
+        self.log_event(
+            "measure",
+            from_id,
+            to_id,
+            t=t_sent,
+            t_sent=t_sent,
+            t_received=t_sent + link_ms,
+            link_ms=link_ms,
+        )
+        return link_ms
+
+
+@settings(max_examples=150, deadline=None)
+@given(churn_worlds(qos_values=(0.1, 1 / 3, 2.7)), st.booleans(), st.data())
+def test_deferred_trace_matches_the_eager_trace(world, matrix, data):
+    """``build_simulator`` announces some of the initial services and
+    ``run_scenario`` the rest, over seeded or matrix links of non-dyadic
+    values; both simulators must write the same trace and timeline."""
+    services, template, events, (seed, announce_ms, groups), budget = world
+    prebuilt = data.draw(st.lists(st.sampled_from(services), unique=True))
+    ids = [s.id for s in services] + [e.service.id for e in events if e.service is not None]
+    rng = random.Random(seed)
+    table = {(a, b): rng.uniform(0.1, 5.0) for a in ids for b in ids if a != b}
+
+    def run(simulator):
+        links = MatrixLatency(table) if matrix else SeededLatency(2.0, 1.5, seed)
+        with mock.patch.object(scenario_module, "Simulator", simulator):
+            net = build_simulator(Scenario(prebuilt, template, links, events))
+        assert type(net) is simulator
+        net.announce_latency_ms = announce_ms
+        net.set_partitions(groups)
+        timeline = run_scenario(services, template, events, net, budget=budget)
+        return timeline_jsonl(timeline), net.trace_jsonl(), net.trace_records()
+
+    assert run(Simulator) == run(EagerTraceSimulator)

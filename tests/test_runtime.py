@@ -13,7 +13,6 @@ from selfassembly import (
     UniformLatency,
     assemble,
     check_contract,
-    inflight_load,
     run_scenario,
     timeline_jsonl,
 )
@@ -68,9 +67,10 @@ def test_notification_invariants():
 
 
 def test_inflight_load_matches_commit(example7_net):
+    # The load a commit reports is the in-degree of its assembly graph.
     services, template, net = example7_net
     result = assemble(services, template, net)
-    assert inflight_load(result) == result.per_service_load
+    assert result.assembly.in_degrees() == result.per_service_load
 
 
 def test_inflight_load_single_chain():
@@ -81,7 +81,8 @@ def test_inflight_load_single_chain():
     ]
     template = ApplicationTemplate((("tA", "tB"), ("tB", "tC")), (1, 1))
     result = assemble(services, template, make_net(services))
-    assert inflight_load(result) == {"A": 0, "B": 1, "C": 1}
+    assert result.assembly.in_degrees() == {"A": 0, "B": 1, "C": 1}
+    assert result.per_service_load == {"A": 0, "B": 1, "C": 1}
 
 
 # ------------------------------------------------------------------ scenarios

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from selfassembly import (
@@ -187,6 +189,49 @@ def test_events_follow_the_live_set():
         )
     )
     assert len(scenario.events) == 6
+
+
+TOO_BIG = 10 ** 400  # an int that json decodes but float() cannot hold
+
+
+def _appears_with_qos(qos):
+    return {"at_ms": 1, "kind": "service_appears",
+            "service": {"id": "B2", "type": "tB", "qos_ms": qos, "threshold": 1}}
+
+
+OVERFLOWS = [
+    (lambda d: d["services"][1].update(qos_ms=TOO_BIG), "services[1].qos_ms"),
+    (lambda d: d["events"].append(_appears_with_qos(TOO_BIG)), "events[0].service.qos_ms"),
+    (lambda d: d.update(links={"kind": "uniform", "base_ms": TOO_BIG}), "links.base_ms"),
+    (lambda d: d.update(links={"kind": "seeded", "base_ms": TOO_BIG, "jitter_ms": 1,
+                               "seed": 1}), "links.base_ms"),
+    (lambda d: d.update(links={"kind": "seeded", "base_ms": 1, "jitter_ms": TOO_BIG,
+                               "seed": 1}), "links.jitter_ms"),
+    (lambda d: d.update(links={"kind": "matrix", "entries": [["A1", "B1", 1],
+                                                             ["B1", "A1", TOO_BIG]]}),
+     "links.entries[1]"),
+    (lambda d: d["events"].append(
+        {"at_ms": TOO_BIG, "kind": "service_disappears", "id": "B1"}), "events[0].at_ms"),
+    (lambda d: d["events"].append(
+        {"at_ms": 1, "kind": "link_degrades", "from": "A1", "to": "B1", "new_ms": TOO_BIG}),
+     "events[0].new_ms"),
+]
+
+
+@pytest.mark.parametrize("change, message", OVERFLOWS, ids=[m for _, m in OVERFLOWS])
+def test_integer_too_large_for_a_float_names_its_field(change, message):
+    document = _with_events()
+    change(document)
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(json.dumps(document))
+    assert str(info.value) == f"{message}: integer too large for a float"
+
+
+def test_integer_with_too_many_digits_rejected():
+    # json.loads itself refuses to convert an integer of over 4300 digits.
+    text = json.dumps(_with_events()).replace('"qos_ms": 1', '"qos_ms": ' + "9" * 5000, 1)
+    with pytest.raises(ScenarioFormatError, match="^not valid JSON: Exceeds the limit"):
+        parse_scenario(text)
 
 
 def test_not_json_rejected():
