@@ -51,10 +51,8 @@ from .model import (
 from .netsim import (
     DiscoveryRecord,
     MatrixLatency,
-    MessageKind,
     SeededLatency,
     Simulator,
-    TimestampedMessage,
     UniformLatency,
 )
 from .oracle import (

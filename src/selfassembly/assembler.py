@@ -14,9 +14,9 @@ Assembly proceeds in three stages:
    equals :func:`~selfassembly.model.worst_path_time` of it exactly.
    :func:`assemble` builds each start's list lazily: one bottom-up pass
    gives every node the least cost of a candidate rooted at it, a search
-   cut off at the start's least cost lists the least-cost plateau first,
-   and the full list is built only when selection asks for an item past
-   that plateau or for its length.
+   cut off at the start's least cost lists the least-cost plateau first.
+   Lengths are counted; the full list is built only when the odometer
+   reaches an item past the plateau.
 3. :func:`select_assembly` walks combinations of one candidate per start
    (an odometer over the sorted lists, rightmost start varying fastest) and
    commits the first whose deduplicated union keeps every service's
@@ -434,6 +434,69 @@ def _candidates(
     ]
 
 
+def _count(
+    succ_by_type: _Successors,
+    facts: _TemplateFacts,
+    start_id: str,
+    svc: Mapping[str, ServiceDescriptor],
+) -> int:
+    """The length of the unbounded :func:`_candidates` list, without listing it.
+
+    The walk includes nodes as the search does, a node reached through
+    several binders once, over the same pick pools.  At the deepest type
+    with pairs, each assignment of picks is one candidate, so the count
+    there is the product of the pool sizes.
+    """
+    type_order = facts.order
+    last = max((i for i, t in enumerate(type_order) if facts.specs[t]), default=-1)
+    included: dict[str, list[str]] = {t: [] for t in type_order}
+    included[svc[start_id].type].append(start_id)
+    included_set = {start_id}
+
+    def count(position: int) -> int:
+        if position > last:
+            return 1
+        binders = included[type_order[position]]
+        if not binders:
+            return count(position + 1)
+        pairs = []  # (target type, constraint, available targets) per binder
+        for to_type, constraint in facts.specs[type_order[position]]:
+            for node in binders:
+                available = succ_by_type.get(node, {}).get(to_type, [])
+                if not isinstance(constraint, AllServices) and len(available) < constraint:
+                    raise InsufficientServices(to_type, constraint, len(available))
+                pairs.append((to_type, constraint, available))
+        if position == last:
+            return math.prod(count_combinations(len(available), k) for _, k, available in pairs)
+        pools = [
+            (tuple(available),) if isinstance(k, AllServices) else combinations(available, k)
+            for _, k, available in pairs
+        ]
+        total = 0
+        for assignment in product(*pools):
+            marks: dict[str, int] = {}
+            for (to_type, _, _), chosen in zip(pairs, assignment):
+                bucket = included[to_type]
+                if to_type not in marks:
+                    marks[to_type] = len(bucket)
+                for target in chosen:
+                    if target not in included_set:
+                        included_set.add(target)
+                        bucket.append(target)
+            total += count(position + 1)
+            for to_type, length in marks.items():
+                bucket = included[to_type]
+                for target in bucket[length:]:
+                    included_set.discard(target)
+                del bucket[length:]
+        return total
+
+    try:
+        return count(0)
+    finally:
+        del count  # see _candidates
+
+
 def _item(pool: Sequence[CandidateSubgraph], index: int) -> CandidateSubgraph | None:
     """``pool[index]``, or ``None`` past the end of the pool."""
     try:
@@ -466,8 +529,9 @@ def select_assembly(
     count and the point where the budget runs out are therefore exactly
     those of testing every combination one by one.  A list is asked for
     its length only when a subtree below it is skipped, and for an item
-    only when the odometer reaches it, so lazily built lists are completed
-    only when the search needs them.
+    only when the odometer reaches it.  For the lazy lists of
+    :func:`assemble`, lengths are counted; the full list is built only
+    when the odometer reaches an item past the plateau.
 
     Raises :class:`Infeasible` after exhausting every combination and
     :class:`CombinationBudgetExceeded` if ``budget`` combinations were
@@ -583,18 +647,28 @@ def assemble(
             continue
         plateau = _candidates(succ_by_type, shared_edge, links, facts, sid, svc, lower, cutoff)
         complete = partial(_candidates, succ_by_type, shared_edge, links, facts, sid, svc)
-        per_start[sid] = _LazyCandidates(plateau, complete)
+        count = partial(_count, succ_by_type, facts, sid, svc)
+        per_start[sid] = _LazyCandidates(plateau, complete, count)
     return select_assembly(per_start, svc, budget=budget)
 
 
 class _LazyCandidates(Sequence):
-    """One start's candidate list that holds its least-cost prefix and runs
-    the full search once, the first time an item past that prefix or the
-    length is asked for."""
+    """One start's candidate list that holds its least-cost plateau.
+    Lengths are counted; the full list is built only when the odometer
+    reaches an item past the plateau."""
 
-    def __init__(self, prefix: list[CandidateSubgraph], complete: Callable[[], list]) -> None:
+    __slots__ = ("_items", "_complete", "_count", "_length")
+
+    def __init__(
+        self,
+        prefix: list[CandidateSubgraph],
+        complete: Callable[[], list],
+        count: Callable[[], int],
+    ) -> None:
         self._items = prefix
         self._complete: Callable[[], list] | None = complete
+        self._count = count
+        self._length: int | None = None
 
     def _full(self) -> list[CandidateSubgraph]:
         if self._complete is not None:
@@ -608,7 +682,11 @@ class _LazyCandidates(Sequence):
         return self._full()[index]
 
     def __len__(self) -> int:
-        return len(self._full())
+        if self._complete is None:
+            return len(self._items)
+        if self._length is None:
+            self._length = self._count()
+        return self._length
 
     def __bool__(self) -> bool:
         return bool(self._items) or bool(self._full())

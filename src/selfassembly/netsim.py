@@ -1,14 +1,13 @@
 """Deterministic discrete-event simulation of the peer network.
 
 The simulator keeps a logically centralized registry of live peers with
-per-peer views, a pending-message queue delivered in (receive time,
-insertion order), and a configurable link latency model.  Link quality is
-measured from the timestamps a message carries: the sender stamps the
-moment it leaves, the receiver stamps the moment it arrives, and the link
-time is their difference.
+per-peer views, one logical clock, and a configurable link latency model.
+Link quality is measured as the difference of the timestamps a message
+would carry: the sender stamps the moment it leaves, the receiver the
+moment it arrives.
 
 All mutation happens through method calls on a single thread; snapshots
-handed to callers (records, messages, trace lines) are immutable values.
+handed to callers (records, trace lines) are immutable values.
 """
 from __future__ import annotations
 
@@ -16,8 +15,6 @@ import json
 import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from enum import Enum
-from heapq import heappop, heappush
 
 from .errors import DuplicateId, LatencyUndefined, PeerUnknown
 from .model import ServiceDescriptor
@@ -33,31 +30,6 @@ class DiscoveryRecord:
     @property
     def id(self) -> str:
         return self.service.id
-
-
-class MessageKind(Enum):
-    PROBE = "probe"
-    PROBE_REPLY = "probe_reply"
-    REQUEST = "request"
-    RESPONSE = "response"
-    ANNOUNCE = "announce"
-    WITHDRAW = "withdraw"
-
-
-@dataclass(frozen=True)
-class TimestampedMessage:
-    """A message stamped on departure (``t_sent``) and arrival (``t_received``)."""
-
-    from_id: str
-    to_id: str
-    kind: MessageKind
-    t_sent: float
-    t_received: float
-    payload: bytes = b""
-
-    def __post_init__(self) -> None:
-        if self.t_received < self.t_sent:
-            raise ValueError("t_received must be >= t_sent")
 
 
 @dataclass(frozen=True)
@@ -143,9 +115,7 @@ class Simulator:
 
     * ``announce``/``withdraw`` maintain the registry of live peers;
       announcements become visible to views after ``announce_latency_ms``.
-    * ``send``/``advance`` move timestamped messages; delivery order is
-      (receive time, insertion order) and messages to withdrawn peers are
-      dropped.
+    * ``advance`` moves the clock forward.
     * ``measure_link`` stamps a message across a link and returns the
       receive/send timestamp difference, which equals the modeled latency
       by construction.
@@ -172,8 +142,6 @@ class Simulator:
         self.announce_latency_ms = float(announce_latency_ms)
         self._records: dict[str, tuple[ServiceDescriptor, float]] = {}  # sid -> (service, at)
         self._visible_from: dict[str, float] = {}
-        self._pending: list[tuple[float, int, TimestampedMessage]] = []
-        self._sequence = 0
         self._groups: dict[str, int] | None = None
         self._overrides: dict[tuple[str, str], float] = {}
         self._trace_enabled = trace
@@ -193,8 +161,7 @@ class Simulator:
             self._trace.append((when, service))
 
     def withdraw(self, service_id: str, at: float | None = None) -> None:
-        """Remove a peer; it disappears from every later view and any
-        message still in flight to it is dropped on delivery."""
+        """Remove a peer; it disappears from every later view."""
         if service_id not in self._records:
             raise PeerUnknown(f"service {service_id!r} is not live")
         del self._records[service_id]
@@ -280,67 +247,14 @@ class Simulator:
             self._trace.append((t_sent, from_id, to_id, link_ms))
         return link_ms
 
-    # ------------------------------------------------------------------ messages
+    # ------------------------------------------------------------------ clock
 
-    def send(
-        self,
-        from_id: str,
-        to_id: str,
-        kind: MessageKind = MessageKind.REQUEST,
-        payload: bytes = b"",
-        at: float | None = None,
-    ) -> TimestampedMessage:
-        """Queue a message for delivery after the modeled link latency."""
-        for sid in (from_id, to_id):
-            if sid not in self._records:
-                raise PeerUnknown(f"service {sid!r} is not live")
-        t_sent = self.clock if at is None else float(at)
-        message = TimestampedMessage(
-            from_id, to_id, kind, t_sent, t_sent + self.link_latency(from_id, to_id), payload
-        )
-        heappush(self._pending, (message.t_received, self._sequence, message))
-        self._sequence += 1
-        self.log_event(
-            "send",
-            from_id,
-            to_id,
-            t=t_sent,
-            message=kind.value,
-            t_received=message.t_received,
-        )
-        return message
-
-    def advance(self, until: float) -> list[TimestampedMessage]:
-        """Deliver everything due by ``until`` and move the clock there.
-
-        Delivery order is (receive time, insertion order); the clock never
-        moves backwards.
-        """
+    def advance(self, until: float) -> None:
+        """Move the clock to ``until``; it never moves backwards."""
         until = float(until)
         if until < self.clock:
             raise ValueError(f"cannot advance clock backwards ({until} < {self.clock})")
-        delivered: list[TimestampedMessage] = []
-        while self._pending and self._pending[0][0] <= until:
-            _, _, message = heappop(self._pending)
-            if message.to_id not in self._records:
-                self.log_event(
-                    "drop",
-                    message.from_id,
-                    message.to_id,
-                    t=message.t_received,
-                    message=message.kind.value,
-                )
-                continue
-            delivered.append(message)
-            self.log_event(
-                "deliver",
-                message.from_id,
-                message.to_id,
-                t=message.t_received,
-                message=message.kind.value,
-            )
         self.clock = until
-        return delivered
 
     # ------------------------------------------------------------------ trace
 

@@ -197,7 +197,7 @@ def parse_scenario(document: str | dict) -> Scenario:
     if isinstance(document, str):
         try:
             obj = json.loads(document)
-        except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
+        except (ValueError, RecursionError) as exc:  # bad syntax, huge ints, deep nesting
             raise ScenarioFormatError(f"not valid JSON: {exc}") from None
     else:
         obj = document

@@ -149,6 +149,21 @@ def test_simulate_rejects_a_qos_too_large_for_a_float(tmp_path):
     assert run.stderr == "error: services[0].qos_ms: integer too large for a float\n"
 
 
+def test_simulate_rejects_nesting_too_deep_for_the_decoder(tmp_path):
+    scenario_path = tmp_path / "deep.json"
+    scenario_path.write_text("[" * 100000)
+    run = subprocess.run(
+        [sys.executable, "-m", "selfassembly", "simulate", "--scenario", str(scenario_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: not valid JSON: maximum recursion depth")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
 def test_bench_one_layer_row(tmp_path):
     csv_path = tmp_path / "bench.csv"
     code = main(

@@ -1,12 +1,13 @@
 """Property tests over randomly generated instances."""
 import math
 import random
+import re
 from collections import Counter, deque
 from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfassembly import (
@@ -47,9 +48,9 @@ from selfassembly import (
     validate_template,
     worst_path_time,
 )
-from selfassembly import runtime
+from selfassembly import assembler, runtime
 from selfassembly import scenario as scenario_module
-from selfassembly.assembler import _candidates, _facts, _index, _least_costs
+from selfassembly.assembler import _candidates, _count, _facts, _index, _least_costs
 from selfassembly.model import AllServices
 from selfassembly.oracle import _subgraphs_from, exhaustive_worst_path
 from selfassembly.runtime import EventKind, ScenarioEvent, TimelineEntry
@@ -172,37 +173,6 @@ def test_zero_links_reduce_to_node_sums(instance):
                 return own + max(max_node_sum(nxt) for nxt in nexts)
 
             assert candidate.cost == max_node_sum(start)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["A1", "A2", "A3"]), st.floats(0.0, 50.0)),
-        min_size=0,
-        max_size=12,
-    )
-)
-def test_delivery_order_is_by_time_then_insertion(sends):
-    services = [
-        ServiceDescriptor("A1", "tA", 1.0, 1),
-        ServiceDescriptor("A2", "tA", 1.0, 1),
-        ServiceDescriptor("A3", "tA", 1.0, 1),
-        ServiceDescriptor("B1", "tB", 1.0, 9),
-    ]
-    net = make_net(services, UniformLatency(0.0))
-    sent = []
-    for sender, delay in sends:
-        net.degrade_link(sender, "B1", delay)
-        sent.append(net.send(sender, "B1"))
-    delivered = net.advance(100.0)
-    assert len(delivered) == len(sent)
-    times = [m.t_received for m in delivered]
-    assert times == sorted(times)
-    # Among equal receive times, insertion order is preserved.
-    order = {id(m): i for i, m in enumerate(sent)}
-    for earlier, later in zip(delivered, delivered[1:]):
-        if earlier.t_received == later.t_received:
-            assert order[id(earlier)] < order[id(later)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -605,6 +575,98 @@ def test_lazy_assemble_matches_selection_over_full_lists(instance, data):
         return assemble(services, template, make_net(services, latency), budget=budget)
 
     assert _assembly(lazy) == _assembly(eager)
+
+
+# ------------------------------------------------- counted list lengths
+
+
+def _unbounded_spy(calls):
+    """``_candidates`` that records the start of every unbounded search."""
+    real = assembler._candidates
+
+    def spy(succ, shared_edge, links, facts, start_id, svc, lower=None, cutoff=math.inf):
+        if cutoff == math.inf:
+            calls.append(start_id)
+        return real(succ, shared_edge, links, facts, start_id, svc, lower, cutoff)
+
+    return spy
+
+
+def _lazy_lists(services, template, latency, calls):
+    """The lists ``assemble`` hands to selection, each search recorded in ``calls``."""
+    captured = {}
+    with mock.patch.object(assembler, "_candidates", _unbounded_spy(calls)), mock.patch.object(
+        assembler, "select_assembly", lambda per_start, svc, budget: captured.update(per_start)
+    ):
+        assemble(services, template, make_net(services, latency))
+    return captured
+
+
+@st.composite
+def layered_random_instances(draw):
+    """A ``generate_random_instance`` of three or more types, as a link table."""
+    seed = draw(st.integers(min_value=0, max_value=10 ** 6))
+    services, template, links = generate_random_instance(seed)
+    assume(len(template.topological_types()) >= 3)
+    return services, template, dict(links.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dag_instances(), dag_instances(tie_prone), layered_random_instances()))
+def test_counted_length_equals_the_full_list_length(instance):
+    services, template, table = instance
+    latency = MatrixLatency(table)
+    graph, links = build_binding_graph(services, template, make_net(services, latency))
+    full = _full_lists(services, template, graph, links)
+    svc = service_map(services)
+    succ, _ = _index(graph, svc)
+    short = {sid: pool for sid, pool in full.items() if isinstance(pool, InsufficientServices)}
+    for sid, exc in short.items():
+        with pytest.raises(InsufficientServices, match=f"^{re.escape(str(exc))}$"):
+            _count(succ, _facts(template), sid, svc)
+    if short:
+        return  # assemble raises before selection
+    calls = []
+    lazy = _lazy_lists(services, template, latency, calls)
+    assert sorted(lazy) == sorted(full)
+    for sid, pool in lazy.items():
+        assert len(pool) == len(full[sid])
+        assert sid not in calls  # counted, not listed
+        with pytest.raises(IndexError):
+            pool[len(pool)]  # past the end: forces the full list
+        assert calls.count(sid) == 1
+        assert len(pool) == len(full[sid])
+        assert list(pool) == full[sid]
+
+
+def test_pruning_counts_later_starts_without_listing_them():
+    # Every start's plateau is its one least-cost candidate.  A1 and A2 both
+    # prefer B1, whose threshold is 1, so A2's plateau overloads it and the
+    # odometer skips the combinations of A3 and A4 below, twice, before A2
+    # moves to B2.  A3 and A4 prefer B2 and fit on their plateaus.
+    starts = ["A1", "A2", "A3", "A4"]
+    services = [ServiceDescriptor(sid, "tA", 1.0, 1) for sid in starts]
+    services += [ServiceDescriptor("B1", "tB", 1.0, 1), ServiceDescriptor("B2", "tB", 1.0, 3)]
+    services += [ServiceDescriptor(sid, "tC", 1.0, 4) for sid in ("C1", "C2")]
+    template = ApplicationTemplate((("tA", "tB"), ("tB", "tC")), (1, 1))
+    table = {(b, "C1"): 1.0 for b in ("B1", "B2")}
+    table.update({(b, "C2"): 2.0 for b in ("B1", "B2")})
+    for sid in starts:
+        near, far = ("B1", "B2") if sid in ("A1", "A2") else ("B2", "B1")
+        table[(sid, near)], table[(sid, far)] = 1.0, 5.0
+    latency = MatrixLatency(table)
+    graph, links = build_binding_graph(services, template, make_net(services, latency))
+    full = _full_lists(services, template, graph, links)
+    assert [len(pool) for pool in full.values()] == [4, 4, 4, 4]
+    for budget in (DEFAULT_COMBINATION_BUDGET, 33, 32):
+        calls = []
+        with mock.patch.object(assembler, "_candidates", _unbounded_spy(calls)):
+            lazy = _assembly(
+                lambda: assemble(services, template, make_net(services, latency), budget=budget)
+            )
+        assert calls == ["A2"]
+        assert lazy == _assembly(lambda: reference_select(full, services, budget))
+        assert lazy == _assembly(lambda: select_assembly(full, services, budget=budget))
 
 
 # ------------------------------------------------- single-pass service parsing

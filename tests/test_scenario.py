@@ -234,6 +234,11 @@ def test_integer_with_too_many_digits_rejected():
         parse_scenario(text)
 
 
+def test_nesting_too_deep_for_the_decoder_rejected():
+    with pytest.raises(ScenarioFormatError, match="^not valid JSON: maximum recursion depth"):
+        parse_scenario("[" * 100000)
+
+
 def test_not_json_rejected():
     with pytest.raises(ScenarioFormatError):
         parse_scenario("{nope")
