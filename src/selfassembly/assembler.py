@@ -37,6 +37,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
+from operator import attrgetter
 
 from .errors import (
     CombinationBudgetExceeded,
@@ -44,7 +45,6 @@ from .errors import (
     Infeasible,
     InsufficientServices,
     NoStartingService,
-    PeerUnknown,
     TemplateInvalid,
 )
 from .model import (
@@ -151,47 +151,41 @@ def build_binding_graph(
     each contacted service measures the link from its sender and floods
     onward for its own type pairs.  The result contains one directed edge
     per allowed binding and one link measurement per edge.  Only services
-    of template types are considered, and visibility is asked per (sender,
-    target) pair with :meth:`Simulator.can_see`, so the cost follows the
-    template's services rather than the registry size.  :func:`assemble`
-    passes the template's ``facts``, checked once.
+    of template types are considered, and each sender measures its links
+    to the paired type's services with one :meth:`Simulator.measure_links`
+    call, which skips the targets it cannot see, so the cost follows the
+    template's services rather than the registry size.  Each measured
+    value is checked once, as :meth:`QoSMatrix.set` checks it.
+    :func:`assemble` passes the template's ``facts``, checked once.
     """
     if facts is None:
         facts = _facts(template, check=True)
     specs_of = facts.specs
-    svc = sorted(
-        (s for s in service_map(services).values() if s.type in specs_of), key=lambda s: s.id
-    )
-    by_type: dict[str, list[ServiceDescriptor]] = {}
-    for descriptor in svc:
-        by_type.setdefault(descriptor.type, []).append(descriptor)
+    ids_by_type: dict[str, list[str]] = {}
+    for descriptor in sorted(service_map(services).values(), key=attrgetter("id")):
+        if descriptor.type in specs_of:
+            ids_by_type.setdefault(descriptor.type, []).append(descriptor.id)
 
     start_type = facts.start_type
-    starts = by_type.get(start_type, [])
+    starts = ids_by_type.get(start_type, [])
     if not starts:
         raise NoStartingService(f"no live service of starting type {start_type!r}")
 
-    reached = {s.id for s in starts}
-    queue = deque(starts)
-    edges: list[tuple[str, str]] = []
-    links = QoSMatrix()
+    reached = set(starts)
+    queue = deque((sid, start_type) for sid in starts)
+    measured: dict[tuple[str, str], float] = {}  # one entry per edge
     while queue:
-        sender = queue.popleft()
-        specs = specs_of[sender.type]
-        if not specs:
-            continue
-        if not net.is_live(sender.id):
-            raise PeerUnknown(f"observer {sender.id!r} is not live")
-        for to_type, _constraint in specs:
-            for target in by_type.get(to_type, []):
-                if not net.can_see(sender.id, target.id):
-                    continue
-                edges.append((sender.id, target.id))
-                links.set(sender.id, target.id, net.measure_link(sender.id, target.id))
-                if target.id not in reached:
-                    reached.add(target.id)
-                    queue.append(target)
-    return AssemblyGraph(frozenset(reached), frozenset(edges)), links
+        sender, sender_type = queue.popleft()
+        for to_type, _constraint in specs_of[sender_type]:
+            for target, ms in net.measure_links(sender, ids_by_type.get(to_type, ())):
+                ms = float(ms)
+                if not ms >= 0:  # also rejects NaN
+                    raise ValueError(f"link time must be >= 0, got {ms}")
+                measured[(sender, target)] = ms
+                if target not in reached:
+                    reached.add(target)
+                    queue.append((target, to_type))
+    return AssemblyGraph(frozenset(reached), frozenset(measured)), QoSMatrix._unchecked(measured)
 
 
 def enumerate_candidates(
@@ -290,8 +284,9 @@ def _least_costs(
     for node in nodes:
         by_type.setdefault(svc[node].type, []).append(node)
     for node_type in reversed(facts.order):
+        specs = facts.specs[node_type]
         for node in by_type.get(node_type, ()):
-            lower[node] = least(node, facts.specs[node_type])
+            lower[node] = least(node, specs) if specs else svc[node].qos_nominal
     return lower
 
 
@@ -365,13 +360,23 @@ def _candidates(
 
     def affordable(position: int, node: str, available: Sequence[str]) -> list[str]:
         # The targets ``node`` may pick without lifting the start's bound
-        # above the cutoff.
+        # above the cutoff.  The bound is monotone in the node's worth, as
+        # float ``+`` and ``max`` are, so the affordable worths are a prefix
+        # of the sorted distinct worths: bisect for its last one.
         qos = svc[node].qos_nominal
-        return [
-            target
-            for target in available
-            if start_bound(position, node, qos + (lookup(node, target) + lower[target])) <= cutoff
-        ]
+        worths = [qos + (lookup(node, target) + lower[target]) for target in available]
+        levels = sorted(set(worths))
+        low, high = 0, len(levels)  # levels[:low] are affordable, levels[high:] are not
+        while low < high:
+            middle = (low + high) // 2
+            if start_bound(position, node, levels[middle]) <= cutoff:
+                low = middle + 1
+            else:
+                high = middle
+        if not low:
+            return []
+        top = levels[low - 1]
+        return [target for target, worth in zip(available, worths) if worth <= top]
 
     def expand(position: int) -> None:
         if position == len(type_order):

@@ -315,6 +315,14 @@ class QoSMatrix:
             for (a, b), value in entries.items():
                 self.set(a, b, value)
 
+    @classmethod
+    def _unchecked(cls, entries: dict[tuple[str, str], float]) -> QoSMatrix:
+        """A matrix over ``entries``, whose values the caller has already
+        converted and checked as :meth:`set` does; the dict is kept, not copied."""
+        matrix = cls.__new__(cls)
+        matrix._entries = entries
+        return matrix
+
     def set(self, from_id: str, to_id: str, ms: float) -> None:
         ms = float(ms)
         if not ms >= 0:  # also rejects NaN

@@ -39,7 +39,7 @@ class UniformLatency:
     base_ms: float
 
     def __post_init__(self) -> None:
-        if self.base_ms < 0:
+        if not self.base_ms >= 0:  # also rejects NaN
             raise ValueError("base_ms must be >= 0")
 
     def sample(self, from_id: str, to_id: str) -> float:
@@ -57,6 +57,14 @@ class MatrixLatency:
                 raise ValueError(f"latency for ({a!r}, {b!r}) must be >= 0")
             table[(a, b)] = value
         self.entries = table
+
+    @classmethod
+    def _unchecked(cls, table: dict[tuple[str, str], float]) -> MatrixLatency:
+        """A model over ``table``, whose values the caller has already
+        checked to be floats ``>= 0``; the table is kept, not copied."""
+        model = cls.__new__(cls)
+        model.entries = table
+        return model
 
     def sample(self, from_id: str, to_id: str) -> float:
         try:
@@ -81,9 +89,9 @@ class SeededLatency:
     """
 
     def __init__(self, base_ms: float, jitter_ms: float, seed: int):
-        if base_ms < 0:
+        if not base_ms >= 0:  # also rejects NaN, which max(0.0, ...) would hide
             raise ValueError("base_ms must be >= 0")
-        if jitter_ms < 0:
+        if not jitter_ms >= 0:
             raise ValueError("jitter_ms must be >= 0")
         self.base_ms = float(base_ms)
         self.jitter_ms = float(jitter_ms)
@@ -118,7 +126,8 @@ class Simulator:
     * ``advance`` moves the clock forward.
     * ``measure_link`` stamps a message across a link and returns the
       receive/send timestamp difference, which equals the modeled latency
-      by construction.
+      by construction.  ``measure_links`` does the same for every target
+      one sender can see, in one call; the flood uses it.
     * ``set_partitions`` optionally restricts which peers can see each
       other (range modeling); by default every live peer sees every other.
     * ``can_see`` answers one (observer, target) visibility question;
@@ -189,7 +198,8 @@ class Simulator:
     def can_see(self, observer_id: str, target_id: str, at: float | None = None) -> bool:
         """Whether the observer sees ``target_id`` at ``at`` (default: now),
         without a registry scan.  The observer's own liveness is not checked:
-        callers that need :class:`PeerUnknown` check :meth:`is_live` once."""
+        callers that need :class:`PeerUnknown` check :meth:`is_live` once.
+        :meth:`measure_links` applies the same rule to many targets."""
         visible_from = self._visible_from.get(target_id)
         return (
             visible_from is not None
@@ -222,7 +232,7 @@ class Simulator:
     def degrade_link(self, from_id: str, to_id: str, new_ms: float) -> None:
         """Override one directed link's latency from now on."""
         new_ms = float(new_ms)
-        if new_ms < 0:
+        if not new_ms >= 0:  # also rejects NaN
             raise ValueError("link latency must be >= 0")
         self._overrides[(from_id, to_id)] = new_ms
         self.log_event("link_degrade", from_id, to_id, new_ms=new_ms)
@@ -246,6 +256,43 @@ class Simulator:
         if self._trace_enabled:
             self._trace.append((t_sent, from_id, to_id, link_ms))
         return link_ms
+
+    def measure_links(self, from_id: str, to_ids: Iterable[str]) -> list[tuple[str, float]]:
+        """``(to_id, link_ms)`` for each target the sender can see now, in
+        the order given, each measured as :meth:`measure_link` does.
+
+        Visibility is the :meth:`can_see` rule; a target it hides is skipped
+        unmeasured.  The sender's liveness and partition group are looked up
+        once, so a flood pays one loop step per link.  Raises
+        :class:`PeerUnknown` when the sender is not live, and the latency
+        model's error for a link it cannot price, after tracing the links
+        measured before it.
+        """
+        if from_id not in self._records:
+            raise PeerUnknown(f"observer {from_id!r} is not live")
+        groups = self._groups
+        group = None if groups is None else groups.get(from_id)
+        if groups is not None and group is None:
+            return []  # a peer in no group sees nothing
+        now = self.clock
+        visible_from = self._visible_from.get
+        override = self._overrides.get
+        sample = self.latency.sample
+        trace = self._trace if self._trace_enabled else None
+        measured = []
+        for to_id in to_ids:
+            since = visible_from(to_id)
+            if since is None or not since <= now or to_id == from_id:
+                continue
+            if groups is not None and groups.get(to_id) != group:
+                continue
+            link_ms = override((from_id, to_id))
+            if link_ms is None:
+                link_ms = sample(from_id, to_id)
+            if trace is not None:
+                trace.append((now, from_id, to_id, link_ms))
+            measured.append((to_id, link_ms))
+        return measured
 
     # ------------------------------------------------------------------ clock
 
@@ -292,9 +339,10 @@ class Simulator:
 
 
 def _render(entry: tuple) -> dict:
-    """The trace record of a compact entry.  ``announce`` and ``measure_link``,
-    the calls a large registry makes most, append ``(t, service)`` and
-    ``(t_sent, from, to, link_ms)``, and the record is built when read."""
+    """The trace record of a compact entry.  ``announce`` and the link
+    measurements, the calls a large registry makes most, append
+    ``(t, service)`` and ``(t_sent, from, to, link_ms)``, and the record is
+    built when read."""
     if len(entry) == 2:
         when, (sid, kind, qos, threshold) = entry
         detail = {"type": kind, "qos_ms": qos, "threshold": threshold}

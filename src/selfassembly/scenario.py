@@ -64,6 +64,14 @@ def _number(value: Any, where: str, key: str = "") -> float:
         raise ScenarioFormatError(f"{where}{key}: integer too large for a float") from None
 
 
+def _nonnegative(value: Any, where: str, key: str = "") -> float:
+    """``value`` as a float ``>= 0``, named ``where`` plus ``key`` if it is not."""
+    number = _number(value, where, key)
+    if not number >= 0:  # also rejects NaN
+        raise ScenarioFormatError(f"{where}{key}: must be >= 0, got {number}")
+    return number
+
+
 def _parse_service(obj: Any, where: str) -> ServiceDescriptor:
     """One service entry, checked key by key and named ``where`` in errors."""
     if not isinstance(obj, dict):
@@ -125,7 +133,7 @@ def _parse_links(obj: Any) -> LatencyModel:
     kind = obj.get("kind")
     if kind == "uniform":
         _check_keys(obj, {"kind", "base_ms"}, set(), where)
-        return UniformLatency(_number(obj["base_ms"], where, ".base_ms"))
+        return UniformLatency(_nonnegative(obj["base_ms"], where, ".base_ms"))
     if kind == "matrix":
         _check_keys(obj, {"kind", "entries"}, set(), where)
         entries = obj["entries"]
@@ -133,29 +141,50 @@ def _parse_links(obj: Any) -> LatencyModel:
             raise ScenarioFormatError(f"{where}.entries: expected a list")
         table: dict[tuple[str, str], float] = {}
         for idx, row in enumerate(entries):
-            if (
-                not isinstance(row, list)
-                or len(row) != 3
-                or not isinstance(row[0], str)
-                or not isinstance(row[1], str)
-            ):
-                raise ScenarioFormatError(
-                    f"{where}.entries[{idx}]: expected [from_id, to_id, ms]"
-                )
-            pair = (row[0], row[1])
-            if pair in table:
-                raise ScenarioFormatError(f"{where}.entries[{idx}]: duplicate pair {pair}")
-            table[pair] = _number(row[2], f"{where}.entries[{idx}]")
-        return MatrixLatency(table)
+            # A row of two strings and a float >= 0, of the types JSON decodes
+            # them to, is checked here once; any other row is checked field by
+            # field for a named error.
+            if type(row) is list and len(row) == 3:
+                a, b, ms = row
+                pair = (a, b)
+                if (
+                    type(a) is str
+                    and type(b) is str
+                    and type(ms) is float
+                    and ms >= 0
+                    and pair not in table
+                ):
+                    table[pair] = ms
+                    continue
+            pair, ms = _matrix_row(row, table, f"{where}.entries[{idx}]")
+            table[pair] = ms
+        return MatrixLatency._unchecked(table)
     if kind == "seeded":
         _check_keys(obj, {"kind", "base_ms", "jitter_ms", "seed"}, set(), where)
         if isinstance(obj["seed"], bool) or not isinstance(obj["seed"], int):
             raise ScenarioFormatError(f"{where}.seed: expected an integer")
-        base_ms, jitter_ms = (_number(obj[k], where, f".{k}") for k in ("base_ms", "jitter_ms"))
+        base_ms, jitter_ms = (
+            _nonnegative(obj[k], where, f".{k}") for k in ("base_ms", "jitter_ms")
+        )
         return SeededLatency(base_ms, jitter_ms, obj["seed"])
     raise ScenarioFormatError(
         f"{where}.kind: expected \"uniform\", \"matrix\" or \"seeded\", got {kind!r}"
     )
+
+
+def _matrix_row(row: Any, table: dict, where: str) -> tuple[tuple[str, str], float]:
+    """One matrix row as its pair and latency, or the named error it earns."""
+    if (
+        not isinstance(row, list)
+        or len(row) != 3
+        or not isinstance(row[0], str)
+        or not isinstance(row[1], str)
+    ):
+        raise ScenarioFormatError(f"{where}: expected [from_id, to_id, ms]")
+    pair = (row[0], row[1])
+    if pair in table:
+        raise ScenarioFormatError(f"{where}: duplicate pair {pair}")
+    return pair, _nonnegative(row[2], where)
 
 
 _EVENT_KEYS = {
@@ -184,7 +213,7 @@ def _parse_event(obj: Any, where: str) -> ScenarioEvent:
         if not isinstance(obj["from"], str) or not isinstance(obj["to"], str):
             raise ScenarioFormatError(f"{where}: from and to must be strings")
         return ScenarioEvent.link_degrades(
-            at, obj["from"], obj["to"], _number(obj["new_ms"], f"{where}.new_ms")
+            at, obj["from"], obj["to"], _nonnegative(obj["new_ms"], f"{where}.new_ms")
         )
     if not isinstance(obj["id"], str):
         raise ScenarioFormatError(f"{where}.id: expected a string")

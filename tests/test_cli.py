@@ -149,6 +149,22 @@ def test_simulate_rejects_a_qos_too_large_for_a_float(tmp_path):
     assert run.stderr == "error: services[0].qos_ms: integer too large for a float\n"
 
 
+def test_assemble_rejects_a_nan_link_without_a_traceback(tmp_path):
+    document = json.loads(serialize_scenario(generate_medical(0)))
+    document["links"]["entries"][0][2] = float("nan")  # written as NaN, which JSON readers accept
+    scenario_path = tmp_path / "nan.json"
+    scenario_path.write_text(json.dumps(document))
+    run = subprocess.run(
+        [sys.executable, "-m", "selfassembly", "assemble", "--scenario", str(scenario_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert run.returncode == 1
+    assert run.stderr == "error: links.entries[0]: must be >= 0, got nan\n"
+
+
 def test_simulate_rejects_nesting_too_deep_for_the_decoder(tmp_path):
     scenario_path = tmp_path / "deep.json"
     scenario_path.write_text("[" * 100000)

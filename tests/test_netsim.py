@@ -85,6 +85,20 @@ def test_link_degrade_overrides_the_model():
     assert net.measure_link("A1", "B2") == 1.0
 
 
+def test_latency_parameters_reject_negative_and_nan():
+    net = make_net(seven_services())
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="^base_ms must be >= 0$"):
+            UniformLatency(bad)
+        with pytest.raises(ValueError, match="^base_ms must be >= 0$"):
+            SeededLatency(bad, 1.0, seed=0)
+        with pytest.raises(ValueError, match="^jitter_ms must be >= 0$"):
+            SeededLatency(1.0, bad, seed=0)
+        with pytest.raises(ValueError, match="^link latency must be >= 0$"):
+            net.degrade_link("A1", "B1", bad)
+    assert net.trace_records()[-1]["kind"] == "announce"  # nothing was overridden
+
+
 # -------------------------------------------------------------------- advance
 
 

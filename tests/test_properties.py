@@ -3,6 +3,7 @@ import math
 import random
 import re
 from collections import Counter, deque
+from functools import partial
 from itertools import product
 from unittest import mock
 
@@ -21,6 +22,7 @@ from selfassembly import (
     DuplicateId,
     Infeasible,
     InsufficientServices,
+    LatencyUndefined,
     MatrixLatency,
     NoStartingService,
     PeerUnknown,
@@ -323,7 +325,9 @@ def reference_flood(services, template, net):
 def flood_worlds(draw):
     """Services of a three-type template, some announced late or never
     (bystanders of other types too), partitions with ungrouped peers, a
-    positive announce latency, a clock, and one optional withdrawal."""
+    positive announce latency, a clock, and one optional withdrawal.  Links
+    are seeded, or a matrix with holes on some flooded pairs; some flooded
+    pairs are degraded, holes among them."""
     types = ["tA", "tB", "tC", "tX"]
     services = [
         ServiceDescriptor(f"{t}{i}", t, 1.0, 1)
@@ -331,9 +335,9 @@ def flood_worlds(draw):
         for i in range(draw(st.integers(min_value=0 if t != "tA" else 1, max_value=3)))
     ]
     ids = [s.id for s in services]
-    announce_at = {
-        sid: draw(st.one_of(st.none(), st.sampled_from([0.0, 2.0, 5.0]))) for sid in ids
-    }
+    # One service in five is never announced: a start among them fails the
+    # flood at once, and most worlds should get as far as measuring.
+    announce_at = {sid: draw(st.sampled_from([0.0, 2.0, 5.0, 0.0, None])) for sid in ids}
     groups = draw(
         st.one_of(
             st.none(),
@@ -343,18 +347,36 @@ def flood_worlds(draw):
     latency_ms = draw(st.sampled_from([0.0, 1.5, 4.0]))
     clock = draw(st.sampled_from([0.0, 2.0, 3.5, 6.0, 9.0]))
     withdrawn = draw(st.one_of(st.none(), st.sampled_from(ids)))
-    seed = draw(st.integers(min_value=0, max_value=2 ** 16))
     template = ApplicationTemplate((("tA", "tB"), ("tB", "tC"), ("tA", "tC")), (1, 1, ALL))
-    return services, template, announce_at, groups, latency_ms, clock, withdrawn, seed
+    flooded = [
+        (a, b) for x, y in template.body for a in ids for b in ids if a[:2] == x and b[:2] == y
+    ]
+    link_ms = st.sampled_from([0.0, 1 / 3, 2.5])
+    fates = ["model", "model", "model", "hole", "degraded", "degraded hole"]
+    table, degraded = {}, []
+    for pair in flooded:
+        fate = draw(st.sampled_from(fates))
+        if "hole" not in fate:
+            table[pair] = draw(link_ms)
+        if "degraded" in fate:
+            degraded.append((pair, draw(link_ms)))
+    # A fresh model per run: a seeded one keeps its generator's state.
+    if draw(st.booleans()):
+        latency = partial(MatrixLatency, table)
+    else:
+        latency = partial(SeededLatency, 2.0, 1.0, draw(st.integers(min_value=0, max_value=2 ** 16)))
+    return services, template, announce_at, groups, latency_ms, clock, withdrawn, latency, degraded
 
 
 def _flood_net(world):
-    services, _template, announce_at, groups, latency_ms, clock, withdrawn, seed = world
-    net = Simulator(SeededLatency(2.0, 1.0, seed), announce_latency_ms=latency_ms)
+    services, _template, announce_at, groups, latency_ms, clock, withdrawn, latency, degraded = world
+    net = Simulator(latency(), announce_latency_ms=latency_ms)
     for descriptor in services:
         if announce_at[descriptor.id] is not None:
             net.announce(descriptor, at=announce_at[descriptor.id])
     net.set_partitions(groups)
+    for (from_id, to_id), ms in degraded:
+        net.degrade_link(from_id, to_id, ms)
     net.advance(clock)
     if withdrawn is not None and net.is_live(withdrawn):
         net.withdraw(withdrawn)
@@ -366,8 +388,8 @@ def _outcome(flood, world):
     net = _flood_net(world)
     try:
         graph, links = flood(services, template, net)
-    except (PeerUnknown, NoStartingService) as exc:
-        return type(exc), net.trace_jsonl()
+    except (PeerUnknown, NoStartingService, LatencyUndefined) as exc:
+        return (type(exc), str(exc)), net.trace_jsonl()
     return (graph, links), net.trace_jsonl()
 
 
@@ -513,6 +535,47 @@ def test_assemble_with_squeezed_thresholds_matches_the_plain_odometer(seed, data
 tie_prone = st.sampled_from([0.0, 0.1, 0.7, 1.0])
 
 
+WIDE_LIST_CAP = 1500
+
+
+@st.composite
+def wide_instances(draw, values=tie_prone):
+    """One- and two-layer chains whose binders pick k of 10-40 targets, k
+    from 1 to 3, with a full link table, so that the plateau filter bisects
+    over many worths.  Widths, then constraints, are lowered until a start's
+    full list has at most ``WIDE_LIST_CAP`` candidates; a second start is
+    added only while both lists' combinations stay within it."""
+    layers = draw(st.integers(min_value=1, max_value=2))
+    types = ["t0", "t1", "t2"][: layers + 1]
+    widths = [1] + [draw(st.integers(min_value=10, max_value=40)) for _ in range(layers)]
+    ks = [draw(st.integers(min_value=1, max_value=3)) for _ in range(layers)]
+
+    def per_start():
+        total, binders = 1, 1
+        for n, k in zip(widths[1:], ks):  # each of the k picks binds at the next layer
+            total *= math.comb(n, k) ** binders
+            binders = k
+        return total
+
+    for layer in reversed(range(layers)):
+        while per_start() > WIDE_LIST_CAP and widths[layer + 1] > 10:
+            widths[layer + 1] -= 1
+    for layer in range(layers):
+        while per_start() > WIDE_LIST_CAP and ks[layer] > 1:
+            ks[layer] -= 1
+    if per_start() ** 2 <= WIDE_LIST_CAP:
+        widths[0] = draw(st.integers(min_value=1, max_value=2))
+    services = [
+        ServiceDescriptor(f"{t}s{i}", t, draw(values), draw(st.integers(1, 3)))
+        for t, width in zip(types, widths)
+        for i in range(width)
+    ]
+    ids = {t: [s.id for s in services if s.type == t] for t in types}
+    body = tuple(zip(types, types[1:]))
+    table = {(x, y): draw(values) for a, b in body for x in ids[a] for y in ids[b]}
+    return services, ApplicationTemplate(body, tuple(ks)), table
+
+
 def _full_lists(services, template, graph, links):
     """Each start's full candidate list, or the exception enumerating it raised."""
     svc = service_map(services)
@@ -526,7 +589,12 @@ def _full_lists(services, template, graph, links):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(dag_instances(), dag_instances(tie_prone)), st.data())
+@given(
+    st.one_of(
+        dag_instances(), dag_instances(tie_prone), wide_instances(), wide_instances(link_or_qos)
+    ),
+    st.data(),
+)
 def test_least_cost_plateaus_are_exact_prefixes_of_the_full_lists(instance, data):
     services, template, table = instance
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
@@ -556,7 +624,12 @@ def _assembly(run):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(dag_instances(), dag_instances(tie_prone)), st.data())
+@given(
+    st.one_of(
+        dag_instances(), dag_instances(tie_prone), wide_instances(), wide_instances(link_or_qos)
+    ),
+    st.data(),
+)
 def test_lazy_assemble_matches_selection_over_full_lists(instance, data):
     services, template, table = instance
     latency = MatrixLatency(table)

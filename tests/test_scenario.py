@@ -199,32 +199,65 @@ def _appears_with_qos(qos):
             "service": {"id": "B2", "type": "tB", "qos_ms": qos, "threshold": 1}}
 
 
-OVERFLOWS = [
-    (lambda d: d["services"][1].update(qos_ms=TOO_BIG), "services[1].qos_ms"),
-    (lambda d: d["events"].append(_appears_with_qos(TOO_BIG)), "events[0].service.qos_ms"),
-    (lambda d: d.update(links={"kind": "uniform", "base_ms": TOO_BIG}), "links.base_ms"),
-    (lambda d: d.update(links={"kind": "seeded", "base_ms": TOO_BIG, "jitter_ms": 1,
-                               "seed": 1}), "links.base_ms"),
-    (lambda d: d.update(links={"kind": "seeded", "base_ms": 1, "jitter_ms": TOO_BIG,
-                               "seed": 1}), "links.jitter_ms"),
-    (lambda d: d.update(links={"kind": "matrix", "entries": [["A1", "B1", 1],
-                                                             ["B1", "A1", TOO_BIG]]}),
-     "links.entries[1]"),
+TOO_LARGE = "integer too large for a float"
+NAN = float("nan")  # json.dumps writes it as NaN, which json.loads reads back
+
+
+def _matrix(ms):
+    return {"kind": "matrix", "entries": [["A1", "B1", 1], ["B1", "A1", ms]]}
+
+
+def _seeded(base_ms, jitter_ms):
+    return {"kind": "seeded", "base_ms": base_ms, "jitter_ms": jitter_ms, "seed": 1}
+
+
+def _degrades(ms):
+    return {"at_ms": 1, "kind": "link_degrades", "from": "A1", "to": "B1", "new_ms": ms}
+
+
+# (change to the document, field named in the error, what is wrong with it)
+BAD_NUMBERS = [
+    (lambda d: d["services"][1].update(qos_ms=TOO_BIG), "services[1].qos_ms", TOO_LARGE),
+    (lambda d: d["events"].append(_appears_with_qos(TOO_BIG)), "events[0].service.qos_ms",
+     TOO_LARGE),
+    (lambda d: d.update(links={"kind": "uniform", "base_ms": TOO_BIG}), "links.base_ms",
+     TOO_LARGE),
+    (lambda d: d.update(links=_seeded(TOO_BIG, 1)), "links.base_ms", TOO_LARGE),
+    (lambda d: d.update(links=_seeded(1, TOO_BIG)), "links.jitter_ms", TOO_LARGE),
+    (lambda d: d.update(links=_matrix(TOO_BIG)), "links.entries[1]", TOO_LARGE),
     (lambda d: d["events"].append(
-        {"at_ms": TOO_BIG, "kind": "service_disappears", "id": "B1"}), "events[0].at_ms"),
-    (lambda d: d["events"].append(
-        {"at_ms": 1, "kind": "link_degrades", "from": "A1", "to": "B1", "new_ms": TOO_BIG}),
-     "events[0].new_ms"),
+        {"at_ms": TOO_BIG, "kind": "service_disappears", "id": "B1"}), "events[0].at_ms",
+     TOO_LARGE),
+    (lambda d: d["events"].append(_degrades(TOO_BIG)), "events[0].new_ms", TOO_LARGE),
+    # Negative and NaN link values, each named where it enters.
+    (lambda d: d.update(links=_matrix(-1.0)), "links.entries[1]", "must be >= 0, got -1.0"),
+    (lambda d: d.update(links=_matrix(NAN)), "links.entries[1]", "must be >= 0, got nan"),
+    (lambda d: d.update(links={"kind": "uniform", "base_ms": -1.0}), "links.base_ms",
+     "must be >= 0, got -1.0"),
+    (lambda d: d.update(links={"kind": "uniform", "base_ms": NAN}), "links.base_ms",
+     "must be >= 0, got nan"),
+    (lambda d: d.update(links=_seeded(NAN, 1)), "links.base_ms", "must be >= 0, got nan"),
+    (lambda d: d.update(links=_seeded(1, -1)), "links.jitter_ms", "must be >= 0, got -1.0"),
+    (lambda d: d.update(links=_seeded(1, NAN)), "links.jitter_ms", "must be >= 0, got nan"),
+    (lambda d: d["events"].append(_degrades(-1.0)), "events[0].new_ms",
+     "must be >= 0, got -1.0"),
+    (lambda d: d["events"].append(_degrades(NAN)), "events[0].new_ms", "must be >= 0, got nan"),
 ]
 
 
-@pytest.mark.parametrize("change, message", OVERFLOWS, ids=[m for _, m in OVERFLOWS])
-def test_integer_too_large_for_a_float_names_its_field(change, message):
+def _case_id(field, error):
+    return field if error == TOO_LARGE else f"{field}={error.rsplit(' ', 1)[-1]}"
+
+
+@pytest.mark.parametrize(
+    "change, field, error", BAD_NUMBERS, ids=[_case_id(f, e) for _, f, e in BAD_NUMBERS]
+)
+def test_integer_too_large_for_a_float_names_its_field(change, field, error):
     document = _with_events()
     change(document)
     with pytest.raises(ScenarioFormatError) as info:
         parse_scenario(json.dumps(document))
-    assert str(info.value) == f"{message}: integer too large for a float"
+    assert str(info.value) == f"{field}: {error}"
 
 
 def test_integer_with_too_many_digits_rejected():
