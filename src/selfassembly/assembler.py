@@ -7,16 +7,14 @@ Assembly proceeds in three stages:
    measuring each traversed link, as if every constraint asked for all
    available targets.
 2. :func:`enumerate_candidates` applies the structural constraints: for one
-   starting service it enumerates every subgraph in which each included
-   node picks exactly the required number of its targets (all of them for
-   an ALL constraint), and sorts the candidates by worst-path time.  Each
-   cost is computed bottom-up from the picks as the subgraph is built and
-   equals :func:`~selfassembly.model.worst_path_time` of it exactly.
-   :func:`assemble` builds each start's list lazily: one bottom-up pass
-   gives every node the least cost of a candidate rooted at it, a search
-   cut off at the start's least cost lists the least-cost plateau first.
-   Lengths are counted; the full list is built only when the odometer
-   reaches an item past the plateau.
+   starting service it lists every subgraph in which each included node
+   picks exactly the required number of its targets (all of them for an
+   ALL constraint), sorted by worst-path time, each cost equal to
+   :func:`~selfassembly.model.worst_path_time` of it bit for bit.  The
+   search is one iterative walk over the template's types.
+   :func:`assemble` lists each start's least-cost plateau first, counts
+   lengths with the same walk, and lists a start in full only when the
+   odometer reaches an item past its plateau.
 3. :func:`select_assembly` walks combinations of one candidate per start
    (an odometer over the sorted lists, rightmost start varying fastest) and
    commits the first whose deduplicated union keeps every service's
@@ -32,8 +30,9 @@ keeps near-optimal in practice.
 from __future__ import annotations
 
 import math
+import struct
 from collections import deque
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
@@ -64,11 +63,8 @@ DEFAULT_COMBINATION_BUDGET = 10_000_000
 
 
 def count_combinations(n: int, k: Constraint) -> int:
-    """Number of ways to pick ``k`` of ``n`` available targets.
-
-    ``ALL`` admits exactly one choice.  Raises :class:`DomainError` outside
-    ``0 <= k <= n``.
-    """
+    """Number of ways to pick ``k`` of ``n`` available targets; one for
+    ``ALL``.  Raises :class:`DomainError` outside ``0 <= k <= n``."""
     if isinstance(k, AllServices):
         return 1
     if n < 0:
@@ -81,11 +77,8 @@ def count_combinations(n: int, k: Constraint) -> int:
 @dataclass(frozen=True, slots=True)
 class CandidateSubgraph:
     """One structurally compliant subgraph for a start, with its cost.
-
-    ``edges`` is kept as a sorted tuple (the tie-break key for equal
-    costs); ``rank`` is the position after sorting all candidates of the
-    same start by ascending cost.
-    """
+    ``edges`` is a sorted tuple (the tie-break for equal costs); ``rank`` is
+    the position in the start's candidates sorted by ascending cost."""
 
     start_id: str
     edges: tuple[tuple[str, str], ...]
@@ -94,11 +87,7 @@ class CandidateSubgraph:
 
     @property
     def nodes(self) -> frozenset[str]:
-        out = {self.start_id}
-        for a, b in self.edges:
-            out.add(a)
-            out.add(b)
-        return frozenset(out)
+        return frozenset((self.start_id,)).union(*self.edges)
 
     @property
     def graph(self) -> AssemblyGraph:
@@ -134,7 +123,9 @@ def _facts(template: ApplicationTemplate, *, check: bool = False) -> _TemplateFa
         if not report.ok:
             raise TemplateInvalid(report)
     order = template.topological_types()
-    specs = {t: template.out_edges(t) for t in order}
+    specs: dict[str, list[tuple[str, Constraint]]] = {t: [] for t in order}
+    for (from_type, to_type), constraint in zip(template.body, template.constraints):
+        specs[from_type].append((to_type, constraint))  # body order within each type
     return _TemplateFacts(template.starting_type(), order, specs)
 
 
@@ -149,13 +140,11 @@ def build_binding_graph(
 
     Starting services contact every visible target of the paired type;
     each contacted service measures the link from its sender and floods
-    onward for its own type pairs.  The result contains one directed edge
-    per allowed binding and one link measurement per edge.  Only services
-    of template types are considered, and each sender measures its links
-    to the paired type's services with one :meth:`Simulator.measure_links`
-    call, which skips the targets it cannot see, so the cost follows the
-    template's services rather than the registry size.  Each measured
-    value is checked once, as :meth:`QoSMatrix.set` checks it.
+    onward for its own type pairs: one edge and one link time per allowed
+    binding.  Each sender measures its links to a paired type's services
+    with one :meth:`Simulator.measure_links` call, which skips the targets
+    it cannot see, so the cost follows the template's services, not the
+    registry.  Each value is checked once, as :meth:`QoSMatrix.set` does.
     :func:`assemble` passes the template's ``facts``, checked once.
     """
     if facts is None:
@@ -196,66 +185,58 @@ def enumerate_candidates(
     services: Mapping[str, ServiceDescriptor] | Iterable[ServiceDescriptor],
 ) -> list[CandidateSubgraph]:
     """Every constraint-compliant subgraph reachable from one start,
-    sorted by ascending worst-path time.
+    sorted by ascending worst-path time, ties by the sorted edge list.
 
     Each included node picks exactly the constrained number of its targets
-    per type pair (all of them for ALL); a node reached through several
-    binders appears once and its own picks are made once.  Ties in cost
-    are ordered by the sorted edge list, so the result is stable across
-    runs.  Raises :class:`InsufficientServices` when an included node has
-    fewer reachable targets than its constraint requires.
-
-    Costs are computed per candidate bottom-up over its included nodes,
-    sinks first, in the same order of additions as :func:`worst_path_time`,
-    so each equals ``worst_path_time(candidate.graph, ...)`` bit for bit
-    without building the graph.
+    per type pair (all of them for ALL), once however many binders reach
+    it.  Each cost equals ``worst_path_time(candidate.graph, ...)`` bit for
+    bit.  Raises :class:`InsufficientServices` when an included node has
+    too few targets, and :class:`MissingLinkQoS` when an edge of the graph
+    has no link time.
     """
     svc = service_map(services)
     if start_id not in graph.nodes:
         raise ValueError(f"start {start_id!r} is not a node of the binding graph")
     if svc[start_id].type != template.starting_type():
         raise ValueError(f"service {start_id!r} is not of the starting type")
-    return _candidates(*_index(graph, svc), links, _facts(template), start_id, svc)
+    return _candidates(_index(graph, svc, links), _facts(template), start_id, svc)
 
 
 _Edge = tuple[str, str]
-_Successors = Mapping[str, Mapping[str, Sequence[str]]]
+_Services = Mapping[str, ServiceDescriptor]
+_Pick = tuple[_Edge, float]  # an edge of the binding graph and its link time
+_Successors = Mapping[str, Mapping[str, Sequence[_Pick]]]
+_Pair = tuple[str, str, Constraint, Sequence[_Pick]]  # binder, target type, constraint, pool
 
 
-def _index(
-    graph: AssemblyGraph, svc: Mapping[str, ServiceDescriptor]
-) -> tuple[_Successors, Mapping[_Edge, _Edge]]:
-    """The successors of each node grouped by target type and sorted for
-    determinism, and the graph's own edge tuples, which candidates share."""
-    succ_by_type: dict[str, dict[str, list[str]]] = {}
-    for a, b in graph.edges:
-        succ_by_type.setdefault(a, {}).setdefault(svc[b].type, []).append(b)
+def _index(graph: AssemblyGraph, svc: _Services, links: QoSMatrix) -> _Successors:
+    """Each node's out edges grouped by target type and sorted by target
+    for determinism, each with its link time: one :meth:`QoSMatrix.get`
+    per edge.  The edge tuples are the graph's own, which candidates share."""
+    lookup = links.get
+    succ_by_type: dict[str, dict[str, list[_Pick]]] = {}
+    for edge in graph.edges:
+        a, b = edge
+        succ_by_type.setdefault(a, {}).setdefault(svc[b].type, []).append((edge, lookup(a, b)))
     for groups in succ_by_type.values():
-        for targets in groups.values():
-            targets.sort()
-    return succ_by_type, {edge: edge for edge in graph.edges}
+        for picks in groups.values():
+            picks.sort(key=lambda pick: pick[0][1])  # by target: faster than comparing edges
+    return succ_by_type
 
 
 def _least_costs(
-    succ_by_type: _Successors,
-    links: QoSMatrix,
-    facts: _TemplateFacts,
-    svc: Mapping[str, ServiceDescriptor],
-    nodes: Iterable[str],
+    succ_by_type: _Successors, facts: _TemplateFacts, svc: _Services, nodes: Iterable[str]
 ) -> dict[str, float | None]:
     """The least cost of a candidate rooted at each node, or ``None`` when
-    none exists because some node it must include lacks targets.
+    some node it must include lacks targets (listing it raises
+    :class:`InsufficientServices`).
 
     Bottom-up in reverse type order, a node's value is ``qos + max`` over
     its type pairs of the k-th smallest ``link + lower[target]`` (the
     largest for ALL, nothing for k=0), in the association of the candidate
-    costs.  Float ``+`` and ``max`` are monotone, so picking the k cheapest
-    targets everywhere is optimal and a start's value equals its cheapest
-    candidate's cost bit for bit.  A node that could pick a target without
-    a value has none either: enumerating it raises
-    :class:`InsufficientServices`.
+    costs.  Float ``+`` and ``max`` are monotone, so a start's value is its
+    cheapest candidate's cost bit for bit.
     """
-    lookup = links.get
     lower: dict[str, float | None] = {}
 
     def least(node: str, specs: list[tuple[str, Constraint]]) -> float | None:
@@ -269,11 +250,11 @@ def _least_costs(
             if not k:
                 continue
             terms = []
-            for target in available:
+            for (_, target), ms in available:
                 below = lower[target]
                 if below is None:
                     return None
-                terms.append(lookup(node, target) + below)
+                terms.append(ms + below)
             terms.sort()
             if worst is None or terms[k - 1] > worst:
                 worst = terms[k - 1]
@@ -290,216 +271,202 @@ def _least_costs(
     return lower
 
 
-def _candidates(
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
+_INF_BITS = _I64.unpack(_F64.pack(math.inf))[0]
+
+
+def _headroom(qos: float, ms: float, limit: float, floor: float) -> float:
+    """The largest float ``x`` with ``qos + (ms + x) <= limit``, given that
+    ``floor`` fits: the most a target may be worth under a binder that may
+    be worth ``limit``.  Non-negative floats order as their bit patterns
+    do, so this gallops over those from the rounded estimate, which is
+    usually the answer or next to it."""
+    if limit == math.inf:
+        return limit
+
+    def fits(bits: int) -> bool:
+        return qos + (ms + _F64.unpack(_I64.pack(bits))[0]) <= limit
+
+    low, high = _I64.unpack(_F64.pack(floor + 0.0))[0], _INF_BITS  # + 0.0 maps -0.0 to 0.0
+    probe, step = _I64.unpack(_F64.pack(max((limit - qos) - ms, floor) + 0.0))[0], 1
+    while high - low > 1:  # fits(low) and not fits(high)
+        if fits(probe):
+            low, probe = probe, probe + step
+        else:
+            high, probe = probe, probe - step
+        step *= 2
+        if not low < probe < high:
+            probe = (low + high) // 2
+    return _F64.unpack(_I64.pack(low))[0]
+
+
+class _Frame:
+    """A level of the walk: its pools, the assignment of picks the branch
+    holds there, and the headrooms that assignment set (a node's first one
+    includes it), to undo them."""
+
+    __slots__ = ("level", "pairs", "assignments", "assignment", "narrowed")
+
+    def __init__(self, level: int, pairs: list[_Pair]) -> None:
+        self.level, self.pairs, self.narrowed = level, pairs, []
+        self.assignments = product(*(
+            (tuple(pool),) if isinstance(k, AllServices) else combinations(pool, k)
+            for _, _, k, pool in pairs
+        ))
+
+
+def _branches(
     succ_by_type: _Successors,
-    shared_edge: Mapping[_Edge, _Edge],
-    links: QoSMatrix,
     facts: _TemplateFacts,
     start_id: str,
-    svc: Mapping[str, ServiceDescriptor],
+    svc: _Services,
+    lower: Mapping[str, float | None] | None = None,
+    cutoff: float = math.inf,
+) -> Iterator[tuple[list[_Frame], list[_Pair]]]:
+    """The candidate search: one walk with an explicit stack over the types
+    with pairs ("levels"), binders before targets.  A level's binders pick
+    in every way of ``product`` over their pools (pair major, binder
+    minor), including each binder-type target once.  At the deepest level
+    every target is a sink, so the walk yields the branch there: the frames
+    above at their current assignments, and the deepest pools (none if no
+    binder reached it).  :class:`InsufficientServices` is raised at the
+    first binder short of targets in that order.
+
+    With ``lower`` of :func:`_least_costs`, only candidates of cost at most
+    ``cutoff`` are reached.  Each included binder has a headroom, the most
+    it may be worth with the start within the cutoff: the cutoff for the
+    start, the least :func:`_headroom` over its binders for a target (exact,
+    as float ``+`` and ``max`` are monotone).  A binder keeps a target only
+    if that pick, at the target's least cost, fits its headroom; an ALL
+    pair's always fit, as the binder's least cost includes them.
+    """
+    if lower is not None and not lower[start_id] <= cutoff:
+        return  # every candidate costs at least lower[start_id]
+    levels = [node_type for node_type in facts.order if facts.specs[node_type]]
+    last = len(levels) - 1
+    included: dict[str, list[str]] = {node_type: [] for node_type in levels}
+    included[levels[0]].append(start_id)
+    headroom: dict[str, float | None] = {start_id: cutoff}  # None or absent: not included
+    frames: list[_Frame] = []
+    level = 0
+    while True:
+        while level < last and not included[levels[level]]:
+            level += 1
+        pairs: list[_Pair] = []
+        for to_type, constraint in facts.specs[levels[level]]:
+            for node in included[levels[level]]:
+                pool = succ_by_type.get(node, {}).get(to_type, ())
+                if not isinstance(constraint, AllServices):
+                    if len(pool) < constraint:
+                        raise InsufficientServices(to_type, constraint, len(pool))
+                    if lower is not None and constraint:  # k=0 picks no target to price
+                        qos, limit = svc[node].qos_nominal, headroom[node]
+                        pool = [p for p in pool if qos + (p[1] + lower[p[0][1]]) <= limit]
+                pairs.append((node, to_type, constraint, pool))
+        if level == last:
+            yield frames, pairs
+        else:
+            frames.append(_Frame(level, pairs))
+        while frames:  # the next assignment, backtracking past spent frames
+            frame = frames[-1]
+            for node, previous in reversed(frame.narrowed):
+                headroom[node] = previous
+                if previous is None:
+                    included[svc[node].type].pop()
+            frame.narrowed = []
+            frame.assignment = next(frame.assignments, None)
+            if frame.assignment is None:
+                frames.pop()
+                continue
+            for (node, to_type, _, _), chosen in zip(frame.pairs, frame.assignment):
+                bucket = included.get(to_type)
+                if bucket is None:
+                    continue  # sinks are never expanded
+                for (_, target), ms in chosen:
+                    previous = headroom.get(target)
+                    if previous is None:
+                        bucket.append(target)
+                    room = math.inf if lower is None else _headroom(
+                        svc[node].qos_nominal, ms, headroom[node], lower[target]
+                    )
+                    if previous is None or room < previous:
+                        frame.narrowed.append((target, previous))
+                        headroom[target] = room
+            level = frame.level + 1
+            break
+        else:
+            return
+
+
+def _candidates(
+    succ_by_type: _Successors,
+    facts: _TemplateFacts,
+    start_id: str,
+    svc: _Services,
     lower: Mapping[str, float | None] | None = None,
     cutoff: float = math.inf,
 ) -> list[CandidateSubgraph]:
-    """The search behind :func:`enumerate_candidates`.
-
-    Given the least costs ``lower`` of :func:`_least_costs` and a
-    ``cutoff`` of at least ``lower[start_id]``, it returns only the
-    candidates whose cost is at most the cutoff: an exact prefix of the
-    full list, with the same ranks.  A binder drops every target whose
-    pick alone would lift the start's least possible cost on the branch
-    above the cutoff, counting the nodes not yet expanded at their least
-    cost.  Nothing else is checked: a cost is the largest of its
-    root-to-sink path sums, because float ``+`` is monotone, and each
-    path's last pick passed that test (an ALL pair's targets always pass,
-    as the binder's least cost already includes every one of them), so
-    every candidate the search completes is within the cutoff.
+    """The candidate list behind :func:`enumerate_candidates`; given
+    ``lower`` of :func:`_least_costs`, only its exact prefix of cost at
+    most ``cutoff``.  A pick at the deepest level is priced once per branch
+    of :func:`_branches`, as its link plus its sink's qos.  A candidate
+    then re-prices only the binders above, bottom-up in the association of
+    :func:`worst_path_time`, the sinks they pick at their qos.
     """
-    type_order = facts.order
-    reverse_order = type_order[::-1]
-    lookup = links.get
-
-    included: dict[str, list[str]] = {t: [] for t in type_order}
-    included[svc[start_id].type].append(start_id)
-    included_set = {start_id}
-    edge_acc: list[tuple[str, str]] = []
-    # Targets each included binder picked on the current branch, over all
-    # of its type pairs; rewritten whenever the binder's type is expanded.
-    picks: dict[str, tuple[str, ...]] = {}
-    best: dict[str, float] = {}
-    raw: list[tuple[float, tuple[tuple[str, str], ...]]] = []
-
-    def materialize() -> None:
-        # Worst-path time bottom-up over the included nodes, sinks first,
-        # in the same association as worst_path_time: equal floats.
-        for node_type in reverse_order:
-            for node in included[node_type]:
-                qos = svc[node].qos_nominal
-                nexts = picks.get(node)
-                if nexts:
-                    best[node] = qos + max(lookup(node, nxt) + best[nxt] for nxt in nexts)
-                else:
-                    best[node] = qos
-        raw.append((best[start_id], tuple(sorted(edge_acc))))
-
-    def start_bound(position: int, node: str, value: float) -> float:
-        # The start's least cost on this branch if ``node`` is worth
-        # ``value``: nodes of the types before ``position`` are worth
-        # their picks, every other node its least cost.
-        worth = {node: value}
-        for node_type in reverse_order[len(type_order) - position:]:
-            for binder in included[node_type]:
-                qos = svc[binder].qos_nominal
-                nexts = picks.get(binder)
-                if nexts:
-                    worth[binder] = qos + max(
-                        lookup(binder, nxt) + worth.get(nxt, lower[nxt]) for nxt in nexts
-                    )
-                else:
-                    worth[binder] = qos
-        return worth[start_id]
-
-    def affordable(position: int, node: str, available: Sequence[str]) -> list[str]:
-        # The targets ``node`` may pick without lifting the start's bound
-        # above the cutoff.  The bound is monotone in the node's worth, as
-        # float ``+`` and ``max`` are, so the affordable worths are a prefix
-        # of the sorted distinct worths: bisect for its last one.
-        qos = svc[node].qos_nominal
-        worths = [qos + (lookup(node, target) + lower[target]) for target in available]
-        levels = sorted(set(worths))
-        low, high = 0, len(levels)  # levels[:low] are affordable, levels[high:] are not
-        while low < high:
-            middle = (low + high) // 2
-            if start_bound(position, node, levels[middle]) <= cutoff:
-                low = middle + 1
-            else:
-                high = middle
-        if not low:
-            return []
-        top = levels[low - 1]
-        return [target for target, worth in zip(available, worths) if worth <= top]
-
-    def expand(position: int) -> None:
-        if position == len(type_order):
-            materialize()
-            return
-        binder_type = type_order[position]
-        binders = included[binder_type]
-        specs = facts.specs[binder_type]
-        if not binders or not specs:
-            expand(position + 1)
-            return
-
-        choice_meta: list[tuple[str, str, bool]] = []  # (binder, target type, first pair)
-        choice_pools = []
-        for index, (to_type, constraint) in enumerate(specs):
-            for node in binders:
-                available = succ_by_type.get(node, {}).get(to_type, [])
-                if isinstance(constraint, AllServices):
-                    pool: Sequence[tuple[str, ...]] = (tuple(available),)
-                else:
-                    if len(available) < constraint:
-                        raise InsufficientServices(to_type, constraint, len(available))
-                    if lower is not None and constraint:  # k=0 picks no target to price
-                        available = affordable(position, node, available)
-                    pool = tuple(combinations(available, constraint))
-                choice_meta.append((node, to_type, index == 0))
-                choice_pools.append(pool)
-
-        for assignment in product(*choice_pools):
-            marks: dict[str, int] = {}
-            edge_mark = len(edge_acc)
-            for (node, to_type, first), chosen in zip(choice_meta, assignment):
-                picks[node] = chosen if first else picks[node] + chosen
-                bucket = included[to_type]
-                if to_type not in marks:
-                    marks[to_type] = len(bucket)
-                for target in chosen:
-                    edge_acc.append(shared_edge[(node, target)])
-                    if target not in included_set:
-                        included_set.add(target)
-                        bucket.append(target)
-            expand(position + 1)
-            del edge_acc[edge_mark:]
-            for to_type, length in marks.items():
-                bucket = included[to_type]
-                for target in bucket[length:]:
-                    included_set.discard(target)
-                del bucket[length:]
-
-    try:
-        expand(0)
-    finally:
-        # expand refers to itself; clearing that cycle frees the search
-        # state on return instead of at the next garbage collection.
-        del expand
-    raw.sort(key=lambda item: (item[0], item[1]))
-    return [
-        CandidateSubgraph(start_id, edges, cost, rank)
-        for rank, (cost, edges) in enumerate(raw)
-    ]
+    raw: list[tuple[float, tuple[_Edge, ...]]] = []
+    for frames, pairs in _branches(succ_by_type, facts, start_id, svc, lower, cutoff):
+        worth: dict[str, float] = {}
+        plan: list[tuple[str, float, tuple[tuple[float, str], ...]]] = []  # bottom-up
+        above: list[_Edge] = []
+        for frame in reversed(frames):
+            picks: dict[str, tuple[tuple[float, str], ...]] = {}
+            for (node, to_type, _, _), chosen in zip(frame.pairs, frame.assignment):
+                picks[node] = picks.get(node, ()) + tuple((ms, edge[1]) for edge, ms in chosen)
+                above += [edge for edge, _ in chosen]
+                if not facts.specs[to_type]:
+                    worth.update((edge[1], svc[edge[1]].qos_nominal) for edge, _ in chosen)
+            plan += [(node, svc[node].qos_nominal, own) for node, own in picks.items()]
+        # Each deepest binder's ways to pick, over its pairs in order: edges, largest term.
+        options: dict[str, list[tuple[tuple[_Edge, ...], float]]] = {}
+        for node, _, k, pool in pairs:
+            k = len(pool) if isinstance(k, AllServices) else k
+            terms = [ms + svc[edge[1]].qos_nominal for edge, ms in pool]
+            ends = [edge for edge, _ in pool]  # combinations keep the pool's order
+            these = [((), -math.inf)] if not k else list(
+                zip(combinations(ends, k), map(max, combinations(terms, k)))
+            )
+            earlier = options.get(node)
+            options[node] = these if earlier is None else [
+                (edges + more, max(top, last)) for edges, top in earlier for more, last in these
+            ]
+        choices = []
+        for node, ways in options.items():
+            qos = svc[node].qos_nominal
+            choices.append([(e, qos if top == -math.inf else qos + top) for e, top in ways])
+        if not frames and len(pairs) == 1:  # the start's one pair: its picks are sorted
+            raw += ((value, picked) for picked, value in choices[0])
+            continue
+        for assignment in product(*choices):
+            edges = above.copy()
+            for node, (picked, value) in zip(options, assignment):
+                worth[node] = value
+                edges += picked
+            for node, qos, own in plan:
+                worth[node] = qos + max([ms + worth[t] for ms, t in own]) if own else qos
+            edges.sort()
+            raw.append((worth[start_id], tuple(edges)))
+    raw.sort()  # by cost, then edges: no two candidates share their edges
+    return [CandidateSubgraph(start_id, e, cost, rank) for rank, (cost, e) in enumerate(raw)]
 
 
-def _count(
-    succ_by_type: _Successors,
-    facts: _TemplateFacts,
-    start_id: str,
-    svc: Mapping[str, ServiceDescriptor],
-) -> int:
-    """The length of the unbounded :func:`_candidates` list, without listing it.
-
-    The walk includes nodes as the search does, a node reached through
-    several binders once, over the same pick pools.  At the deepest type
-    with pairs, each assignment of picks is one candidate, so the count
-    there is the product of the pool sizes.
-    """
-    type_order = facts.order
-    last = max((i for i, t in enumerate(type_order) if facts.specs[t]), default=-1)
-    included: dict[str, list[str]] = {t: [] for t in type_order}
-    included[svc[start_id].type].append(start_id)
-    included_set = {start_id}
-
-    def count(position: int) -> int:
-        if position > last:
-            return 1
-        binders = included[type_order[position]]
-        if not binders:
-            return count(position + 1)
-        pairs = []  # (target type, constraint, available targets) per binder
-        for to_type, constraint in facts.specs[type_order[position]]:
-            for node in binders:
-                available = succ_by_type.get(node, {}).get(to_type, [])
-                if not isinstance(constraint, AllServices) and len(available) < constraint:
-                    raise InsufficientServices(to_type, constraint, len(available))
-                pairs.append((to_type, constraint, available))
-        if position == last:
-            return math.prod(count_combinations(len(available), k) for _, k, available in pairs)
-        pools = [
-            (tuple(available),) if isinstance(k, AllServices) else combinations(available, k)
-            for _, k, available in pairs
-        ]
-        total = 0
-        for assignment in product(*pools):
-            marks: dict[str, int] = {}
-            for (to_type, _, _), chosen in zip(pairs, assignment):
-                bucket = included[to_type]
-                if to_type not in marks:
-                    marks[to_type] = len(bucket)
-                for target in chosen:
-                    if target not in included_set:
-                        included_set.add(target)
-                        bucket.append(target)
-            total += count(position + 1)
-            for to_type, length in marks.items():
-                bucket = included[to_type]
-                for target in bucket[length:]:
-                    included_set.discard(target)
-                del bucket[length:]
-        return total
-
-    try:
-        return count(0)
-    finally:
-        del count  # see _candidates
+def _count(succ_by_type: _Successors, facts: _TemplateFacts, start_id: str, svc: _Services) -> int:
+    """The length of the unbounded :func:`_candidates` list, without
+    listing it: each branch of :func:`_branches` counts the product of its
+    deepest pool sizes, as each assignment there is one candidate."""
+    return sum(
+        math.prod(count_combinations(len(pool), k) for _, _, k, pool in pairs)
+        for _, pairs in _branches(succ_by_type, facts, start_id, svc)
+    )
 
 
 def _item(pool: Sequence[CandidateSubgraph], index: int) -> CandidateSubgraph | None:
@@ -525,22 +492,15 @@ def select_assembly(
     collapsed, every service's distinct inbound edge count stays within
     its threshold.
 
-    The odometer is walked depth first with loads kept incrementally:
-    placing or removing one candidate touches only its own edges.  Loads
-    never fall as candidates are added, so once a prefix of starts
-    overloads a service, every combination below that prefix is
-    infeasible; the whole subtree is skipped and counted as tested
-    without being built.  ``combinations_tested``, the :class:`Infeasible`
-    count and the point where the budget runs out are therefore exactly
-    those of testing every combination one by one.  A list is asked for
-    its length only when a subtree below it is skipped, and for an item
-    only when the odometer reaches it.  For the lazy lists of
-    :func:`assemble`, lengths are counted; the full list is built only
-    when the odometer reaches an item past the plateau.
-
-    Raises :class:`Infeasible` after exhausting every combination and
-    :class:`CombinationBudgetExceeded` if ``budget`` combinations were
-    tested without an answer.
+    The odometer is walked depth first with loads kept incrementally.
+    Loads never fall as candidates are added, so once a prefix of starts
+    overloads a service, the subtree below it is skipped and counted as
+    tested: ``combinations_tested``, the :class:`Infeasible` count and the
+    budget point are those of testing every combination in turn.  A list
+    is asked for its length only when a subtree below it is skipped, and
+    for an item only when the odometer reaches it.  Raises
+    :class:`Infeasible` after exhausting every combination and
+    :class:`CombinationBudgetExceeded` past ``budget`` combinations.
     """
     if not per_start:
         raise ValueError("no starting services to combine")
@@ -584,9 +544,7 @@ def select_assembly(
                     overloaded -= 1
                 loads[target] = load - 1
 
-    chosen = [0] * len(pools)
-    position = 0
-    tested = 0
+    chosen, position, tested = [0] * len(pools), 0, 0
     candidate = pools[0][0]
     while True:
         place(candidate)
@@ -614,10 +572,7 @@ def select_assembly(
         chosen[position] += 1
 
     union_edges = frozenset(edge for edge, held in holders.items() if held)
-    nodes = set(start_ids)
-    for a, b in union_edges:
-        nodes.add(a)
-        nodes.add(b)
+    nodes = set(start_ids).union(*union_edges)
     combo = {sid: pool[index] for sid, pool, index in zip(start_ids, pools, chosen)}
     per_load = {node: loads.get(node, 0) for node in sorted(nodes)}
     return AssemblyResult(AssemblyGraph(frozenset(nodes), union_edges), combo, tested, per_load)
@@ -631,27 +586,25 @@ def assemble(
     budget: int = DEFAULT_COMBINATION_BUDGET,
 ) -> AssemblyResult:
     """Run the full pipeline: flood and measure, enumerate per start,
-    commit the first feasible combination.
-
-    The template is checked once, and it, the registry and the binding
-    graph are indexed once and shared by every stage.  Each start's list
-    is lazy (see the module docstring); for a start without candidates
-    the unbounded search raises its :class:`InsufficientServices`.
+    commit the first feasible combination.  The template, the registry and
+    the binding graph are each checked and indexed once.  Each start's list
+    is lazy (see the module docstring); for a start without candidates the
+    unbounded search raises its :class:`InsufficientServices`.
     """
     facts = _facts(template, check=True)  # reported before a duplicate id, as by the flood
     svc = service_map(services)
     graph, links = build_binding_graph(svc, template, net, facts=facts)
     start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == facts.start_type)
-    succ_by_type, shared_edge = _index(graph, svc)
-    lower = _least_costs(succ_by_type, links, facts, svc, graph.nodes)
+    succ_by_type = _index(graph, svc, links)
+    lower = _least_costs(succ_by_type, facts, svc, graph.nodes)
     per_start: dict[str, Sequence[CandidateSubgraph]] = {}
     for sid in start_ids:
         cutoff = lower[sid]
         if cutoff is None:
-            per_start[sid] = _candidates(succ_by_type, shared_edge, links, facts, sid, svc)
+            per_start[sid] = _candidates(succ_by_type, facts, sid, svc)
             continue
-        plateau = _candidates(succ_by_type, shared_edge, links, facts, sid, svc, lower, cutoff)
-        complete = partial(_candidates, succ_by_type, shared_edge, links, facts, sid, svc)
+        plateau = _candidates(succ_by_type, facts, sid, svc, lower, cutoff)
+        complete = partial(_candidates, succ_by_type, facts, sid, svc)
         count = partial(_count, succ_by_type, facts, sid, svc)
         per_start[sid] = _LazyCandidates(plateau, complete, count)
     return select_assembly(per_start, svc, budget=budget)

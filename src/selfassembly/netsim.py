@@ -144,7 +144,7 @@ class Simulator:
         announce_latency_ms: float = 0.0,
         trace: bool = True,
     ):
-        if announce_latency_ms < 0:
+        if not announce_latency_ms >= 0:  # also rejects NaN, which no view would reach
             raise ValueError("announce_latency_ms must be >= 0")
         self.clock = 0.0
         self.latency = latency if latency is not None else UniformLatency(0.0)

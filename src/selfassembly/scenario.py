@@ -203,6 +203,8 @@ def _parse_event(obj: Any, where: str) -> ScenarioEvent:
         raise ScenarioFormatError(f"{where}.kind: unknown event kind {kind!r}")
     _check_keys(obj, _EVENT_KEYS[kind], set(), where)
     at = _number(obj["at_ms"], f"{where}.at_ms")
+    if math.isnan(at):  # it would pass the sort check and reach the timeline
+        raise ScenarioFormatError(f"{where}.at_ms: expected a number, got nan")
     if kind == "service_appears":
         return ScenarioEvent.appears(at, _parse_service(obj["service"], f"{where}.service"))
     if kind == "service_disappears":

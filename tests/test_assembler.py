@@ -1,4 +1,6 @@
+import random
 import time
+from unittest import mock
 
 import pytest
 
@@ -11,7 +13,9 @@ from selfassembly import (
     DomainError,
     Infeasible,
     InsufficientServices,
+    MatrixLatency,
     NoStartingService,
+    QoSMatrix,
     ServiceDescriptor,
     TemplateInvalid,
     assemble,
@@ -379,3 +383,61 @@ def test_candidate_count_matches_binomial_products(example7_net):
     # One choice point: pick 2 of 3 targets; every picked target then has
     # a forced single pick.
     assert len(per_start) == count_combinations(3, 2) * count_combinations(1, 1) ** 2
+
+
+# --------------------------------------------------------- deep and wide templates
+
+
+def _chain(n_types, *, double_at=None, seed=0):
+    """A chain template of ``n_types`` types with k=1 per pair and two
+    services per type after the start, each linked to both services of the
+    next type, with non-dyadic values.  With ``double_at``, the pair into
+    that type is k=2 and the type after it has one service, which both
+    then bind to."""
+    rng = random.Random(seed)
+    types = [f"t{i}" for i in range(n_types)]
+    widths = [1] + [2] * (n_types - 1)
+    constraints = [1] * (n_types - 1)
+    if double_at is not None:
+        constraints[double_at - 1] = 2
+        widths[double_at + 1] = 1
+    ids = [[f"{t}s{i}" for i in range(width)] for t, width in zip(types, widths)]
+    services = [
+        ServiceDescriptor(sid, t, rng.uniform(0.1, 3.0), 2) for t, row in zip(types, ids) for sid in row
+    ]
+    table = {(a, b): rng.uniform(0.1, 3.0) for row, after in zip(ids, ids[1:]) for a in row for b in after}
+    template = ApplicationTemplate(tuple(zip(types, types[1:])), tuple(constraints))
+    return services, template, MatrixLatency(table)
+
+
+@pytest.mark.parametrize("n_types, double_at", [(5000, None), (3000, 1500)], ids=["k1", "one-k2"])
+def test_a_deep_chain_assembles_in_linear_time(n_types, double_at):
+    # The search used to recurse once per type and re-price every type above
+    # each binder it filtered, so these raised RecursionError; 980 types took 0.8 s.
+    services, template, latency = _chain(n_types, double_at=double_at)
+    net = make_net(services, latency)
+    began = time.perf_counter()
+    result = assemble(services, template, net)
+    elapsed = time.perf_counter() - began
+    assert elapsed < 1.0
+    # Both services of the doubled type add an edge: into it and out of it.
+    assert len(result.chosen["t0s0"].edges) == n_types - 1 + 2 * (double_at is not None)
+    assert check_assembly(result, services, template) == []
+
+
+def test_assemble_reads_each_link_once():
+    services = [ServiceDescriptor("A1", "tA", 5.0, 1)]
+    services += [ServiceDescriptor(f"B{i}", "tB", 1.0 + i / 7, 1) for i in range(200)]
+    table = {("A1", f"B{i}"): 0.1 * (i % 13) for i in range(200)}
+    net = make_net(services, MatrixLatency(table))
+    real = QoSMatrix.get
+    calls = []
+
+    def counted(self, from_id, to_id):
+        calls.append((from_id, to_id))
+        return real(self, from_id, to_id)
+
+    with mock.patch.object(QoSMatrix, "get", counted):
+        result = assemble(services, ApplicationTemplate((("tA", "tB"),), (2,)), net)
+    assert result.combinations_tested == 1
+    assert len(calls) <= 200

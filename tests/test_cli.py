@@ -14,7 +14,7 @@ from selfassembly.scenario import (
     serialize_scenario,
     write_scenario,
 )
-from selfassembly import ServiceDescriptor, UniformLatency
+from selfassembly import ApplicationTemplate, MatrixLatency, ServiceDescriptor, UniformLatency
 from selfassembly.runtime import ScenarioEvent
 
 from conftest import seven_services, seven_template
@@ -163,6 +163,43 @@ def test_assemble_rejects_a_nan_link_without_a_traceback(tmp_path):
     )
     assert run.returncode == 1
     assert run.stderr == "error: links.entries[0]: must be >= 0, got nan\n"
+
+
+def _run_cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "selfassembly", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+
+
+def test_simulate_rejects_a_nan_event_time(tmp_path):
+    # Unchecked, the timeline ran 5.0 -> NaN -> 1.0 and wrote NaN, which is not JSON.
+    document = json.loads(_write_example7(tmp_path / "ok.json").read_text())
+    document["events"] = [
+        {"at_ms": at, "kind": "inject_out_contract", "id": "B1"} for at in (5.0, float("nan"), 1.0)
+    ]
+    scenario_path = tmp_path / "nan.json"
+    scenario_path.write_text(json.dumps(document))
+    run = _run_cli("simulate", "--scenario", str(scenario_path))
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr == "error: events[1].at_ms: expected a number, got nan\n"
+
+
+def test_assemble_a_chain_of_1500_types(tmp_path):
+    # One type pair per level: the candidate search used to recurse once per type.
+    types = [f"t{i}" for i in range(1500)]
+    services = [ServiceDescriptor(f"S{i}", t, 0.1 * (i % 7), 1) for i, t in enumerate(types)]
+    template = ApplicationTemplate(tuple(zip(types, types[1:])), (1,) * (len(types) - 1))
+    table = {(a.id, b.id): 0.3 for a, b in zip(services, services[1:])}
+    scenario_path = tmp_path / "chain.json"
+    write_scenario(Scenario(services, template, MatrixLatency(table), []), scenario_path)
+    run = _run_cli("assemble", "--scenario", str(scenario_path))
+    assert run.returncode == 0, run.stderr
+    assert "combinations_tested=1 " in run.stdout
 
 
 def test_simulate_rejects_nesting_too_deep_for_the_decoder(tmp_path):

@@ -99,6 +99,13 @@ def test_latency_parameters_reject_negative_and_nan():
     assert net.trace_records()[-1]["kind"] == "announce"  # nothing was overridden
 
 
+def test_announce_latency_rejects_negative_and_nan():
+    # With a NaN latency no announcement would ever become visible.
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="^announce_latency_ms must be >= 0$"):
+            Simulator(announce_latency_ms=bad)
+
+
 # -------------------------------------------------------------------- advance
 
 

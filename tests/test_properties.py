@@ -52,13 +52,19 @@ from selfassembly import (
 )
 from selfassembly import assembler, runtime
 from selfassembly import scenario as scenario_module
-from selfassembly.assembler import _candidates, _count, _facts, _index, _least_costs
+from selfassembly.assembler import _candidates, _count, _facts, _headroom, _index, _least_costs
 from selfassembly.model import AllServices
 from selfassembly.oracle import _subgraphs_from, exhaustive_worst_path
 from selfassembly.runtime import EventKind, ScenarioEvent, TimelineEntry
 from selfassembly.scenario import Scenario
 
 from conftest import make_net
+from recursive_search import (
+    reference_candidates,
+    reference_count,
+    reference_index,
+    reference_least_costs,
+)
 
 
 dyadic = st.integers(min_value=0, max_value=40).map(lambda q: q / 4.0)
@@ -599,9 +605,9 @@ def test_least_cost_plateaus_are_exact_prefixes_of_the_full_lists(instance, data
     services, template, table = instance
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
-    succ, shared_edge = _index(graph, svc)
+    succ = _index(graph, svc, links)
     facts = _facts(template)
-    lower = _least_costs(succ, links, facts, svc, graph.nodes)
+    lower = _least_costs(succ, facts, svc, graph.nodes)
     for sid, full in _full_lists(services, template, graph, links).items():
         if isinstance(full, InsufficientServices):
             assert lower[sid] is None
@@ -609,7 +615,7 @@ def test_least_cost_plateaus_are_exact_prefixes_of_the_full_lists(instance, data
         assert lower[sid] is not None
         assert lower[sid].hex() == full[0].cost.hex()
         for cutoff in (lower[sid], data.draw(st.sampled_from(full)).cost):
-            assert _candidates(succ, shared_edge, links, facts, sid, svc, lower, cutoff) == [
+            assert _candidates(succ, facts, sid, svc, lower, cutoff) == [
                 c for c in full if c.cost <= cutoff
             ]
 
@@ -657,10 +663,10 @@ def _unbounded_spy(calls):
     """``_candidates`` that records the start of every unbounded search."""
     real = assembler._candidates
 
-    def spy(succ, shared_edge, links, facts, start_id, svc, lower=None, cutoff=math.inf):
+    def spy(succ, facts, start_id, svc, lower=None, cutoff=math.inf):
         if cutoff == math.inf:
             calls.append(start_id)
-        return real(succ, shared_edge, links, facts, start_id, svc, lower, cutoff)
+        return real(succ, facts, start_id, svc, lower, cutoff)
 
     return spy
 
@@ -692,7 +698,7 @@ def test_counted_length_equals_the_full_list_length(instance):
     graph, links = build_binding_graph(services, template, make_net(services, latency))
     full = _full_lists(services, template, graph, links)
     svc = service_map(services)
-    succ, _ = _index(graph, svc)
+    succ = _index(graph, svc, links)
     short = {sid: pool for sid, pool in full.items() if isinstance(pool, InsufficientServices)}
     for sid, exc in short.items():
         with pytest.raises(InsufficientServices, match=f"^{re.escape(str(exc))}$"):
@@ -740,6 +746,198 @@ def test_pruning_counts_later_starts_without_listing_them():
         assert calls == ["A2"]
         assert lazy == _assembly(lambda: reference_select(full, services, budget))
         assert lazy == _assembly(lambda: select_assembly(full, services, budget=budget))
+
+
+# ------------------------------------------------- the iterative candidate walker
+
+
+def _listing(run):
+    """A candidate list as (cost bits, rank, edges) per item, or the type
+    and message of the exception listing it raised."""
+    try:
+        return [(c.cost.hex(), c.rank, c.edges) for c in run()]
+    except InsufficientServices as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _counting(run):
+    try:
+        return run()
+    except InsufficientServices as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _bits(value):
+    return None if value is None else value.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        dag_instances(),
+        dag_instances(tie_prone),
+        wide_instances(),
+        wide_instances(link_or_qos),
+        layered_random_instances(),
+    ),
+    st.data(),
+)
+def test_walker_matches_the_recursive_search(instance, data):
+    services, template, table = instance
+    graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
+    svc = service_map(services)
+    facts = _facts(template)
+    succ = _index(graph, svc, links)
+    lower = _least_costs(succ, facts, svc, graph.nodes)
+    old_succ, shared_edge = reference_index(graph, svc)
+    old_lower = reference_least_costs(old_succ, links, facts, svc, graph.nodes)
+    assert {node: _bits(value) for node, value in lower.items()} == {
+        node: _bits(value) for node, value in old_lower.items()
+    }
+
+    def reference(sid, *bound):
+        return reference_candidates(old_succ, shared_edge, links, facts, sid, svc, *bound)
+
+    for sid in sorted(s.id for s in services if s.type == facts.start_type):
+        full = _listing(lambda: _candidates(succ, facts, sid, svc))
+        assert full == _listing(lambda: reference(sid))
+        assert _counting(lambda: _count(succ, facts, sid, svc)) == _counting(
+            lambda: reference_count(old_succ, facts, sid, svc)
+        )
+        if lower[sid] is None:
+            assert isinstance(full, tuple)  # InsufficientServices
+            continue
+        drawn = float.fromhex(data.draw(st.sampled_from(full))[0])
+        for cutoff in (
+            lower[sid], drawn, math.nextafter(drawn, math.inf), math.nextafter(drawn, -math.inf)
+        ):
+            bounded = _listing(lambda: _candidates(succ, facts, sid, svc, lower, cutoff))
+            assert bounded == [item for item in full if float.fromhex(item[0]) <= cutoff]
+            if cutoff >= lower[sid]:  # the recursive search assumed this
+                assert bounded == _listing(lambda: reference(sid, lower, cutoff))
+
+
+def test_walker_prices_a_sink_that_a_binder_above_the_deepest_level_picks():
+    # A diamond: t0 picks a t2 sink directly and a t1 binder that picks one
+    # too.  The deepest level with pairs is t1's, so t0's sink is priced
+    # from its qos in the binders above it.
+    services = [
+        ServiceDescriptor("A", "t0", 0.1, 1),
+        ServiceDescriptor("B1", "t1", 0.7, 2),
+        ServiceDescriptor("B2", "t1", 0.3, 2),
+        ServiceDescriptor("C1", "t2", 0.2, 3),
+        ServiceDescriptor("C2", "t2", 1.1, 3),
+    ]
+    template = ApplicationTemplate((("t0", "t1"), ("t0", "t2"), ("t1", "t2")), (1, 1, 1))
+    values = iter([0.3, 0.1, 0.7, 2.9, 0.2, 1.3, 0.6, 0.4])
+    table = {(a, b): next(values) for a, b in (
+        ("A", "B1"), ("A", "B2"), ("A", "C1"), ("A", "C2"),
+        ("B1", "C1"), ("B1", "C2"), ("B2", "C1"), ("B2", "C2"),
+    )}
+    graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
+    svc = service_map(services)
+    facts = _facts(template)
+    succ = _index(graph, svc, links)
+    full = _candidates(succ, facts, "A", svc)
+    assert len(full) == 8 == _count(succ, facts, "A", svc)
+    old_succ, shared_edge = reference_index(graph, svc)
+    assert _listing(lambda: full) == _listing(
+        lambda: reference_candidates(old_succ, shared_edge, links, facts, "A", svc)
+    )
+    for candidate in full:
+        reference = worst_path_time(candidate.graph, "A", svc, links)
+        assert candidate.cost.hex() == reference.hex()
+    lower = _least_costs(succ, facts, svc, graph.nodes)
+    for candidate in full:
+        assert _candidates(succ, facts, "A", svc, lower, candidate.cost) == [
+            c for c in full if c.cost <= candidate.cost
+        ]
+
+
+def test_binders_whose_all_pairs_find_no_targets_are_worth_their_qos():
+    # No service of tX or tY exists, so B and C pick nothing: B above the
+    # deepest level with pairs, C at it.
+    services = [
+        ServiceDescriptor("A1", "tA", 0.1, 2),
+        ServiceDescriptor("B1", "tB", 0.7, 2),
+        ServiceDescriptor("B2", "tB", 0.3, 2),
+        ServiceDescriptor("C1", "tC", 1.1, 2),
+        ServiceDescriptor("C2", "tC", 0.2, 2),
+    ]
+    template = ApplicationTemplate(
+        (("tA", "tB"), ("tA", "tC"), ("tB", "tX"), ("tC", "tY")), (1, 1, ALL, ALL)
+    )
+    table = {("A1", "B1"): 0.3, ("A1", "B2"): 0.9, ("A1", "C1"): 0.1, ("A1", "C2"): 0.7}
+    graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
+    svc = service_map(services)
+    candidates = enumerate_candidates(graph, links, template, "A1", svc)
+    assert len(candidates) == 4
+    for candidate in candidates:
+        reference = worst_path_time(candidate.graph, "A1", svc, links)
+        assert candidate.cost.hex() == reference.hex()
+
+
+def test_a_start_with_two_pairs_lists_its_edges_sorted():
+    # The start is the only binder; its tB picks come first in pick order
+    # but sort after its tC picks.
+    services = [ServiceDescriptor("A", "tA", 0.5, 1)]
+    services += [ServiceDescriptor(sid, "tB", 0.1, 1) for sid in ("Z1", "Z2")]
+    services += [ServiceDescriptor(sid, "tC", 0.7, 1) for sid in ("C1", "C2")]
+    template = ApplicationTemplate((("tA", "tB"), ("tA", "tC")), (1, 1))
+    table = {("A", "Z1"): 0.2, ("A", "Z2"): 0.4, ("A", "C1"): 0.3, ("A", "C2"): 0.1}
+    graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
+    candidates = enumerate_candidates(graph, links, template, "A", service_map(services))
+    assert len(candidates) == 4
+    assert all(c.edges == tuple(sorted(c.edges)) for c in candidates)
+
+
+@pytest.mark.parametrize("tight", ["B1", "B2"])
+def test_a_node_picked_by_two_binders_keeps_the_smaller_headroom(tight):
+    # A picks both Bs; the tight one costs A its least cost, the other has
+    # slack.  When both pick C1, C1 may not take the dearer D2, whichever
+    # of the two binders is expanded first.
+    services = [ServiceDescriptor(sid, f"t{sid[0]}", 0.0, 2) for sid in (
+        "A", "B1", "B2", "C1", "C2", "D1", "D2"
+    )]
+    template = ApplicationTemplate(
+        (("tA", "tB"), ("tB", "tC"), ("tC", "tD")), (ALL, 1, 1)
+    )
+    table = {("A", b): 10.0 if b == tight else 0.0 for b in ("B1", "B2")}
+    table.update({(b, c): 5.0 if c == "C2" else 0.0 for b in ("B1", "B2") for c in ("C1", "C2")})
+    table.update({(c, d): 3.0 if d == "D2" else 0.0 for c in ("C1", "C2") for d in ("D1", "D2")})
+    graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
+    svc = service_map(services)
+    facts = _facts(template)
+    succ = _index(graph, svc, links)
+    lower = _least_costs(succ, facts, svc, graph.nodes)
+    full = _candidates(succ, facts, "A", svc)
+    plateau = _candidates(succ, facts, "A", svc, lower, lower["A"])
+    assert lower["A"] == 10.0
+    assert plateau == [c for c in full if c.cost <= 10.0]
+    assert (tight, "C1") in {edge for c in plateau for edge in c.edges}
+
+
+# Values whose sums round: tiny next to large, non-dyadic, zero and huge.
+headroom_values = st.one_of(
+    link_or_qos,
+    st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 0.7, 1e16, 1e300]),
+    st.floats(min_value=0.0, max_value=1e-12),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(headroom_values, headroom_values, headroom_values, headroom_values)
+def test_headroom_is_the_largest_worth_that_fits(qos, ms, floor, extra):
+    limit = qos + (ms + floor) + extra  # so that floor fits
+    assume(limit < math.inf)
+
+    def fits(worth):
+        return qos + (ms + worth) <= limit
+
+    room = _headroom(qos, ms, limit, floor)
+    assert room >= floor and fits(room)
+    assert room == math.inf or not fits(math.nextafter(room, math.inf))
+    assert _headroom(qos, ms, math.inf, floor) == math.inf
 
 
 # ------------------------------------------------- single-pass service parsing

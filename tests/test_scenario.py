@@ -242,6 +242,8 @@ BAD_NUMBERS = [
     (lambda d: d["events"].append(_degrades(-1.0)), "events[0].new_ms",
      "must be >= 0, got -1.0"),
     (lambda d: d["events"].append(_degrades(NAN)), "events[0].new_ms", "must be >= 0, got nan"),
+    (lambda d: d["events"].append({"at_ms": NAN, "kind": "service_disappears", "id": "B1"}),
+     "events[0].at_ms", "expected a number, got nan"),
 ]
 
 
