@@ -43,6 +43,7 @@ from .errors import (
     DomainError,
     Infeasible,
     InsufficientServices,
+    MissingLinkQoS,
     NoStartingService,
     TemplateInvalid,
 )
@@ -63,8 +64,11 @@ DEFAULT_COMBINATION_BUDGET = 10_000_000
 
 
 def count_combinations(n: int, k: Constraint) -> int:
-    """Number of ways to pick ``k`` of ``n`` available targets; one for
-    ``ALL``.  Raises :class:`DomainError` outside ``0 <= k <= n``."""
+    """Number of ways to pick ``k`` of ``n`` available targets.
+
+    ``ALL`` admits exactly one choice.  Raises :class:`DomainError` outside
+    ``0 <= k <= n``.
+    """
     if isinstance(k, AllServices):
         return 1
     if n < 0:
@@ -77,8 +81,11 @@ def count_combinations(n: int, k: Constraint) -> int:
 @dataclass(frozen=True, slots=True)
 class CandidateSubgraph:
     """One structurally compliant subgraph for a start, with its cost.
-    ``edges`` is a sorted tuple (the tie-break for equal costs); ``rank`` is
-    the position in the start's candidates sorted by ascending cost."""
+
+    ``edges`` is kept as a sorted tuple (the tie-break key for equal
+    costs); ``rank`` is the position after sorting all candidates of the
+    same start by ascending cost.
+    """
 
     start_id: str
     edges: tuple[tuple[str, str], ...]
@@ -87,7 +94,11 @@ class CandidateSubgraph:
 
     @property
     def nodes(self) -> frozenset[str]:
-        return frozenset((self.start_id,)).union(*self.edges)
+        out = {self.start_id}
+        for a, b in self.edges:
+            out.add(a)
+            out.add(b)
+        return frozenset(out)
 
     @property
     def graph(self) -> AssemblyGraph:
@@ -140,11 +151,13 @@ def build_binding_graph(
 
     Starting services contact every visible target of the paired type;
     each contacted service measures the link from its sender and floods
-    onward for its own type pairs: one edge and one link time per allowed
-    binding.  Each sender measures its links to a paired type's services
-    with one :meth:`Simulator.measure_links` call, which skips the targets
-    it cannot see, so the cost follows the template's services, not the
-    registry.  Each value is checked once, as :meth:`QoSMatrix.set` does.
+    onward for its own type pairs.  The result contains one directed edge
+    per allowed binding and one link measurement per edge.  Only services
+    of template types are considered, and each sender measures its links
+    to the paired type's services with one :meth:`Simulator.measure_links`
+    call, which skips the targets it cannot see, so the cost follows the
+    template's services rather than the registry size.  Each measured
+    value is checked once, as :meth:`QoSMatrix.set` checks it.
     :func:`assemble` passes the template's ``facts``, checked once.
     """
     if facts is None:
@@ -185,14 +198,19 @@ def enumerate_candidates(
     services: Mapping[str, ServiceDescriptor] | Iterable[ServiceDescriptor],
 ) -> list[CandidateSubgraph]:
     """Every constraint-compliant subgraph reachable from one start,
-    sorted by ascending worst-path time, ties by the sorted edge list.
+    sorted by ascending worst-path time.
 
     Each included node picks exactly the constrained number of its targets
-    per type pair (all of them for ALL), once however many binders reach
-    it.  Each cost equals ``worst_path_time(candidate.graph, ...)`` bit for
-    bit.  Raises :class:`InsufficientServices` when an included node has
-    too few targets, and :class:`MissingLinkQoS` when an edge of the graph
-    has no link time.
+    per type pair (all of them for ALL); a node reached through several
+    binders appears once and its own picks are made once.  Ties in cost
+    are ordered by the sorted edge list, so the result is stable across
+    runs.  Raises :class:`InsufficientServices` when an included node has
+    fewer reachable targets than its constraint requires.
+
+    Costs are computed per candidate bottom-up over its included nodes,
+    sinks first, in the same order of additions as :func:`worst_path_time`,
+    so each equals ``worst_path_time(candidate.graph, ...)`` bit for bit
+    without building the graph.
     """
     svc = service_map(services)
     if start_id not in graph.nodes:
@@ -209,15 +227,34 @@ _Successors = Mapping[str, Mapping[str, Sequence[_Pick]]]
 _Pair = tuple[str, str, Constraint, Sequence[_Pick]]  # binder, target type, constraint, pool
 
 
+class _MissingLink:
+    """The link time of an edge that has none.  Adding to it raises
+    :class:`MissingLinkQoS`, so a search raises only when it prices a pick
+    of that edge, as a lookup there would."""
+
+    __slots__ = ("edge",)
+
+    def __init__(self, edge: _Edge) -> None:
+        self.edge = edge
+
+    def __add__(self, other: float) -> float:
+        raise MissingLinkQoS(*self.edge)
+
+
 def _index(graph: AssemblyGraph, svc: _Services, links: QoSMatrix) -> _Successors:
     """Each node's out edges grouped by target type and sorted by target
     for determinism, each with its link time: one :meth:`QoSMatrix.get`
-    per edge.  The edge tuples are the graph's own, which candidates share."""
+    per edge, a :class:`_MissingLink` where there is none.  The edge tuples
+    are the graph's own, which candidates share."""
     lookup = links.get
     succ_by_type: dict[str, dict[str, list[_Pick]]] = {}
     for edge in graph.edges:
         a, b = edge
-        succ_by_type.setdefault(a, {}).setdefault(svc[b].type, []).append((edge, lookup(a, b)))
+        try:
+            ms = lookup(a, b)
+        except MissingLinkQoS:
+            ms = _MissingLink(edge)
+        succ_by_type.setdefault(a, {}).setdefault(svc[b].type, []).append((edge, ms))
     for groups in succ_by_type.values():
         for picks in groups.values():
             picks.sort(key=lambda pick: pick[0][1])  # by target: faster than comparing edges
@@ -430,11 +467,11 @@ def _candidates(
         options: dict[str, list[tuple[tuple[_Edge, ...], float]]] = {}
         for node, _, k, pool in pairs:
             k = len(pool) if isinstance(k, AllServices) else k
-            terms = [ms + svc[edge[1]].qos_nominal for edge, ms in pool]
-            ends = [edge for edge, _ in pool]  # combinations keep the pool's order
-            these = [((), -math.inf)] if not k else list(
-                zip(combinations(ends, k), map(max, combinations(terms, k)))
-            )
+            these = [((), -math.inf)]  # k=0 picks no target to price
+            if k:
+                terms = [ms + svc[edge[1]].qos_nominal for edge, ms in pool]
+                ends = [edge for edge, _ in pool]  # combinations keep the pool's order
+                these = list(zip(combinations(ends, k), map(max, combinations(terms, k))))
             earlier = options.get(node)
             options[node] = these if earlier is None else [
                 (edges + more, max(top, last)) for edges, top in earlier for more, last in these
@@ -443,9 +480,6 @@ def _candidates(
         for node, ways in options.items():
             qos = svc[node].qos_nominal
             choices.append([(e, qos if top == -math.inf else qos + top) for e, top in ways])
-        if not frames and len(pairs) == 1:  # the start's one pair: its picks are sorted
-            raw += ((value, picked) for picked, value in choices[0])
-            continue
         for assignment in product(*choices):
             edges = above.copy()
             for node, (picked, value) in zip(options, assignment):
@@ -492,15 +526,22 @@ def select_assembly(
     collapsed, every service's distinct inbound edge count stays within
     its threshold.
 
-    The odometer is walked depth first with loads kept incrementally.
-    Loads never fall as candidates are added, so once a prefix of starts
-    overloads a service, the subtree below it is skipped and counted as
-    tested: ``combinations_tested``, the :class:`Infeasible` count and the
-    budget point are those of testing every combination in turn.  A list
-    is asked for its length only when a subtree below it is skipped, and
-    for an item only when the odometer reaches it.  Raises
-    :class:`Infeasible` after exhausting every combination and
-    :class:`CombinationBudgetExceeded` past ``budget`` combinations.
+    The odometer is walked depth first with loads kept incrementally:
+    placing or removing one candidate touches only its own edges.  Loads
+    never fall as candidates are added, so once a prefix of starts
+    overloads a service, every combination below that prefix is
+    infeasible; the whole subtree is skipped and counted as tested
+    without being built.  ``combinations_tested``, the :class:`Infeasible`
+    count and the point where the budget runs out are therefore exactly
+    those of testing every combination one by one.  A list is asked for
+    its length only when a subtree below it is skipped, and for an item
+    only when the odometer reaches it.  For the lazy lists of
+    :func:`assemble`, lengths are counted; the full list is built only
+    when the odometer reaches an item past the plateau.
+
+    Raises :class:`Infeasible` after exhausting every combination and
+    :class:`CombinationBudgetExceeded` if ``budget`` combinations were
+    tested without an answer.
     """
     if not per_start:
         raise ValueError("no starting services to combine")
@@ -544,7 +585,9 @@ def select_assembly(
                     overloaded -= 1
                 loads[target] = load - 1
 
-    chosen, position, tested = [0] * len(pools), 0, 0
+    chosen = [0] * len(pools)
+    position = 0
+    tested = 0
     candidate = pools[0][0]
     while True:
         place(candidate)
@@ -572,7 +615,10 @@ def select_assembly(
         chosen[position] += 1
 
     union_edges = frozenset(edge for edge, held in holders.items() if held)
-    nodes = set(start_ids).union(*union_edges)
+    nodes = set(start_ids)
+    for a, b in union_edges:
+        nodes.add(a)
+        nodes.add(b)
     combo = {sid: pool[index] for sid, pool, index in zip(start_ids, pools, chosen)}
     per_load = {node: loads.get(node, 0) for node in sorted(nodes)}
     return AssemblyResult(AssemblyGraph(frozenset(nodes), union_edges), combo, tested, per_load)
@@ -586,10 +632,12 @@ def assemble(
     budget: int = DEFAULT_COMBINATION_BUDGET,
 ) -> AssemblyResult:
     """Run the full pipeline: flood and measure, enumerate per start,
-    commit the first feasible combination.  The template, the registry and
-    the binding graph are each checked and indexed once.  Each start's list
-    is lazy (see the module docstring); for a start without candidates the
-    unbounded search raises its :class:`InsufficientServices`.
+    commit the first feasible combination.
+
+    The template is checked once, and it, the registry and the binding
+    graph are indexed once and shared by every stage.  Each start's list
+    is lazy (see the module docstring); for a start without candidates
+    the unbounded search raises its :class:`InsufficientServices`.
     """
     facts = _facts(template, check=True)  # reported before a duplicate id, as by the flood
     svc = service_map(services)

@@ -24,6 +24,7 @@ from selfassembly import (
     InsufficientServices,
     LatencyUndefined,
     MatrixLatency,
+    MissingLinkQoS,
     NoStartingService,
     PeerUnknown,
     QoSMatrix,
@@ -751,12 +752,12 @@ def test_pruning_counts_later_starts_without_listing_them():
 # ------------------------------------------------- the iterative candidate walker
 
 
-def _listing(run):
+def _listing(run, errors=InsufficientServices):
     """A candidate list as (cost bits, rank, edges) per item, or the type
-    and message of the exception listing it raised."""
+    and message of the exception of ``errors`` that listing it raised."""
     try:
         return [(c.cost.hex(), c.rank, c.edges) for c in run()]
-    except InsufficientServices as exc:
+    except errors as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -815,6 +816,58 @@ def test_walker_matches_the_recursive_search(instance, data):
             assert bounded == [item for item in full if float.fromhex(item[0]) <= cutoff]
             if cutoff >= lower[sid]:  # the recursive search assumed this
                 assert bounded == _listing(lambda: reference(sid, lower, cutoff))
+
+
+def _without(links, dropped):
+    """A copy of ``links`` without the link time of edge ``dropped``."""
+    kept = QoSMatrix()
+    for (a, b), ms in links.items():
+        if (a, b) != dropped:
+            kept.set(a, b, ms)
+    return kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(dag_instances(), wide_instances(link_or_qos), layered_random_instances()),
+    st.data(),
+)
+def test_a_missing_link_raises_only_where_the_recursive_search_priced_it(instance, data):
+    services, template, table = instance
+    graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
+    assume(graph.edges)
+    dropped = data.draw(st.sampled_from(sorted(graph.edges)))
+    links = _without(links, dropped)
+    svc = service_map(services)
+    facts = _facts(template)
+    old_succ, shared_edge = reference_index(graph, svc)
+    errors = (InsufficientServices, MissingLinkQoS)
+    for sid in sorted(s.id for s in services if s.type == facts.start_type):
+        assert _listing(
+            lambda: enumerate_candidates(graph, links, template, sid, svc), errors
+        ) == _listing(
+            lambda: reference_candidates(old_succ, shared_edge, links, facts, sid, svc), errors
+        )
+
+
+def test_a_missing_link_that_no_candidate_picks_is_not_read():
+    # A1's tC pair picks none of its targets; B2 is A2's.  A k=0 pair is
+    # not a valid template, so the graph is built by hand.
+    services = [ServiceDescriptor(sid, "tA", 0.5, 2) for sid in ("A1", "A2")]
+    services += [ServiceDescriptor(sid, "tB", 0.1, 2) for sid in ("B1", "B2")]
+    services += [ServiceDescriptor("C1", "tC", 0.7, 2)]
+    template = ApplicationTemplate((("tA", "tB"), ("tA", "tC")), (1, 0))
+    table = {("A1", "B1"): 0.2, ("A1", "C1"): 0.3, ("A2", "B2"): 0.4, ("A2", "C1"): 0.1}
+    graph = AssemblyGraph(frozenset(s.id for s in services), frozenset(table))
+    links = QoSMatrix()
+    for (a, b), ms in table.items():
+        links.set(a, b, ms)
+    expected = enumerate_candidates(graph, links, template, "A1", services)
+    assert [c.edges for c in expected] == [(("A1", "B1"),)]
+    for dropped in (("A1", "C1"), ("A2", "B2")):
+        assert enumerate_candidates(graph, _without(links, dropped), template, "A1", services) == expected
+    with pytest.raises(MissingLinkQoS, match="'A1', 'B1'"):
+        enumerate_candidates(graph, _without(links, ("A1", "B1")), template, "A1", services)
 
 
 def test_walker_prices_a_sink_that_a_binder_above_the_deepest_level_picks():
