@@ -49,7 +49,6 @@ from .model import (
     worst_path_time,
 )
 from .netsim import (
-    DiscoveryRecord,
     MatrixLatency,
     SeededLatency,
     Simulator,

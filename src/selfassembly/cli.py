@@ -1,4 +1,7 @@
-"""Command-line driver: assemble, simulate, bench, verify, generate.
+"""Command-line driver: assemble, simulate, verify, generate.
+
+``assemble`` runs :func:`~selfassembly.assembler.assemble` and ``simulate``
+:func:`~selfassembly.runtime.run_scenario`; the CLI has no pipeline of its own.
 
 Exit codes: 0 success, 1 parse/usage error, 2 infeasible, 3 combination
 budget exceeded, 4 oracle mismatch.
@@ -6,18 +9,10 @@ budget exceeded, 4 oracle mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 import time
 
-from .assembler import (
-    DEFAULT_COMBINATION_BUDGET,
-    assemble,
-    build_binding_graph,
-    enumerate_candidates,
-    select_assembly,
-)
+from .assembler import DEFAULT_COMBINATION_BUDGET, assemble
 from .errors import (
     CombinationBudgetExceeded,
     Infeasible,
@@ -28,7 +23,7 @@ from .errors import (
     TemplateInvalid,
 )
 from .export import assembly_to_dot, assembly_to_json
-from .model import service_map
+from .model import QoSMatrix
 from .netsim import MatrixLatency
 from .oracle import check_assembly, exhaustive_assemblies
 from .runtime import run_scenario, timeline_jsonl
@@ -48,10 +43,6 @@ EXIT_PARSE = 1
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
-
-# Rough per-candidate footprint: container object plus one small tuple per edge.
-CANDIDATE_BASE_BYTES = 88
-CANDIDATE_EDGE_BYTES = 56
 
 
 def _parse_k(text: str):
@@ -85,15 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--timeline", help="write the timeline as line-delimited JSON")
     p_sim.add_argument("--budget", type=int, default=DEFAULT_COMBINATION_BUDGET)
 
-    p_bench = sub.add_parser("bench", help="time a generated layout and emit one CSV row")
-    p_bench.add_argument("layout", choices=["one-layer", "pyramidal"])
-    p_bench.add_argument("--n", type=int, help="target count for one-layer")
-    p_bench.add_argument("--top-width", type=int, help="top layer width for pyramidal")
-    p_bench.add_argument("--k", type=_parse_k, default=1)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--budget", type=int, default=DEFAULT_COMBINATION_BUDGET)
-    p_bench.add_argument("--csv", help="append the row to this file instead of stdout")
-
     p_verify = sub.add_parser("verify", help="cross-check the assembler against the exhaustive oracle")
     p_verify.add_argument("--random", type=int, default=200, metavar="N", help="number of random instances")
     p_verify.add_argument("--seed", type=int, default=0)
@@ -109,22 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _enumerate_stage(scenario: Scenario):
-    """Build the binding graph and the per-start candidate lists, so
-    callers can reach the measured links and candidate counts even when
-    the selection stage fails."""
-    net = build_simulator(scenario)
-    graph, links = build_binding_graph(scenario.services, scenario.template, net)
-    svc = service_map(scenario.services)
-    start_type = scenario.template.starting_type()
-    start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == start_type)
-    per_start = {
-        sid: enumerate_candidates(graph, links, scenario.template, sid, svc)
-        for sid in start_ids
-    }
-    return net, links, per_start
-
-
 def cmd_assemble(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -133,8 +99,8 @@ def cmd_assemble(args) -> int:
         return EXIT_PARSE
     started = time.perf_counter()
     try:
-        net, links, per_start = _enumerate_stage(scenario)
-        result = select_assembly(per_start, scenario.services, budget=args.budget)
+        net = build_simulator(scenario)
+        result = assemble(scenario.services, scenario.template, net, budget=args.budget)
     except CombinationBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -142,7 +108,13 @@ def cmd_assemble(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     wall_ms = (time.perf_counter() - started) * 1000.0
-    n_candidates = sum(len(lst) for lst in per_start.values())
+    # The labels are the flood's own measurements, one trace record per edge:
+    # sampling a seeded latency model again would draw new values.
+    links = QoSMatrix({
+        (rec["from"], rec["to"]): rec["detail"]["link_ms"]
+        for rec in net.trace_records()
+        if rec["kind"] == "measure"
+    })
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(assembly_to_dot(result, scenario.services, links))
@@ -152,8 +124,7 @@ def cmd_assemble(args) -> int:
     print(
         f"n_services={len(scenario.services)} "
         f"combinations_tested={result.combinations_tested} "
-        f"wall_ms={wall_ms:.2f} "
-        f"peak_candidate_count={n_candidates}"
+        f"wall_ms={wall_ms:.2f}"
     )
     return EXIT_OK
 
@@ -177,53 +148,6 @@ def cmd_simulate(args) -> int:
     final = timeline[-1]
     print(f"entries={len(timeline)} final_feasible={final.feasible}", file=sys.stderr)
     return EXIT_OK if final.feasible else EXIT_INFEASIBLE
-
-
-def _bench_scenario(args) -> tuple[Scenario, int, str]:
-    if args.layout == "one-layer":
-        if args.n is None:
-            raise ScenarioFormatError("bench one-layer requires --n")
-        scenario = generate_one_layer(args.n, args.k, args.seed)
-        return scenario, args.n, str(args.k)
-    if args.top_width is None:
-        raise ScenarioFormatError("bench pyramidal requires --top-width")
-    scenario = generate_pyramidal(args.top_width, args.k, args.seed)
-    return scenario, len(scenario.services), str(args.k)
-
-
-def cmd_bench(args) -> int:
-    try:
-        scenario, n, k_text = _bench_scenario(args)
-    except (ScenarioFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    started = time.perf_counter()
-    feasible = True
-    per_start = {}
-    try:
-        net, links, per_start = _enumerate_stage(scenario)
-        select_assembly(per_start, scenario.services, budget=args.budget)
-    except CombinationBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (Infeasible, InsufficientServices, NoStartingService):
-        feasible = False
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    n_candidates = sum(len(lst) for lst in per_start.values())
-    edges_total = sum(len(c.edges) for lst in per_start.values() for c in lst)
-    mem_estimate = n_candidates * CANDIDATE_BASE_BYTES + edges_total * CANDIDATE_EDGE_BYTES
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["layout", "n", "k", "candidates", "wall_ms", "mem_estimate"])
-    writer.writerow([args.layout, n, k_text, n_candidates, f"{wall_ms:.2f}", mem_estimate])
-    if args.csv:
-        with open(args.csv, "a", encoding="utf-8", newline="") as handle:
-            handle.write(buffer.getvalue())
-    else:
-        sys.stdout.write(buffer.getvalue())
-    if not feasible:
-        print("note: layout was infeasible", file=sys.stderr)
-    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -294,7 +218,6 @@ def main(argv=None) -> int:
     handlers = {
         "assemble": cmd_assemble,
         "simulate": cmd_simulate,
-        "bench": cmd_bench,
         "verify": cmd_verify,
         "generate": cmd_generate,
     }

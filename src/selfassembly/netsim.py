@@ -20,18 +20,6 @@ from .errors import DuplicateId, LatencyUndefined, PeerUnknown
 from .model import ServiceDescriptor
 
 
-@dataclass(frozen=True, slots=True)
-class DiscoveryRecord:
-    """Self-description a peer broadcasts: its service, and when."""
-
-    service: ServiceDescriptor
-    announced_at: float = 0.0
-
-    @property
-    def id(self) -> str:
-        return self.service.id
-
-
 @dataclass(frozen=True)
 class UniformLatency:
     """Every link takes exactly ``base_ms``."""
@@ -131,7 +119,7 @@ class Simulator:
     * ``set_partitions`` optionally restricts which peers can see each
       other (range modeling); by default every live peer sees every other.
     * ``can_see`` answers one (observer, target) visibility question;
-      ``surrounding_services`` applies it to every live record.
+      ``visible_peers`` applies it to every live peer.
 
     Every action appends one record to the event trace, so identical
     scenarios with identical seeds serialize to byte-identical logs.
@@ -180,20 +168,13 @@ class Simulator:
     def is_live(self, service_id: str) -> bool:
         return service_id in self._records
 
-    def surrounding_services(
-        self, observer_id: str, at: float | None = None
-    ) -> list[DiscoveryRecord]:
-        """Every live record the observer can see now, excluding its own, by id."""
+    def visible_peers(self, observer_id: str, at: float | None = None) -> set[str]:
+        """Ids of every live peer the observer can see at ``at`` (default: now),
+        excluding its own."""
         if observer_id not in self._records:
             raise PeerUnknown(f"observer {observer_id!r} is not live")
         when = self.clock if at is None else float(at)
-        can_see, records = self.can_see, self._records.items()
-        out = [DiscoveryRecord(*rec) for sid, rec in records if can_see(observer_id, sid, when)]
-        out.sort(key=lambda r: r.id)
-        return out
-
-    def visible_peers(self, observer_id: str, at: float | None = None) -> set[str]:
-        return {rec.id for rec in self.surrounding_services(observer_id, at)}
+        return {sid for sid in self._records if self.can_see(observer_id, sid, when)}
 
     def can_see(self, observer_id: str, target_id: str, at: float | None = None) -> bool:
         """Whether the observer sees ``target_id`` at ``at`` (default: now),

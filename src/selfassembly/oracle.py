@@ -227,13 +227,17 @@ def check_assembly(
         if descriptor.type in available:
             available[descriptor.type] += 1
 
+    out_pairs: dict[str, list] = {}  # (to_type, constraint) per from-type, in body order
+    for (from_type, to_type), constraint in zip(template.body, template.constraints):
+        out_pairs.setdefault(from_type, []).append((to_type, constraint))
+
     for start_id, candidate in result.chosen.items():
         out_by_node: dict[str, dict[str, int]] = {}
         for a, b in candidate.edges:
             out_by_node.setdefault(a, {}).setdefault(svc[b].type, 0)
             out_by_node[a][svc[b].type] += 1
         for node in candidate.nodes:
-            for to_type, constraint in template.out_edges(svc[node].type):
+            for to_type, constraint in out_pairs.get(svc[node].type, ()):
                 have = out_by_node.get(node, {}).get(to_type, 0)
                 want = available[to_type] if isinstance(constraint, AllServices) else constraint
                 if have != want:

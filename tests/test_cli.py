@@ -1,20 +1,43 @@
-import csv
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 from selfassembly.cli import main
 from selfassembly.scenario import (
     Scenario,
+    build_simulator,
     generate_medical,
     generate_one_layer,
+    generate_pyramidal,
+    load_scenario,
     serialize_scenario,
     write_scenario,
 )
-from selfassembly import ApplicationTemplate, MatrixLatency, ServiceDescriptor, UniformLatency
+from selfassembly import (
+    DEFAULT_COMBINATION_BUDGET,
+    ApplicationTemplate,
+    CombinationBudgetExceeded,
+    Infeasible,
+    InsufficientServices,
+    MatrixLatency,
+    NoStartingService,
+    SeededLatency,
+    SelfAssemblyError,
+    ServiceDescriptor,
+    TemplateInvalid,
+    UniformLatency,
+    assembly_to_dot,
+    assembly_to_json,
+    build_binding_graph,
+    enumerate_candidates,
+    select_assembly,
+)
 from selfassembly.runtime import ScenarioEvent
 
 from conftest import seven_services, seven_template
@@ -22,13 +45,16 @@ from conftest import seven_services, seven_template
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _write_example7(path, events=(), c1_threshold=3):
+def _example7(c1_threshold=3, events=()):
     services = [
         ServiceDescriptor(s.id, s.type, s.qos_nominal, c1_threshold if s.id == "C1" else s.threshold)
         for s in seven_services()
     ]
-    scenario = Scenario(services, seven_template(), UniformLatency(0.0), list(events))
-    write_scenario(scenario, path)
+    return Scenario(services, seven_template(), UniformLatency(0.0), list(events))
+
+
+def _write_example7(path, events=(), c1_threshold=3):
+    write_scenario(_example7(c1_threshold, events), path)
     return path
 
 
@@ -62,7 +88,11 @@ def test_assemble_writes_dot_and_json(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "n_services=7" in out
-    assert "peak_candidate_count=9" in out
+    assert [field.split("=")[0] for field in out.split()] == [
+        "n_services",
+        "combinations_tested",
+        "wall_ms",
+    ]
 
     dot_text = dot_path.read_text()
     _check_dot(dot_text)
@@ -217,35 +247,6 @@ def test_simulate_rejects_nesting_too_deep_for_the_decoder(tmp_path):
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
-def test_bench_one_layer_row(tmp_path):
-    csv_path = tmp_path / "bench.csv"
-    code = main(
-        [
-            "bench",
-            "one-layer",
-            "--n",
-            "1000",
-            "--k",
-            "2",
-            "--seed",
-            "3",
-            "--csv",
-            str(csv_path),
-        ]
-    )
-    assert code == 0
-    with open(csv_path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert rows[0]["layout"] == "one-layer"
-    assert int(rows[0]["candidates"]) == 499500  # 1000 choose 2, from the counting oracle
-    assert float(rows[0]["wall_ms"]) > 0
-    assert int(rows[0]["mem_estimate"]) > 0
-
-
-def test_bench_requires_n(capsys):
-    assert main(["bench", "one-layer"]) == 1
-
-
 def test_verify_small_run(capsys):
     code = main(["verify", "--random", "25", "--seed", "7", "--max-services", "10"])
     assert code == 0
@@ -271,3 +272,92 @@ def test_generate_medical_file(tmp_path):
 
 def test_unknown_command_exit_code():
     assert main(["frobnicate"]) == 1
+
+
+# ------------------------------------------------ assemble against the eager path
+
+
+def _eager_assemble(path, budget):
+    """What ``assemble`` printed and wrote when the CLI ran its own eager
+    copy of the pipeline: one flood, every start's candidates listed in
+    full, selection, and exports labelled with the flood's links.  Returns
+    the exit code, stdout without ``wall_ms``, stderr and the export texts."""
+    scenario = load_scenario(path)
+    try:
+        net = build_simulator(scenario)
+        graph, links = build_binding_graph(scenario.services, scenario.template, net)
+        start_type = scenario.template.starting_type()
+        svc = {s.id: s for s in scenario.services}
+        per_start = {
+            sid: enumerate_candidates(graph, links, scenario.template, sid, svc)
+            for sid in sorted(graph.nodes)
+            if svc[sid].type == start_type
+        }
+        result = select_assembly(per_start, svc, budget=budget)
+    except CombinationBudgetExceeded as exc:
+        return 3, "", f"error: {exc}\n", None, None
+    except (Infeasible, InsufficientServices, NoStartingService, TemplateInvalid) as exc:
+        return 2, "", f"error: {exc}\n", None, None
+    except SelfAssemblyError as exc:
+        return 1, "", f"error: {exc}\n", None, None
+    out = f"n_services={len(scenario.services)} combinations_tested={result.combinations_tested}\n"
+    dot = assembly_to_dot(result, scenario.services, links)
+    return 0, out, "", dot, assembly_to_json(result, scenario.services, links)
+
+
+def _short_start():
+    # The start must pick 3 targets of a type that has 2.
+    services = [ServiceDescriptor("A1", "tA", 1.0, 1)]
+    services += [ServiceDescriptor(f"B{i}", "tB", 2.0, 1) for i in range(2)]
+    return Scenario(services, ApplicationTemplate((("tA", "tB"),), (3,)), UniformLatency(1.0), [])
+
+
+def _medical_seeded(seed):
+    medical = generate_medical(seed)
+    return Scenario(medical.services, medical.template, SeededLatency(2.0, 1.5, seed), [])
+
+
+DIFFERENTIAL_CASES = {
+    "example7": (_example7, DEFAULT_COMBINATION_BUDGET, 0),
+    **{
+        f"medical-{seed}": (lambda seed=seed: generate_medical(seed), DEFAULT_COMBINATION_BUDGET, 0)
+        for seed in range(4)
+    },
+    "medical-seeded-links": (lambda: _medical_seeded(3), DEFAULT_COMBINATION_BUDGET, 0),
+    "one-layer-matrix": (lambda: generate_one_layer(40, 2, 5), DEFAULT_COMBINATION_BUDGET, 0),
+    "pyramidal-half": (lambda: generate_pyramidal(5, "half", 2), DEFAULT_COMBINATION_BUDGET, 0),
+    "pyramidal-all": (lambda: generate_pyramidal(4, "all", 1), DEFAULT_COMBINATION_BUDGET, 2),
+    "squeezed": (lambda: _example7(c1_threshold=2), DEFAULT_COMBINATION_BUDGET, 2),
+    "budget-2": (_example7, 2, 3),
+    "short-start": (_short_start, DEFAULT_COMBINATION_BUDGET, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_assemble_matches_the_eager_pipeline(name, tmp_path, capsys):
+    build, budget, expected_code = DIFFERENTIAL_CASES[name]
+    scenario_path = tmp_path / "scenario.json"
+    write_scenario(build(), scenario_path)
+    dot_path, json_path = tmp_path / "out.dot", tmp_path / "out.json"
+    code = main([
+        "assemble", "--scenario", str(scenario_path), "--budget", str(budget),
+        "--dot", str(dot_path), "--json", str(json_path),
+    ])
+    captured = capsys.readouterr()
+    stdout = re.sub(r" wall_ms=\S+", "", captured.out)
+    dot = dot_path.read_text() if dot_path.exists() else None
+    json_text = json_path.read_text() if json_path.exists() else None
+    assert code == expected_code
+    assert (code, stdout, captured.err, dot, json_text) == _eager_assemble(scenario_path, budget)
+
+
+def test_assemble_one_layer_1200_k2_lists_no_eager_candidates(tmp_path, capsys):
+    # 719,400 candidates if listed eagerly, which took 5.2 s in process.
+    scenario_path = tmp_path / "one-layer.json"
+    write_scenario(generate_one_layer(1200, 2, 0), scenario_path)
+    began = time.perf_counter()
+    code = main(["assemble", "--scenario", str(scenario_path)])
+    elapsed = time.perf_counter() - began
+    assert code == 0
+    assert "combinations_tested=1 " in capsys.readouterr().out
+    assert elapsed < 2.0

@@ -20,14 +20,15 @@ def test_announce_then_query_lists_the_record():
     net = Simulator()
     net.announce(ServiceDescriptor("A1", "tA", 1.0, 1))
     net.announce(ServiceDescriptor("B1", "tB", 1.0, 1))
-    assert [r.id for r in net.surrounding_services("B1")] == ["A1"]
+    assert net.visible_peers("B1") == {"A1"}
 
 
 def test_withdraw_removes_from_every_view():
     net = make_net(seven_services())
     net.withdraw("B3")
+    everyone = {s.id for s in seven_services()} - {"B3"}
     for observer in ("A1", "B1", "C1"):
-        assert "B3" not in {r.id for r in net.surrounding_services(observer)}
+        assert net.visible_peers(observer) == everyone - {observer}
     assert not net.is_live("B3")
 
 
@@ -127,38 +128,36 @@ def test_advance_clock_is_monotonic():
 
 def test_surrounding_excludes_observer():
     net = make_net(seven_services())
-    records = net.surrounding_services("A1")
-    assert len(records) == 6
-    assert "A1" not in {r.id for r in records}
+    assert net.visible_peers("A1") == {"A2", "A3", "B1", "B2", "B3", "C1"}
 
 
 def test_surrounding_after_withdraw():
     net = make_net(seven_services())
     net.withdraw("B3")
-    assert "B3" not in {r.id for r in net.surrounding_services("A1")}
+    assert net.visible_peers("A1") == {"A2", "A3", "B1", "B2", "C1"}
 
 
 def test_partition_isolates_a_peer():
     net = make_net(seven_services())
     rest = {s.id for s in seven_services() if s.id != "A1"}
     net.set_partitions([{"A1"}, rest])
-    assert net.surrounding_services("A1") == []
-    assert len(net.surrounding_services("B1")) == 5
+    assert net.visible_peers("A1") == set()
+    assert net.visible_peers("B1") == rest - {"B1"}
     net.set_partitions(None)
-    assert len(net.surrounding_services("A1")) == 6
+    assert net.visible_peers("A1") == rest
 
 
 def test_surrounding_unknown_observer():
     with pytest.raises(PeerUnknown):
-        Simulator().surrounding_services("ghost")
+        Simulator().visible_peers("ghost")
 
 
 def test_announce_propagation_latency_delays_visibility():
     net = Simulator(announce_latency_ms=10.0)
     net.announce(ServiceDescriptor("A1", "tA", 1.0, 1), at=0.0)
     net.announce(ServiceDescriptor("B1", "tB", 1.0, 1), at=0.0)
-    assert net.surrounding_services("A1", at=5.0) == []
-    assert [r.id for r in net.surrounding_services("A1", at=10.0)] == ["B1"]
+    assert net.visible_peers("A1", at=5.0) == set()
+    assert net.visible_peers("A1", at=10.0) == {"B1"}
 
 
 def test_can_see_matches_the_surrounding_view():
@@ -196,7 +195,7 @@ def test_can_see_waits_for_announce_latency():
     assert not net.can_see("A1", "B1", at=14.0)
     assert net.can_see("A1", "B1", at=15.0)
     # An observer that is not yet visible itself still sees others, as in
-    # surrounding_services.
+    # visible_peers.
     assert net.can_see("B1", "A1", at=10.0)
     assert net.visible_peers("B1", at=10.0) == {"A1"}
     net.advance(15.0)
