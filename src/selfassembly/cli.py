@@ -3,8 +3,9 @@
 ``assemble`` runs :func:`~selfassembly.assembler.assemble` and ``simulate``
 :func:`~selfassembly.runtime.run_scenario`; the CLI has no pipeline of its own.
 
-Exit codes: 0 success, 1 parse/usage error, 2 infeasible, 3 combination
-budget exceeded, 4 oracle mismatch.
+Exit codes, from the :data:`EXIT_CODES` table that only :func:`main` applies:
+0 success, 1 parse/usage/I/O error, 2 infeasible, 3 combination budget
+exceeded, 4 oracle mismatch.
 """
 from __future__ import annotations
 
@@ -43,6 +44,21 @@ EXIT_PARSE = 1
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
+
+EXIT_CODES: dict[type[BaseException], int] = {
+    CombinationBudgetExceeded: EXIT_BUDGET,
+    Infeasible: EXIT_INFEASIBLE,
+    InsufficientServices: EXIT_INFEASIBLE,
+    NoStartingService: EXIT_INFEASIBLE,
+    TemplateInvalid: EXIT_INFEASIBLE,
+    SelfAssemblyError: EXIT_PARSE,  # LatencyUndefined too, until its rule is decided
+    OSError: EXIT_PARSE,
+}
+
+
+def exit_code(error_class: type[BaseException]) -> int:
+    """The :data:`EXIT_CODES` entry of the nearest class in ``error_class``'s MRO."""
+    return next(EXIT_CODES[cls] for cls in error_class.__mro__ if cls in EXIT_CODES)
 
 
 def _parse_k(text: str):
@@ -92,21 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_assemble(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (OSError, ScenarioFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    scenario = load_scenario(args.scenario)
     started = time.perf_counter()
-    try:
-        net = build_simulator(scenario)
-        result = assemble(scenario.services, scenario.template, net, budget=args.budget)
-    except CombinationBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (Infeasible, InsufficientServices, NoStartingService, TemplateInvalid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    net = build_simulator(scenario)
+    result = assemble(scenario.services, scenario.template, net, budget=args.budget)
     wall_ms = (time.perf_counter() - started) * 1000.0
     # The labels are the flood's own measurements, one trace record per edge:
     # sampling a seeded latency model again would draw new values.
@@ -130,11 +135,7 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (OSError, ScenarioFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    scenario = load_scenario(args.scenario)
     net = build_simulator(scenario)
     timeline = run_scenario(
         scenario.services, scenario.template, scenario.events, net, budget=args.budget
@@ -159,17 +160,15 @@ def cmd_verify(args) -> int:
         services, template, links = generate_random_instance(seed, args.max_services)
         latency = MatrixLatency(dict(links.items()))
         net = build_simulator(Scenario(services, template, latency), trace=False)
-        assembler_feasible = True
-        result = None
         try:
             result = assemble(services, template, net)
         except (Infeasible, InsufficientServices, NoStartingService):
-            assembler_feasible = False
+            result = None
         report = exhaustive_assemblies(services, template, links)
         problems: list[str] = []
-        if assembler_feasible != report.feasible:
+        if (result is not None) != report.feasible:
             problems.append(
-                f"feasibility mismatch (assembler={assembler_feasible}, oracle={report.feasible})"
+                f"feasibility mismatch (assembler={result is not None}, oracle={report.feasible})"
             )
         if result is not None:
             if result.assembly not in report.feasible_assemblies:
@@ -178,7 +177,7 @@ def cmd_verify(args) -> int:
         if problems:
             mismatches += 1
             print(f"instance seed={seed}: " + "; ".join(problems), file=sys.stderr)
-        elif assembler_feasible:
+        elif result is not None:
             feasible_count += 1
         else:
             infeasible_count += 1
@@ -201,9 +200,8 @@ def cmd_generate(args) -> int:
             scenario = generate_pyramidal(args.top_width, args.k, args.seed)
         else:
             scenario = generate_medical(args.seed)
-    except (ScenarioFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except ValueError as exc:
+        raise ScenarioFormatError(str(exc)) from exc
     write_scenario(scenario, args.out)
     print(f"wrote {args.out} ({len(scenario.services)} services)")
     return EXIT_OK
@@ -223,9 +221,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SelfAssemblyError as exc:
+    except (SelfAssemblyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return exit_code(type(exc))
 
 
 def entrypoint() -> None:

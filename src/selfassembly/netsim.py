@@ -137,8 +137,7 @@ class Simulator:
         self.clock = 0.0
         self.latency = latency if latency is not None else UniformLatency(0.0)
         self.announce_latency_ms = float(announce_latency_ms)
-        self._records: dict[str, tuple[ServiceDescriptor, float]] = {}  # sid -> (service, at)
-        self._visible_from: dict[str, float] = {}
+        self._visible_from: dict[str, float] = {}  # the live registry: sid -> visible from
         self._groups: dict[str, int] | None = None
         self._overrides: dict[tuple[str, str], float] = {}
         self._trace_enabled = trace
@@ -147,34 +146,32 @@ class Simulator:
     # ------------------------------------------------------------------ registry
 
     def announce(self, service: ServiceDescriptor, at: float | None = None) -> None:
-        """Register a peer's self-description, visible after the propagation latency."""
+        """Register a peer, visible after the propagation latency; its descriptor is only traced."""
         sid = service.id
-        if sid in self._records:
+        if sid in self._visible_from:
             raise DuplicateId(f"service {sid!r} is already announced")
         when = self.clock if at is None else float(at)
-        self._records[sid] = (service, when)
         self._visible_from[sid] = when + self.announce_latency_ms
         if self._trace_enabled:
             self._trace.append((when, service))
 
     def withdraw(self, service_id: str, at: float | None = None) -> None:
         """Remove a peer; it disappears from every later view."""
-        if service_id not in self._records:
+        if service_id not in self._visible_from:
             raise PeerUnknown(f"service {service_id!r} is not live")
-        del self._records[service_id]
         del self._visible_from[service_id]
         self.log_event("withdraw", service_id, None, t=self.clock if at is None else float(at))
 
     def is_live(self, service_id: str) -> bool:
-        return service_id in self._records
+        return service_id in self._visible_from
 
     def visible_peers(self, observer_id: str, at: float | None = None) -> set[str]:
         """Ids of every live peer the observer can see at ``at`` (default: now),
         excluding its own."""
-        if observer_id not in self._records:
+        if observer_id not in self._visible_from:
             raise PeerUnknown(f"observer {observer_id!r} is not live")
         when = self.clock if at is None else float(at)
-        return {sid for sid in self._records if self.can_see(observer_id, sid, when)}
+        return {sid for sid in self._visible_from if self.can_see(observer_id, sid, when)}
 
     def can_see(self, observer_id: str, target_id: str, at: float | None = None) -> bool:
         """Whether the observer sees ``target_id`` at ``at`` (default: now),
@@ -230,7 +227,7 @@ class Simulator:
         returned value is the timestamp difference.
         """
         for sid in (from_id, to_id):
-            if sid not in self._records:
+            if sid not in self._visible_from:
                 raise PeerUnknown(f"service {sid!r} is not live")
         t_sent = self.clock if at is None else float(at)
         link_ms = self.link_latency(from_id, to_id)
@@ -249,7 +246,7 @@ class Simulator:
         model's error for a link it cannot price, after tracing the links
         measured before it.
         """
-        if from_id not in self._records:
+        if from_id not in self._visible_from:
             raise PeerUnknown(f"observer {from_id!r} is not live")
         groups = self._groups
         group = None if groups is None else groups.get(from_id)

@@ -299,7 +299,11 @@ def _check_live_ids(events: list[ScenarioEvent], live: set[str]) -> None:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    return parse_scenario(text)
 
 
 # ----------------------------------------------------------------- serializing

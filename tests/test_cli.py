@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from selfassembly.cli import main
+from selfassembly.cli import exit_code, main
 from selfassembly.scenario import (
     Scenario,
     build_simulator,
@@ -19,6 +19,7 @@ from selfassembly.scenario import (
     serialize_scenario,
     write_scenario,
 )
+from selfassembly import errors
 from selfassembly import (
     DEFAULT_COMBINATION_BUDGET,
     ApplicationTemplate,
@@ -361,3 +362,95 @@ def test_assemble_one_layer_1200_k2_lists_no_eager_candidates(tmp_path, capsys):
     assert code == 0
     assert "combinations_tested=1 " in capsys.readouterr().out
     assert elapsed < 2.0
+
+
+# ------------------------------------------------------------ the exit-code table
+
+
+EXPECTED_EXIT_CODES = {
+    errors.CombinationBudgetExceeded: 3,
+    errors.Infeasible: 2,
+    errors.InsufficientServices: 2,
+    errors.NoStartingService: 2,
+    errors.TemplateInvalid: 2,
+    errors.UnknownServiceType: 1,
+    errors.MissingLinkQoS: 1,
+    errors.DisconnectedNode: 1,
+    errors.DuplicateId: 1,
+    errors.PeerUnknown: 1,
+    errors.LatencyUndefined: 1,
+    errors.DomainError: 1,
+    errors.InstanceTooLarge: 1,
+    errors.ScenarioFormatError: 1,
+}
+
+
+def _package_subclasses(cls):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("selfassembly"):
+            yield sub
+        yield from _package_subclasses(sub)
+
+
+def test_every_error_class_has_a_placed_exit_code():
+    # A new error class fails here until its exit code is chosen on purpose.
+    found = {cls: exit_code(cls) for cls in _package_subclasses(SelfAssemblyError)}
+    assert found == EXPECTED_EXIT_CODES
+    assert exit_code(SelfAssemblyError) == 1
+    assert exit_code(OSError) == 1
+    assert exit_code(FileNotFoundError) == 1
+
+
+def _one_error_line(err, *parts):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(part in err for part in parts), err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("generate", "--out"), ("assemble", "--dot"), ("assemble", "--json"), ("simulate", "--timeline")],
+)
+def test_an_unwritable_output_path_is_one_error_line(command, option, tmp_path, capsys):
+    target = str(tmp_path / "absent" / "out")
+    if command == "generate":
+        args = ["generate", "medical"]
+    else:
+        args = [command, "--scenario", str(_write_example7(tmp_path / "example7.json"))]
+    assert main([*args, option, target]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err, "No such file or directory", target)
+
+
+def test_an_unwritable_output_path_prints_no_traceback(tmp_path):
+    target = str(tmp_path / "absent" / "medical.json")
+    run = _run_cli("generate", "medical", "--out", target)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    _one_error_line(run.stderr, target)
+
+
+def test_a_cyclic_template_exits_alike_in_assemble_and_simulate(tmp_path, capsys):
+    services = [ServiceDescriptor("A1", "tA", 1.0, 1), ServiceDescriptor("B1", "tB", 1.0, 1)]
+    template = ApplicationTemplate((("tA", "tB"), ("tB", "tA")), (1, 1))
+    scenario_path = tmp_path / "cycle.json"
+    write_scenario(Scenario(services, template, UniformLatency(1.0), []), scenario_path)
+    outcomes = []
+    for command in ("assemble", "simulate"):
+        code = main([command, "--scenario", str(scenario_path)])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    code, err = outcomes[0]
+    assert code == 2
+    _one_error_line(err, "cycle")
+
+
+@pytest.mark.parametrize("command", ["assemble", "simulate"])
+def test_a_scenario_that_is_not_utf8_is_a_parse_error(command, tmp_path, capsys):
+    scenario_path = tmp_path / "utf16.json"
+    scenario_path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    with pytest.raises(errors.ScenarioFormatError, match="not valid UTF-8"):
+        load_scenario(scenario_path)
+    assert main([command, "--scenario", str(scenario_path)]) == 1
+    _one_error_line(capsys.readouterr().err, "not valid UTF-8", str(scenario_path))

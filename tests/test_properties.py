@@ -1285,10 +1285,9 @@ class EagerTraceSimulator(Simulator):
 
     def announce(self, service, at=None):
         sid = service.id
-        if sid in self._records:
+        if sid in self._visible_from:
             raise DuplicateId(f"service {sid!r} is already announced")
         when = self.clock if at is None else float(at)
-        self._records[sid] = (service, when)
         self._visible_from[sid] = when + self.announce_latency_ms
         detail = {
             "type": service.type, "qos_ms": service.qos_nominal, "threshold": service.threshold
@@ -1299,7 +1298,7 @@ class EagerTraceSimulator(Simulator):
 
     def measure_link(self, from_id, to_id, at=None):
         for sid in (from_id, to_id):
-            if sid not in self._records:
+            if sid not in self._visible_from:
                 raise PeerUnknown(f"service {sid!r} is not live")
         t_sent = self.clock if at is None else float(at)
         link_ms = self.link_latency(from_id, to_id)
