@@ -51,7 +51,7 @@ EXIT_CODES: dict[type[BaseException], int] = {
     InsufficientServices: EXIT_INFEASIBLE,
     NoStartingService: EXIT_INFEASIBLE,
     TemplateInvalid: EXIT_INFEASIBLE,
-    SelfAssemblyError: EXIT_PARSE,  # LatencyUndefined too, until its rule is decided
+    SelfAssemblyError: EXIT_PARSE,  # LatencyUndefined too
     OSError: EXIT_PARSE,
 }
 
@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="cross-check the assembler against the exhaustive oracle")
     p_verify.add_argument("--random", type=int, default=200, metavar="N", help="number of random instances")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--max-services", type=int, default=12)
 
     p_gen = sub.add_parser("generate", help="write a scenario file for a standard layout")
     p_gen.add_argument("layout", choices=["one-layer", "pyramidal", "medical"])
@@ -157,7 +156,7 @@ def cmd_verify(args) -> int:
     infeasible_count = 0
     for index in range(args.random):
         seed = args.seed * 1_000_003 + index
-        services, template, links = generate_random_instance(seed, args.max_services)
+        services, template, links = generate_random_instance(seed)
         latency = MatrixLatency(dict(links.items()))
         net = build_simulator(Scenario(services, template, latency), trace=False)
         try:

@@ -21,14 +21,14 @@ def assembly_to_dot(
     threshold; edges labeled with the measured link time."""
     svc = service_map(services)
     lines = ["digraph assembly {"]
-    for node in result.assembly.sorted_nodes():
+    for node in sorted(result.assembly.nodes):
         descriptor = svc[node]
         label = (
             f"{descriptor.id}\\n{descriptor.type} "
             f"qos={descriptor.qos_nominal:g} thr={descriptor.threshold}"
         )
         lines.append(f"  {_quote(node)} [label=\"{label}\"];")
-    for a, b in result.assembly.sorted_edges():
+    for a, b in sorted(result.assembly.edges):
         lines.append(f"  {_quote(a)} -> {_quote(b)} [label=\"{links.get(a, b):g}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -47,11 +47,11 @@ def assembly_to_json_obj(
             "qos_ms": svc[node].qos_nominal,
             "threshold": svc[node].threshold,
         }
-        for node in result.assembly.sorted_nodes()
+        for node in sorted(result.assembly.nodes)
     ]
     edges = [
         {"from": a, "to": b, "link_ms": links.get(a, b)}
-        for a, b in result.assembly.sorted_edges()
+        for a, b in sorted(result.assembly.edges)
     ]
     chosen = {
         start: {

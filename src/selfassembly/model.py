@@ -122,9 +122,6 @@ class ApplicationTemplate:
     def starting_types(self) -> list[str]:
         return sorted(self.from_types() - self.to_types())
 
-    def ending_types(self) -> list[str]:
-        return sorted(self.to_types() - self.from_types())
-
     def starting_type(self) -> str:
         starts = self.starting_types()
         if len(starts) != 1:
@@ -132,14 +129,6 @@ class ApplicationTemplate:
                 f"template must have exactly one starting type, found {starts or 'none'}"
             )
         return starts[0]
-
-    def out_edges(self, from_type: str) -> list[tuple[str, Constraint]]:
-        """(to_type, constraint) pairs for one binder type, in body order."""
-        out = []
-        for (a, b), c in zip(self.body, self.constraints):
-            if a == from_type:
-                out.append((b, c))
-        return out
 
     def topological_types(self) -> list[str]:
         """Types in dependency order (binders before their targets).
@@ -164,15 +153,8 @@ class TemplateReport:
         return not self.violations
 
 
-def validate_template(
-    template: ApplicationTemplate,
-    types_present: Iterable[str] | None = None,
-) -> TemplateReport:
-    """Check a template's structural rules and report every violation.
-
-    With ``types_present`` given, additionally flags template types that
-    have no counterpart in the scenario.
-    """
+def validate_template(template: ApplicationTemplate) -> TemplateReport:
+    """Check a template's structural rules and report every violation."""
     violations: list[str] = []
     body = template.body
     constraints = template.constraints
@@ -198,7 +180,7 @@ def validate_template(
         seen.add(pair)
 
     if body:
-        starts = sorted({a for a, _ in body} - {b for _, b in body})
+        starts = template.starting_types()
         if not starts:
             violations.append("no starting type: every type has an inbound pair")
         elif len(starts) > 1:
@@ -207,12 +189,6 @@ def validate_template(
             template.topological_types()
         except ValueError:
             violations.append("type graph contains a cycle")
-
-    if types_present is not None:
-        present = set(types_present)
-        missing = sorted(t for t in template.types() if t not in present)
-        if missing:
-            violations.append("types absent from the scenario: " + ", ".join(missing))
 
     return TemplateReport(tuple(violations))
 
@@ -279,25 +255,6 @@ class AssemblyGraph:
         for targets in out.values():
             targets.sort()
         return out
-
-    def in_degrees(self) -> dict[str, int]:
-        """Distinct inbound edge count per node (zero included)."""
-        degree = {n: 0 for n in self.nodes}
-        for _, b in self.edges:
-            degree[b] += 1
-        return degree
-
-    def sorted_nodes(self) -> list[str]:
-        return sorted(self.nodes)
-
-    def sorted_edges(self) -> list[tuple[str, str]]:
-        return sorted(self.edges)
-
-    def topological_order(self) -> list[str]:
-        succ: dict[str, list[str]] = {}
-        for a, b in self.edges:
-            succ.setdefault(a, []).append(b)
-        return _topological(self.nodes, succ)
 
 
 class QoSMatrix:

@@ -165,23 +165,21 @@ class Simulator:
     def is_live(self, service_id: str) -> bool:
         return service_id in self._visible_from
 
-    def visible_peers(self, observer_id: str, at: float | None = None) -> set[str]:
-        """Ids of every live peer the observer can see at ``at`` (default: now),
-        excluding its own."""
+    def visible_peers(self, observer_id: str) -> set[str]:
+        """Ids of every live peer the observer can see now, excluding its own."""
         if observer_id not in self._visible_from:
             raise PeerUnknown(f"observer {observer_id!r} is not live")
-        when = self.clock if at is None else float(at)
-        return {sid for sid in self._visible_from if self.can_see(observer_id, sid, when)}
+        return {sid for sid in self._visible_from if self.can_see(observer_id, sid)}
 
-    def can_see(self, observer_id: str, target_id: str, at: float | None = None) -> bool:
-        """Whether the observer sees ``target_id`` at ``at`` (default: now),
-        without a registry scan.  The observer's own liveness is not checked:
-        callers that need :class:`PeerUnknown` check :meth:`is_live` once.
+    def can_see(self, observer_id: str, target_id: str) -> bool:
+        """Whether the observer sees ``target_id`` now, without a registry
+        scan.  The observer's own liveness is not checked: callers that
+        need :class:`PeerUnknown` check :meth:`is_live` once.
         :meth:`measure_links` applies the same rule to many targets."""
         visible_from = self._visible_from.get(target_id)
         return (
             visible_from is not None
-            and visible_from <= (self.clock if at is None else float(at))
+            and visible_from <= self.clock
             and target_id != observer_id
             and self._can_see(observer_id, target_id)
         )
@@ -219,20 +217,19 @@ class Simulator:
         override = self._overrides.get((from_id, to_id))
         return override if override is not None else self.latency.sample(from_id, to_id)
 
-    def measure_link(self, from_id: str, to_id: str, at: float | None = None) -> float:
+    def measure_link(self, from_id: str, to_id: str) -> float:
         """Measured transfer time of one directed link.
 
-        Simulates a stamped message: it leaves ``from_id`` at ``t_sent``
-        and reaches ``to_id`` at ``t_sent`` plus the modeled latency; the
-        returned value is the timestamp difference.
+        Simulates a stamped message: it leaves ``from_id`` now and reaches
+        ``to_id`` after the modeled latency; the returned value is the
+        timestamp difference.
         """
         for sid in (from_id, to_id):
             if sid not in self._visible_from:
                 raise PeerUnknown(f"service {sid!r} is not live")
-        t_sent = self.clock if at is None else float(at)
         link_ms = self.link_latency(from_id, to_id)
         if self._trace_enabled:
-            self._trace.append((t_sent, from_id, to_id, link_ms))
+            self._trace.append((self.clock, from_id, to_id, link_ms))
         return link_ms
 
     def measure_links(self, from_id: str, to_ids: Iterable[str]) -> list[tuple[str, float]]:
@@ -241,10 +238,10 @@ class Simulator:
 
         Visibility is the :meth:`can_see` rule; a target it hides is skipped
         unmeasured.  The sender's liveness and partition group are looked up
-        once, so a flood pays one loop step per link.  Raises
-        :class:`PeerUnknown` when the sender is not live, and the latency
-        model's error for a link it cannot price, after tracing the links
-        measured before it.
+        once, so a flood pays one loop step per link.  A target whose link
+        the latency model cannot price (:class:`LatencyUndefined`) is skipped
+        too, after one ``unmeasurable`` trace record.  Raises
+        :class:`PeerUnknown` when the sender is not live.
         """
         if from_id not in self._visible_from:
             raise PeerUnknown(f"observer {from_id!r} is not live")
@@ -266,7 +263,11 @@ class Simulator:
                 continue
             link_ms = override((from_id, to_id))
             if link_ms is None:
-                link_ms = sample(from_id, to_id)
+                try:
+                    link_ms = sample(from_id, to_id)
+                except LatencyUndefined:
+                    self.log_event("unmeasurable", from_id, to_id)
+                    continue
             if trace is not None:
                 trace.append((now, from_id, to_id, link_ms))
             measured.append((to_id, link_ms))
@@ -310,10 +311,6 @@ class Simulator:
         """The event trace as line-delimited JSON (one record per line)."""
         lines = [json.dumps(rec, sort_keys=True) for rec in self.trace_records()]
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_trace(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.trace_jsonl())
 
 
 def _render(entry: tuple) -> dict:

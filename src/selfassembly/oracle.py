@@ -18,6 +18,7 @@ from .model import (
     AllServices,
     ApplicationTemplate,
     AssemblyGraph,
+    Constraint,
     QoSMatrix,
     ServiceDescriptor,
     classify_roles,
@@ -25,7 +26,7 @@ from .model import (
     service_map,
 )
 
-DEFAULT_SMALL_INSTANCE_BOUND = 14
+SMALL_INSTANCE_BOUND = 14
 
 
 @dataclass
@@ -75,6 +76,14 @@ def exhaustive_worst_path(
     return best
 
 
+def _out_pairs(template: ApplicationTemplate) -> dict[str, list[tuple[str, Constraint]]]:
+    """``(to_type, constraint)`` pairs per from-type, in body order."""
+    out: dict[str, list[tuple[str, Constraint]]] = {}
+    for (from_type, to_type), constraint in zip(template.body, template.constraints):
+        out.setdefault(from_type, []).append((to_type, constraint))
+    return out
+
+
 def _subgraphs_from(
     start: str,
     template: ApplicationTemplate,
@@ -87,6 +96,7 @@ def _subgraphs_from(
         by_type.setdefault(descriptor.type, []).append(descriptor.id)
     for ids in by_type.values():
         ids.sort()
+    out_pairs = _out_pairs(template)
 
     results: list[frozenset[tuple[str, str]]] = []
 
@@ -98,9 +108,8 @@ def _subgraphs_from(
         if node in done:
             pick(rest, edges, done)
             return
-        specs = template.out_edges(svc[node].type)
         pools = []
-        for to_type, constraint in specs:
+        for to_type, constraint in out_pairs.get(svc[node].type, ()):
             available = by_type.get(to_type, [])
             if isinstance(constraint, AllServices):
                 pools.append([tuple(available)])
@@ -126,8 +135,6 @@ def exhaustive_assemblies(
     services: Iterable[ServiceDescriptor],
     template: ApplicationTemplate,
     links: QoSMatrix,
-    *,
-    max_services: int = DEFAULT_SMALL_INSTANCE_BOUND,
 ) -> OracleReport:
     """Enumerate every combination of per-start subgraphs, with no sorting
     and no early exit, and keep the ones whose union respects every
@@ -135,11 +142,11 @@ def exhaustive_assemblies(
 
     Also reports, over the surviving combinations, the minimum of the
     maximum per-start path time.  Raises :class:`InstanceTooLarge` beyond
-    ``max_services``.
+    ``SMALL_INSTANCE_BOUND`` services.
     """
     svc = dict(service_map(services))
-    if len(svc) > max_services:
-        raise InstanceTooLarge(f"{len(svc)} services > bound {max_services}")
+    if len(svc) > SMALL_INSTANCE_BOUND:
+        raise InstanceTooLarge(f"{len(svc)} services > bound {SMALL_INSTANCE_BOUND}")
 
     roles = classify_roles(svc.values(), template)
     start_ids = sorted(sid for sid, role in roles.items() if role is Role.STARTING)
@@ -162,11 +169,7 @@ def exhaustive_assemblies(
             frozen = frozenset(union)
             if frozen not in seen:
                 seen.add(frozen)
-                nodes = set(start_ids)
-                for a, b in union:
-                    nodes.add(a)
-                    nodes.add(b)
-                feasible.append(AssemblyGraph(frozenset(nodes), frozen))
+                feasible.append(AssemblyGraph.from_edges(union, start_ids))
             worst = max(
                 exhaustive_worst_path(
                     AssemblyGraph.from_edges(edges, extra_nodes=(sid,)), sid, svc, links
@@ -227,10 +230,7 @@ def check_assembly(
         if descriptor.type in available:
             available[descriptor.type] += 1
 
-    out_pairs: dict[str, list] = {}  # (to_type, constraint) per from-type, in body order
-    for (from_type, to_type), constraint in zip(template.body, template.constraints):
-        out_pairs.setdefault(from_type, []).append((to_type, constraint))
-
+    out_pairs = _out_pairs(template)
     for start_id, candidate in result.chosen.items():
         out_by_node: dict[str, dict[str, int]] = {}
         for a, b in candidate.edges:

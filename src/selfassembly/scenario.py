@@ -55,13 +55,17 @@ def _check_keys(obj: dict, required: set[str], optional: set[str], where: str) -
 
 
 def _number(value: Any, where: str, key: str = "") -> float:
-    """``value`` as a float; ``key`` names the field of an int too large for one."""
+    """``value`` as a float other than ±inf (NaN passes); ``key`` names the
+    field of ±inf or of an int too large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ScenarioFormatError(f"{where}{key}: integer too large for a float") from None
+    if math.isinf(number):
+        raise ScenarioFormatError(f"{where}{key}: must be finite, got {number}")
+    return number
 
 
 def _nonnegative(value: Any, where: str, key: str = "") -> float:
@@ -141,9 +145,9 @@ def _parse_links(obj: Any) -> LatencyModel:
             raise ScenarioFormatError(f"{where}.entries: expected a list")
         table: dict[tuple[str, str], float] = {}
         for idx, row in enumerate(entries):
-            # A row of two strings and a float >= 0, of the types JSON decodes
-            # them to, is checked here once; any other row is checked field by
-            # field for a named error.
+            # A row of two strings and a finite float >= 0, of the types JSON
+            # decodes them to, is checked here once; any other row is checked
+            # field by field for a named error.
             if type(row) is list and len(row) == 3:
                 a, b, ms = row
                 pair = (a, b)
@@ -151,7 +155,7 @@ def _parse_links(obj: Any) -> LatencyModel:
                     type(a) is str
                     and type(b) is str
                     and type(ms) is float
-                    and ms >= 0
+                    and 0 <= ms < math.inf
                     and pair not in table
                 ):
                     table[pair] = ms
@@ -240,9 +244,9 @@ def parse_scenario(document: str | dict) -> Scenario:
         raise ScenarioFormatError("services: expected a list")
     services = []
     for idx, entry in enumerate(raw_services):
-        # A plain entry of the four keys, of the types JSON decodes them to,
-        # goes straight to the descriptor, which checks the values; any other,
-        # or one the descriptor rejects, is checked key by key for a named error.
+        # A plain entry of the four keys, of the types JSON decodes them to and
+        # no +inf, goes straight to the descriptor, which checks the values; any
+        # other, or one the descriptor rejects, is checked key by key.
         if type(entry) is dict and len(entry) == 4:
             try:
                 sid, kind, qos = entry["id"], entry["type"], entry["qos_ms"]
@@ -251,7 +255,7 @@ def parse_scenario(document: str | dict) -> Scenario:
                     type(sid) is str
                     and type(kind) is str
                     and type(threshold) is int
-                    and (type(qos) is float or type(qos) is int)
+                    and (type(qos) is float and qos != math.inf or type(qos) is int)
                 ):
                     services.append(ServiceDescriptor(sid, kind, float(qos), threshold))
                     continue
@@ -517,7 +521,7 @@ def _dyadic(rng: random.Random, low_quarters: int, high_quarters: int) -> float:
 
 
 def generate_random_instance(
-    seed: int, max_services: int = 12
+    seed: int,
 ) -> tuple[list[ServiceDescriptor], ApplicationTemplate, QoSMatrix]:
     """One small random instance: services, template, and a full link
     matrix over the template's type pairs."""
@@ -526,7 +530,7 @@ def generate_random_instance(
         layers = rng.choice([2, 2, 3, 3, 3])
         branch = layers == 3 and rng.random() < 0.25
         widths = [rng.randint(1, 3)]
-        remaining = max_services - widths[0]
+        remaining = 12 - widths[0]  # at most 12 services in all
         body_shape: list[tuple[int, int]] = []  # (from layer index, to layer index)
         n_layers = layers + (1 if branch else 0)
         for _ in range(n_layers - 1):

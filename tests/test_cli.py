@@ -220,6 +220,60 @@ def test_simulate_rejects_a_nan_event_time(tmp_path):
     assert run.stderr == "error: events[1].at_ms: expected a number, got nan\n"
 
 
+def test_simulate_a_peer_arriving_with_no_matrix_link(tmp_path):
+    # The flood skips A1 -> B99, which the matrix cannot price, instead of aborting.
+    document = {
+        "services": [{"id": "A1", "type": "tA", "qos_ms": 1.0, "threshold": 1},
+                     {"id": "B1", "type": "tB", "qos_ms": 1.0, "threshold": 1}],
+        "template": {"body": [["tA", "tB"]], "constraints": [1]},
+        "links": {"kind": "matrix", "entries": [["A1", "B1", 1.0]]},
+        "events": [{"at_ms": 5, "kind": "service_appears",
+                    "service": {"id": "B99", "type": "tB", "qos_ms": 1.0, "threshold": 1}}],
+    }
+    scenario_path = tmp_path / "hole.json"
+    scenario_path.write_text(json.dumps(document))
+    timeline_path = tmp_path / "timeline.ndjson"
+    code = main(["simulate", "--scenario", str(scenario_path), "--timeline", str(timeline_path)])
+    assert code == 0
+    records = [json.loads(line) for line in timeline_path.read_text().splitlines()]
+    assert [(r["trigger"], r["feasible"]) for r in records] == [
+        ("initial", True), ("service_appears:B99", True)
+    ]
+
+
+@pytest.mark.parametrize("command", ["assemble", "simulate"])
+def test_an_infinite_value_is_a_parse_error(command, tmp_path, capsys):
+    # Accepted, it reached the exports as bare Infinity, which strict JSON readers reject.
+    document = json.loads(_write_example7(tmp_path / "ok.json").read_text())
+    document["services"][0]["qos_ms"] = float("inf")
+    scenario_path = tmp_path / "inf.json"
+    scenario_path.write_text(json.dumps(document))
+    assert main([command, "--scenario", str(scenario_path)]) == 1
+    assert capsys.readouterr().err == "error: services[0].qos_ms: must be finite, got inf\n"
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_the_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("selfassembly ")]
+    assert [args[0] for args in commands] == ["generate", "generate", "assemble", "simulate", "verify"]
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        assert main(args) == 0, (args, capsys.readouterr().err)
+        if "--json" in args:
+            _strict_json((tmp_path / args[args.index("--json") + 1]).read_text())
+        if "--timeline" in args:
+            for line in (tmp_path / args[args.index("--timeline") + 1]).read_text().splitlines():
+                _strict_json(line)
+
+
 def test_assemble_a_chain_of_1500_types(tmp_path):
     # One type pair per level: the candidate search used to recurse once per type.
     types = [f"t{i}" for i in range(1500)]
@@ -249,7 +303,7 @@ def test_simulate_rejects_nesting_too_deep_for_the_decoder(tmp_path):
 
 
 def test_verify_small_run(capsys):
-    code = main(["verify", "--random", "25", "--seed", "7", "--max-services", "10"])
+    code = main(["verify", "--random", "25", "--seed", "7"])
     assert code == 0
     out = capsys.readouterr().out
     assert "mismatches=0" in out

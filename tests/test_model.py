@@ -209,17 +209,9 @@ def test_validate_bad_constraint_value():
     assert not validate_template(template).ok
 
 
-def test_validate_dangling_types():
-    report = validate_template(seven_template(), types_present={"tA", "tB"})
-    assert any("absent" in v for v in report.violations)
-    assert validate_template(seven_template(), types_present={"tA", "tB", "tC"}).ok
-
-
 def test_template_helpers():
     template = seven_template()
     assert template.starting_type() == "tA"
-    assert template.ending_types() == ["tC"]
-    assert template.out_edges("tB") == [("tC", 1)]
     assert template.topological_types() == ["tA", "tB", "tC"]
 
 
@@ -234,13 +226,7 @@ def test_assembly_graph_rejects_dangling_edge():
 def test_assembly_graph_from_edges_and_degrees():
     graph = AssemblyGraph.from_edges([("A1", "B1"), ("A1", "B2")], extra_nodes=("X",))
     assert graph.nodes == {"A1", "B1", "B2", "X"}
-    assert graph.in_degrees() == {"A1": 0, "B1": 1, "B2": 1, "X": 0}
-    assert graph.topological_order()[0] in ("A1", "X")
-
-
-def test_assembly_graph_from_template_is_acyclic():
-    graph = AssemblyGraph.from_edges([("A1", "B1"), ("B1", "C1")])
-    assert graph.topological_order() == ["A1", "B1", "C1"]
+    assert graph.edges == {("A1", "B1"), ("A1", "B2")}
 
 
 # -------------------------------------------------------------- worst path time

@@ -62,6 +62,21 @@ def test_measure_matrix_is_a_table_lookup():
             MatrixLatency({("B1", "A1"): bad})
 
 
+def test_measure_links_skips_a_link_the_model_cannot_price():
+    net = make_net(seven_services(), MatrixLatency({("A1", "B1"): 3.0, ("A1", "B3"): 1.0}))
+    net.degrade_link("A1", "B2", 2.0)  # an override prices a hole
+    before = len(net.trace_records())
+    assert net.measure_links("A1", ["B1", "C1", "B2", "B3"]) == [
+        ("B1", 3.0), ("B2", 2.0), ("B3", 1.0)
+    ]
+    assert [(r["kind"], r["from"], r["to"]) for r in net.trace_records()[before:]] == [
+        ("measure", "A1", "B1"), ("unmeasurable", "A1", "C1"),
+        ("measure", "A1", "B2"), ("measure", "A1", "B3"),
+    ]
+    with pytest.raises(LatencyUndefined):
+        net.measure_link("A1", "C1")
+
+
 def test_measure_seeded_reproducible_across_fresh_simulators():
     def run():
         net = make_net(seven_services(), SeededLatency(5.0, 2.0, seed=42))
@@ -156,8 +171,10 @@ def test_announce_propagation_latency_delays_visibility():
     net = Simulator(announce_latency_ms=10.0)
     net.announce(ServiceDescriptor("A1", "tA", 1.0, 1), at=0.0)
     net.announce(ServiceDescriptor("B1", "tB", 1.0, 1), at=0.0)
-    assert net.visible_peers("A1", at=5.0) == set()
-    assert net.visible_peers("A1", at=10.0) == {"B1"}
+    net.advance(5.0)
+    assert net.visible_peers("A1") == set()
+    net.advance(10.0)
+    assert net.visible_peers("A1") == {"B1"}
 
 
 def test_can_see_matches_the_surrounding_view():
@@ -192,12 +209,13 @@ def test_can_see_waits_for_announce_latency():
     net.announce(ServiceDescriptor("A1", "tA", 1.0, 1), at=0.0)
     net.announce(ServiceDescriptor("B1", "tB", 1.0, 1), at=5.0)
     assert not net.can_see("A1", "B1")  # clock 0: B1 visible from 15
-    assert not net.can_see("A1", "B1", at=14.0)
-    assert net.can_see("A1", "B1", at=15.0)
     # An observer that is not yet visible itself still sees others, as in
     # visible_peers.
-    assert net.can_see("B1", "A1", at=10.0)
-    assert net.visible_peers("B1", at=10.0) == {"A1"}
+    net.advance(10.0)
+    assert net.can_see("B1", "A1")
+    assert net.visible_peers("B1") == {"A1"}
+    net.advance(14.0)
+    assert not net.can_see("A1", "B1")
     net.advance(15.0)
     assert net.can_see("A1", "B1")
 
@@ -214,7 +232,8 @@ def test_trace_is_deterministic():
         net.advance(20.0)
         net.announce(ServiceDescriptor("B4", "tB", 0.1, 2))
         net.measure_link("A2", "B4")
-        net.measure_link("A2", "B2", at=25.0)
+        net.advance(25.0)
+        net.measure_link("A2", "B2")
         net.withdraw("B3")
         return net.trace_jsonl()
 

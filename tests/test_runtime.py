@@ -66,11 +66,16 @@ def test_notification_invariants():
 # ------------------------------------------------------------------- loads
 
 
+def _in_degrees(graph):
+    """Distinct inbound edge count per node, zero included."""
+    return {node: sum(1 for _, b in graph.edges if b == node) for node in graph.nodes}
+
+
 def test_inflight_load_matches_commit(example7_net):
     # The load a commit reports is the in-degree of its assembly graph.
     services, template, net = example7_net
     result = assemble(services, template, net)
-    assert result.assembly.in_degrees() == result.per_service_load
+    assert _in_degrees(result.assembly) == result.per_service_load
 
 
 def test_inflight_load_single_chain():
@@ -81,7 +86,7 @@ def test_inflight_load_single_chain():
     ]
     template = ApplicationTemplate((("tA", "tB"), ("tB", "tC")), (1, 1))
     result = assemble(services, template, make_net(services))
-    assert result.assembly.in_degrees() == {"A": 0, "B": 1, "C": 1}
+    assert _in_degrees(result.assembly) == {"A": 0, "B": 1, "C": 1}
     assert result.per_service_load == {"A": 0, "B": 1, "C": 1}
 
 

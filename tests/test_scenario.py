@@ -201,6 +201,7 @@ def _appears_with_qos(qos):
 
 TOO_LARGE = "integer too large for a float"
 NAN = float("nan")  # json.dumps writes it as NaN, which json.loads reads back
+INF = float("inf")  # written as Infinity, and -Infinity when negated
 
 
 def _matrix(ms):
@@ -244,6 +245,24 @@ BAD_NUMBERS = [
     (lambda d: d["events"].append(_degrades(NAN)), "events[0].new_ms", "must be >= 0, got nan"),
     (lambda d: d["events"].append({"at_ms": NAN, "kind": "service_disappears", "id": "B1"}),
      "events[0].at_ms", "expected a number, got nan"),
+    # ±inf in every numeric field, each named where it enters.
+    (lambda d: d["services"][1].update(qos_ms=INF), "services[1].qos_ms",
+     "must be finite, got inf"),
+    (lambda d: d["services"][1].update(qos_ms=-INF), "services[1].qos_ms",
+     "must be finite, got -inf"),
+    (lambda d: d["events"].append(_appears_with_qos(INF)), "events[0].service.qos_ms",
+     "must be finite, got inf"),
+    (lambda d: d.update(links={"kind": "uniform", "base_ms": INF}), "links.base_ms",
+     "must be finite, got inf"),
+    (lambda d: d.update(links=_seeded(INF, 1)), "links.base_ms", "must be finite, got inf"),
+    (lambda d: d.update(links=_seeded(1, INF)), "links.jitter_ms", "must be finite, got inf"),
+    (lambda d: d.update(links=_matrix(INF)), "links.entries[1]", "must be finite, got inf"),
+    (lambda d: d.update(links=_matrix(-INF)), "links.entries[1]", "must be finite, got -inf"),
+    (lambda d: d["events"].append(_degrades(INF)), "events[0].new_ms", "must be finite, got inf"),
+    (lambda d: d["events"].append({"at_ms": INF, "kind": "service_disappears", "id": "B1"}),
+     "events[0].at_ms", "must be finite, got inf"),
+    (lambda d: d["events"].append({"at_ms": -INF, "kind": "service_disappears", "id": "B1"}),
+     "events[0].at_ms", "must be finite, got -inf"),
 ]
 
 
