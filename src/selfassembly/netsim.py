@@ -109,36 +109,24 @@ LatencyModel = UniformLatency | MatrixLatency | SeededLatency
 class Simulator:
     """Single-threaded peer-network simulator with one logical clock.
 
-    * ``announce``/``withdraw`` maintain the registry of live peers;
-      announcements become visible to views after ``announce_latency_ms``.
+    * ``announce``/``withdraw`` maintain the registry of live peers; a peer
+      announced ``at`` a time is visible once the clock reaches it.
     * ``advance`` moves the clock forward.
+    * ``visible_peers`` lists every other live peer visible now: every
+      peer sees every other.
     * ``measure_link`` stamps a message across a link and returns the
       receive/send timestamp difference, which equals the modeled latency
       by construction.  ``measure_links`` does the same for every target
       one sender can see, in one call; the flood uses it.
-    * ``set_partitions`` optionally restricts which peers can see each
-      other (range modeling); by default every live peer sees every other.
-    * ``can_see`` answers one (observer, target) visibility question;
-      ``visible_peers`` applies it to every live peer.
 
     Every action appends one record to the event trace, so identical
     scenarios with identical seeds serialize to byte-identical logs.
     """
 
-    def __init__(
-        self,
-        latency: LatencyModel | None = None,
-        *,
-        announce_latency_ms: float = 0.0,
-        trace: bool = True,
-    ):
-        if not announce_latency_ms >= 0:  # also rejects NaN, which no view would reach
-            raise ValueError("announce_latency_ms must be >= 0")
+    def __init__(self, latency: LatencyModel | None = None, *, trace: bool = True):
         self.clock = 0.0
         self.latency = latency if latency is not None else UniformLatency(0.0)
-        self.announce_latency_ms = float(announce_latency_ms)
         self._visible_from: dict[str, float] = {}  # the live registry: sid -> visible from
-        self._groups: dict[str, int] | None = None
         self._overrides: dict[tuple[str, str], float] = {}
         self._trace_enabled = trace
         self._trace: list[dict | tuple] = []  # records, or tuples for _render
@@ -146,12 +134,12 @@ class Simulator:
     # ------------------------------------------------------------------ registry
 
     def announce(self, service: ServiceDescriptor, at: float | None = None) -> None:
-        """Register a peer, visible after the propagation latency; its descriptor is only traced."""
+        """Register a peer, visible from ``at`` (default: now); its descriptor is only traced."""
         sid = service.id
         if sid in self._visible_from:
             raise DuplicateId(f"service {sid!r} is already announced")
         when = self.clock if at is None else float(at)
-        self._visible_from[sid] = when + self.announce_latency_ms
+        self._visible_from[sid] = when
         if self._trace_enabled:
             self._trace.append((when, service))
 
@@ -166,42 +154,14 @@ class Simulator:
         return service_id in self._visible_from
 
     def visible_peers(self, observer_id: str) -> set[str]:
-        """Ids of every live peer the observer can see now, excluding its own."""
+        """Ids of every live peer visible now, excluding the observer's own."""
         if observer_id not in self._visible_from:
             raise PeerUnknown(f"observer {observer_id!r} is not live")
-        return {sid for sid in self._visible_from if self.can_see(observer_id, sid)}
-
-    def can_see(self, observer_id: str, target_id: str) -> bool:
-        """Whether the observer sees ``target_id`` now, without a registry
-        scan.  The observer's own liveness is not checked: callers that
-        need :class:`PeerUnknown` check :meth:`is_live` once.
-        :meth:`measure_links` applies the same rule to many targets."""
-        visible_from = self._visible_from.get(target_id)
-        return (
-            visible_from is not None
-            and visible_from <= self.clock
-            and target_id != observer_id
-            and self._can_see(observer_id, target_id)
-        )
-
-    def set_partitions(self, groups: Iterable[Iterable[str]] | None) -> None:
-        """Restrict visibility to peers sharing a group; peers assigned to
-        no group see nothing.  ``None`` restores full visibility."""
-        if groups is None:
-            self._groups = None
-            return
-        assignment: dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for sid in group:
-                assignment[sid] = index
-        self._groups = assignment
-
-    def _can_see(self, observer_id: str, target_id: str) -> bool:
-        if self._groups is None:
-            return True
-        a = self._groups.get(observer_id)
-        b = self._groups.get(target_id)
-        return a is not None and a == b
+        now = self.clock
+        return {
+            sid for sid, since in self._visible_from.items()
+            if since <= now and sid != observer_id
+        }
 
     # ------------------------------------------------------------------ links
 
@@ -233,22 +193,17 @@ class Simulator:
         return link_ms
 
     def measure_links(self, from_id: str, to_ids: Iterable[str]) -> list[tuple[str, float]]:
-        """``(to_id, link_ms)`` for each target the sender can see now, in
-        the order given, each measured as :meth:`measure_link` does.
+        """``(to_id, link_ms)`` for each target visible now, in the order
+        given, each measured as :meth:`measure_link` does.
 
-        Visibility is the :meth:`can_see` rule; a target it hides is skipped
-        unmeasured.  The sender's liveness and partition group are looked up
-        once, so a flood pays one loop step per link.  A target whose link
-        the latency model cannot price (:class:`LatencyUndefined`) is skipped
-        too, after one ``unmeasurable`` trace record.  Raises
-        :class:`PeerUnknown` when the sender is not live.
+        Visibility is the :meth:`visible_peers` rule; a target it hides is
+        skipped unmeasured.  A target whose link the latency model cannot
+        price (:class:`LatencyUndefined`) is skipped too, after one
+        ``unmeasurable`` trace record.  Raises :class:`PeerUnknown` when
+        the sender is not live.
         """
         if from_id not in self._visible_from:
             raise PeerUnknown(f"observer {from_id!r} is not live")
-        groups = self._groups
-        group = None if groups is None else groups.get(from_id)
-        if groups is not None and group is None:
-            return []  # a peer in no group sees nothing
         now = self.clock
         visible_from = self._visible_from.get
         override = self._overrides.get
@@ -258,8 +213,6 @@ class Simulator:
         for to_id in to_ids:
             since = visible_from(to_id)
             if since is None or not since <= now or to_id == from_id:
-                continue
-            if groups is not None and groups.get(to_id) != group:
                 continue
             link_ms = override((from_id, to_id))
             if link_ms is None:
@@ -278,8 +231,8 @@ class Simulator:
     def advance(self, until: float) -> None:
         """Move the clock to ``until``; it never moves backwards."""
         until = float(until)
-        if until < self.clock:
-            raise ValueError(f"cannot advance clock backwards ({until} < {self.clock})")
+        if not until >= self.clock:  # also rejects NaN, which would hide every peer
+            raise ValueError(f"cannot advance clock from {self.clock} to {until}")
         self.clock = until
 
     # ------------------------------------------------------------------ trace

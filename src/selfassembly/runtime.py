@@ -68,8 +68,10 @@ def check_contract(
     response time must stay within the nominal value (scaled by
     ``1 + tolerance``; the default is strict).  Boundary values comply.
     """
-    if observed_response_ms < 0:
+    if not observed_response_ms >= 0:  # also rejects NaN, which would always comply
         raise ValueError("observed_response_ms must be >= 0")
+    if not tolerance >= 0:
+        raise ValueError("tolerance must be >= 0")
     if inflight < 0:
         raise ValueError("inflight must be >= 0")
     if inflight > service.threshold:

@@ -420,22 +420,42 @@ def resolve_layer_constraint(k: int | AllServices | str, available: int) -> Cons
     return min(k, available)
 
 
+def _layout(
+    layers: dict[str, tuple[list[str], int | None]],
+    body: list[tuple[str, str]],
+    constraints: list[Constraint],
+    seed: int,
+) -> Scenario:
+    """A generated layout.  ``layers`` maps each type to its service ids
+    and a pinned threshold (``None`` draws one); ``body`` pairs types.
+    Draws, per layer, each service's qos and then its threshold, then the
+    link of every (from, to) service pair of each body pair in order."""
+    rng = random.Random(seed)
+    n_services = sum(len(ids) for ids, _ in layers.values())
+    services = [
+        ServiceDescriptor(
+            sid, kind, _draw_qos(rng), _draw_threshold(rng, n_services) if pinned is None else pinned
+        )
+        for kind, (ids, pinned) in layers.items()
+        for sid in ids
+    ]
+    table = {
+        (a, b): _draw_link(rng)
+        for from_type, to_type in body
+        for a in layers[from_type][0]
+        for b in layers[to_type][0]
+    }
+    template = ApplicationTemplate(tuple(body), tuple(constraints))
+    return Scenario(services, template, MatrixLatency(table), [])
+
+
 def generate_one_layer(n: int, k: int | AllServices | str, seed: int) -> Scenario:
     """One starting service fanning out to ``n`` targets of a second type."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = random.Random(seed)
-    n_services = n + 1
-    services = [ServiceDescriptor("A1", "tA", _draw_qos(rng), _draw_threshold(rng, n_services))]
-    for i in range(1, n + 1):
-        services.append(
-            ServiceDescriptor(f"B{i}", "tB", _draw_qos(rng), _draw_threshold(rng, n_services))
-        )
-    table = {("A1", f"B{i}"): _draw_link(rng) for i in range(1, n + 1)}
-    template = ApplicationTemplate(
-        (("tA", "tB"),), (resolve_layer_constraint(k, n),)
-    )
-    return Scenario(services, template, MatrixLatency(table), [])
+    targets = [f"B{i}" for i in range(1, n + 1)]
+    layers = {"tA": (["A1"], None), "tB": (targets, None)}
+    return _layout(layers, [("tA", "tB")], [resolve_layer_constraint(k, n)], seed)
 
 
 def generate_pyramidal(top_width: int, k: int | AllServices | str, seed: int) -> Scenario:
@@ -443,30 +463,14 @@ def generate_pyramidal(top_width: int, k: int | AllServices | str, seed: int) ->
     layer, each layer binding into the next."""
     if top_width < 2:
         raise ValueError("top_width must be >= 2")
-    rng = random.Random(seed)
     widths = list(range(top_width, 0, -1))
-    n_services = sum(widths)
-    services: list[ServiceDescriptor] = []
-    ids_by_layer: list[list[str]] = []
-    for layer, width in enumerate(widths, start=1):
-        ids = [f"L{layer}N{i}" for i in range(1, width + 1)]
-        ids_by_layer.append(ids)
-        for sid in ids:
-            services.append(
-                ServiceDescriptor(sid, f"t{layer}", _draw_qos(rng), _draw_threshold(rng, n_services))
-            )
-    body = []
-    constraints = []
-    for layer in range(len(widths) - 1):
-        body.append((f"t{layer + 1}", f"t{layer + 2}"))
-        constraints.append(resolve_layer_constraint(k, widths[layer + 1]))
-    table: dict[tuple[str, str], float] = {}
-    for layer in range(len(widths) - 1):
-        for a in ids_by_layer[layer]:
-            for b in ids_by_layer[layer + 1]:
-                table[(a, b)] = _draw_link(rng)
-    template = ApplicationTemplate(tuple(body), tuple(constraints))
-    return Scenario(services, template, MatrixLatency(table), [])
+    layers = {
+        f"t{layer}": ([f"L{layer}N{i}" for i in range(1, width + 1)], None)
+        for layer, width in enumerate(widths, start=1)
+    }
+    body = [(f"t{layer}", f"t{layer + 1}") for layer in range(1, len(widths))]
+    constraints = [resolve_layer_constraint(k, width) for width in widths[1:]]
+    return _layout(layers, body, constraints, seed)
 
 
 def generate_medical(seed: int) -> Scenario:
@@ -478,34 +482,13 @@ def generate_medical(seed: int) -> Scenario:
     thresholds are pinned at 9 (one slot per gateway) so the layout is
     feasible for every seed.
     """
-    rng = random.Random(seed)
-    services: list[ServiceDescriptor] = []
-    sensors = [f"A{i}" for i in range(1, 11)]
-    gateways = [f"B{i}" for i in range(1, 10)]
-    hospitals = [f"C{i}" for i in range(1, 6)]
-    rescues = [f"D{i}" for i in range(1, 3)]
-    for sid in sensors:
-        services.append(ServiceDescriptor(sid, "tA", _draw_qos(rng), 1))
-    for sid in gateways:
-        services.append(ServiceDescriptor(sid, "tB", _draw_qos(rng), 10))
-    for sid in hospitals:
-        services.append(ServiceDescriptor(sid, "tC", _draw_qos(rng), 9))
-    for sid in rescues:
-        services.append(ServiceDescriptor(sid, "tD", _draw_qos(rng), 9))
-    table: dict[tuple[str, str], float] = {}
-    for a in sensors:
-        for b in gateways:
-            table[(a, b)] = _draw_link(rng)
-    for b in gateways:
-        for c in hospitals:
-            table[(b, c)] = _draw_link(rng)
-    for b in gateways:
-        for d in rescues:
-            table[(b, d)] = _draw_link(rng)
-    template = ApplicationTemplate(
-        (("tA", "tB"), ("tB", "tC"), ("tB", "tD")), (1, 1, 1)
-    )
-    return Scenario(services, template, MatrixLatency(table), [])
+    layers = {
+        "tA": ([f"A{i}" for i in range(1, 11)], 1),
+        "tB": ([f"B{i}" for i in range(1, 10)], 10),
+        "tC": ([f"C{i}" for i in range(1, 6)], 9),
+        "tD": ([f"D{i}" for i in range(1, 3)], 9),
+    }
+    return _layout(layers, [("tA", "tB"), ("tB", "tC"), ("tB", "tD")], [1, 1, 1], seed)
 
 
 # -------------------------------------------------------- random test instances

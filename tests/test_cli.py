@@ -16,6 +16,7 @@ from selfassembly.scenario import (
     generate_one_layer,
     generate_pyramidal,
     load_scenario,
+    parse_scenario,
     serialize_scenario,
     write_scenario,
 )
@@ -259,9 +260,15 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_the_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+def _readme_block(heading, language):
+    """The first ``language`` code block under ``heading`` in the README."""
     readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    section = readme.split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_the_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    block = _readme_block("## CLI", "sh")
     commands = [line.split()[1:] for line in block.splitlines() if line.startswith("selfassembly ")]
     assert [args[0] for args in commands] == ["generate", "generate", "assemble", "simulate", "verify"]
     monkeypatch.chdir(tmp_path)
@@ -272,6 +279,15 @@ def test_the_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
         if "--timeline" in args:
             for line in (tmp_path / args[args.index("--timeline") + 1]).read_text().splitlines():
                 _strict_json(line)
+
+
+def test_the_readme_library_example_and_schema_example_work(capsys):
+    exec(_readme_block("## Library example", "python"), {})
+    assert capsys.readouterr().out.startswith("[('A1', 'B1'), ('A1', 'B2')")
+    scenario = parse_scenario(_readme_block("### Scenario file schema", "json"))
+    assert [event.kind.value for event in scenario.events] == [
+        "service_disappears", "service_appears", "link_degrades", "inject_out_contract"
+    ]
 
 
 def test_assemble_a_chain_of_1500_types(tmp_path):

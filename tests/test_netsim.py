@@ -115,13 +115,6 @@ def test_latency_parameters_reject_negative_and_nan():
     assert net.trace_records()[-1]["kind"] == "announce"  # nothing was overridden
 
 
-def test_announce_latency_rejects_negative_and_nan():
-    # With a NaN latency no announcement would ever become visible.
-    for bad in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="^announce_latency_ms must be >= 0$"):
-            Simulator(announce_latency_ms=bad)
-
-
 # -------------------------------------------------------------------- advance
 
 
@@ -136,6 +129,11 @@ def test_advance_clock_is_monotonic():
     net.advance(5.0)
     with pytest.raises(ValueError):
         net.advance(4.0)
+    # A NaN clock would hide every peer until the next advance.
+    with pytest.raises(ValueError, match="^cannot advance clock from 5.0 to nan$"):
+        net.advance(float("nan"))
+    assert net.clock == 5.0
+    assert net.visible_peers("A1") == {"A2", "A3", "B1", "B2", "B3", "C1"}
 
 
 # ------------------------------------------------------------------ discovery
@@ -152,72 +150,41 @@ def test_surrounding_after_withdraw():
     assert net.visible_peers("A1") == {"A2", "A3", "B1", "B2", "C1"}
 
 
-def test_partition_isolates_a_peer():
-    net = make_net(seven_services())
-    rest = {s.id for s in seven_services() if s.id != "A1"}
-    net.set_partitions([{"A1"}, rest])
-    assert net.visible_peers("A1") == set()
-    assert net.visible_peers("B1") == rest - {"B1"}
-    net.set_partitions(None)
-    assert net.visible_peers("A1") == rest
-
-
 def test_surrounding_unknown_observer():
     with pytest.raises(PeerUnknown):
         Simulator().visible_peers("ghost")
 
 
 def test_announce_propagation_latency_delays_visibility():
-    net = Simulator(announce_latency_ms=10.0)
+    net = Simulator()
     net.announce(ServiceDescriptor("A1", "tA", 1.0, 1), at=0.0)
-    net.announce(ServiceDescriptor("B1", "tB", 1.0, 1), at=0.0)
+    net.announce(ServiceDescriptor("B1", "tB", 1.0, 1), at=10.0)
     net.advance(5.0)
     assert net.visible_peers("A1") == set()
     net.advance(10.0)
     assert net.visible_peers("A1") == {"B1"}
 
 
-def test_can_see_matches_the_surrounding_view():
-    net = make_net(seven_services())
-    ids = [s.id for s in seven_services()]
-    for observer in ids:
-        assert {t for t in ids if net.can_see(observer, t)} == net.visible_peers(observer)
-    assert not net.can_see("A1", "A1")
-
-
 def test_can_see_withdrawn_and_unknown_targets():
     net = make_net(seven_services())
     net.withdraw("B3")
-    assert not net.can_see("A1", "B3")
-    assert not net.can_see("A1", "ghost")
-
-
-def test_can_see_respects_partitions():
-    net = make_net(seven_services())
-    net.set_partitions([{"A1", "B1"}, {"A2", "B2", "C1"}])  # A3, B3 in no group
-    assert net.can_see("A1", "B1") and net.can_see("B1", "A1")
-    assert not net.can_see("A1", "B2")
-    assert not net.can_see("A3", "B1")  # ungrouped observers see nothing
-    assert not net.can_see("A2", "B3")  # ungrouped targets are never seen
-    assert not net.can_see("A3", "B3")
-    net.set_partitions(None)
-    assert net.can_see("A3", "B3")
+    assert "B3" not in net.visible_peers("A1")
+    assert net.measure_links("A1", ["B3", "ghost", "B1"]) == [("B1", 0.0)]
 
 
 def test_can_see_waits_for_announce_latency():
-    net = Simulator(announce_latency_ms=10.0)
+    net = Simulator()
     net.announce(ServiceDescriptor("A1", "tA", 1.0, 1), at=0.0)
-    net.announce(ServiceDescriptor("B1", "tB", 1.0, 1), at=5.0)
-    assert not net.can_see("A1", "B1")  # clock 0: B1 visible from 15
-    # An observer that is not yet visible itself still sees others, as in
-    # visible_peers.
-    net.advance(10.0)
-    assert net.can_see("B1", "A1")
+    net.announce(ServiceDescriptor("B1", "tB", 1.0, 1), at=15.0)
+    assert net.visible_peers("A1") == set()  # clock 0: B1 visible from 15
+    assert net.measure_links("A1", ["B1"]) == []
+    # An observer that is not yet visible itself still sees others.
     assert net.visible_peers("B1") == {"A1"}
     net.advance(14.0)
-    assert not net.can_see("A1", "B1")
+    assert net.visible_peers("A1") == set()
     net.advance(15.0)
-    assert net.can_see("A1", "B1")
+    assert net.visible_peers("A1") == {"B1"}
+    assert net.measure_links("A1", ["B1"]) == [("B1", 0.0)]
 
 
 # ---------------------------------------------------------------------- trace
@@ -225,7 +192,7 @@ def test_can_see_waits_for_announce_latency():
 
 def test_trace_is_deterministic():
     def run() -> str:
-        net = Simulator(SeededLatency(2.0, 1.0, seed=7), announce_latency_ms=0.5)
+        net = Simulator(SeededLatency(2.0, 1.0, seed=7))
         for service in seven_services():
             net.announce(service)
         net.measure_link("A1", "B1")

@@ -339,10 +339,9 @@ def reference_flood(services, template, net):
 @st.composite
 def flood_worlds(draw):
     """Services of a three-type template, some announced late or never
-    (bystanders of other types too), partitions with ungrouped peers, a
-    positive announce latency, a clock, and one optional withdrawal.  Links
-    are seeded, or a matrix with holes on some flooded pairs; some flooded
-    pairs are degraded, holes among them."""
+    (bystanders of other types too), a clock, and one optional withdrawal.
+    Links are seeded, or a matrix with holes on some flooded pairs; some
+    flooded pairs are degraded, holes among them."""
     types = ["tA", "tB", "tC", "tX"]
     services = [
         ServiceDescriptor(f"{t}{i}", t, 1.0, 1)
@@ -353,13 +352,6 @@ def flood_worlds(draw):
     # One service in five is never announced: a start among them fails the
     # flood at once, and most worlds should get as far as measuring.
     announce_at = {sid: draw(st.sampled_from([0.0, 2.0, 5.0, 0.0, None])) for sid in ids}
-    groups = draw(
-        st.one_of(
-            st.none(),
-            st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=3),
-        )
-    )
-    latency_ms = draw(st.sampled_from([0.0, 1.5, 4.0]))
     clock = draw(st.sampled_from([0.0, 2.0, 3.5, 6.0, 9.0]))
     withdrawn = draw(st.one_of(st.none(), st.sampled_from(ids)))
     template = ApplicationTemplate((("tA", "tB"), ("tB", "tC"), ("tA", "tC")), (1, 1, ALL))
@@ -380,16 +372,15 @@ def flood_worlds(draw):
         latency = partial(MatrixLatency, table)
     else:
         latency = partial(SeededLatency, 2.0, 1.0, draw(st.integers(min_value=0, max_value=2 ** 16)))
-    return services, template, announce_at, groups, latency_ms, clock, withdrawn, latency, degraded
+    return services, template, announce_at, clock, withdrawn, latency, degraded
 
 
 def _flood_net(world):
-    services, _template, announce_at, groups, latency_ms, clock, withdrawn, latency, degraded = world
-    net = Simulator(latency(), announce_latency_ms=latency_ms)
+    services, _template, announce_at, clock, withdrawn, latency, degraded = world
+    net = Simulator(latency())
     for descriptor in services:
         if announce_at[descriptor.id] is not None:
             net.announce(descriptor, at=announce_at[descriptor.id])
-    net.set_partitions(groups)
     for (from_id, to_id), ms in degraded:
         net.degrade_link(from_id, to_id, ms)
     net.advance(clock)
@@ -1194,11 +1185,11 @@ CHURN_TYPES = ["tA", "tB", "tC", "tX", "tY"]
 @st.composite
 def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
     """A two-pair template over a few services of its types plus
-    bystanders of two other types, jittered links, sometimes an announce
-    latency, partitions or a small budget, and a churn trace whose events
-    name only ids live at their time: appearances of either kind,
-    withdrawals, link degradations and out-of-contract reports, of
-    template services (often committed ones) and bystanders alike."""
+    bystanders of two other types, jittered links, sometimes a small
+    budget, and a churn trace whose events name only ids live at their
+    time: appearances of either kind, withdrawals, link degradations and
+    out-of-contract reports, of template services (often committed ones)
+    and bystanders alike."""
 
     def service(sid, service_type):
         return ServiceDescriptor(
@@ -1211,7 +1202,6 @@ def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
         for i in range(draw(st.integers(low, high)))
     ]
     live = [s.id for s in services]
-    every_id = list(live)
     events = []
     at = 0.0
     for fresh in range(draw(st.integers(0, 8))):
@@ -1221,7 +1211,6 @@ def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
             descriptor = service(f"n{fresh}", draw(st.sampled_from(CHURN_TYPES)))
             events.append(ScenarioEvent.appears(at, descriptor))
             live.append(descriptor.id)
-            every_id.append(descriptor.id)
         elif kind == "disappears":
             sid = draw(st.sampled_from(live))
             live.remove(sid)
@@ -1234,18 +1223,14 @@ def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
         else:
             events.append(ScenarioEvent.inject_out_contract(at, draw(st.sampled_from(live))))
     template = ApplicationTemplate((("tA", "tB"), ("tB", "tC")), (draw(st.integers(1, 2)), 1))
-    groups = draw(st.one_of(st.none(), st.sets(st.sampled_from(every_id))))
-    if groups is not None:
-        groups = [groups, set(every_id) - groups]
-    network = (draw(st.integers(0, 2 ** 16)), draw(st.sampled_from([0.0, 0.0, 7.5])), groups)
+    seed = draw(st.integers(0, 2 ** 16))
     budget = draw(st.sampled_from([DEFAULT_COMBINATION_BUDGET] * 3 + [1]))
-    return services, template, events, network, budget
+    return services, template, events, seed, budget
 
 
 def _churn(run, world):
-    services, template, events, (seed, announce_ms, groups), budget = world
-    net = Simulator(SeededLatency(2.0, 1.5, seed), announce_latency_ms=announce_ms)
-    net.set_partitions(groups)
+    services, template, events, seed, budget = world
+    net = Simulator(SeededLatency(2.0, 1.5, seed))
     timeline = run(services, template, events, net, budget=budget)
     entries = [(entry.trigger, entry.reason, entry.result) for entry in timeline]
     return timeline_jsonl(timeline), net.trace_jsonl(), entries
@@ -1289,16 +1274,17 @@ def test_run_scenario_hands_assemble_only_template_typed_services(monkeypatch):
 
 
 class EagerTraceSimulator(Simulator):
-    """The simulator as it traced before: ``announce`` and ``measure_link``
-    build each trace record as a dict when the event happens, instead of a
-    tuple rendered when the trace is read."""
+    """The simulator as it traced before: ``announce`` and ``measure_links``
+    (the flood's only measurement call) build each trace record as a dict
+    when the event happens, instead of a tuple rendered when the trace is
+    read."""
 
     def announce(self, service, at=None):
         sid = service.id
         if sid in self._visible_from:
             raise DuplicateId(f"service {sid!r} is already announced")
         when = self.clock if at is None else float(at)
-        self._visible_from[sid] = when + self.announce_latency_ms
+        self._visible_from[sid] = when
         detail = {
             "type": service.type, "qos_ms": service.qos_nominal, "threshold": service.threshold
         }
@@ -1306,22 +1292,31 @@ class EagerTraceSimulator(Simulator):
             {"t": when, "kind": "announce", "from": sid, "to": None, "detail": detail}
         )
 
-    def measure_link(self, from_id, to_id):
-        for sid in (from_id, to_id):
-            if sid not in self._visible_from:
-                raise PeerUnknown(f"service {sid!r} is not live")
-        t_sent = self.clock
-        link_ms = self.link_latency(from_id, to_id)
-        self.log_event(
-            "measure",
-            from_id,
-            to_id,
-            t=t_sent,
-            t_sent=t_sent,
-            t_received=t_sent + link_ms,
-            link_ms=link_ms,
-        )
-        return link_ms
+    def measure_links(self, from_id, to_ids):
+        if from_id not in self._visible_from:
+            raise PeerUnknown(f"observer {from_id!r} is not live")
+        measured = []
+        for to_id in to_ids:
+            since = self._visible_from.get(to_id)
+            if since is None or not since <= self.clock or to_id == from_id:
+                continue
+            try:
+                link_ms = self.link_latency(from_id, to_id)
+            except LatencyUndefined:
+                self.log_event("unmeasurable", from_id, to_id)
+                continue
+            t_sent = self.clock
+            self.log_event(
+                "measure",
+                from_id,
+                to_id,
+                t=t_sent,
+                t_sent=t_sent,
+                t_received=t_sent + link_ms,
+                link_ms=link_ms,
+            )
+            measured.append((to_id, link_ms))
+        return measured
 
 
 @settings(max_examples=150, deadline=None)
@@ -1330,7 +1325,7 @@ def test_deferred_trace_matches_the_eager_trace(world, matrix, data):
     """``build_simulator`` announces some of the initial services and
     ``run_scenario`` the rest, over seeded or matrix links of non-dyadic
     values; both simulators must write the same trace and timeline."""
-    services, template, events, (seed, announce_ms, groups), budget = world
+    services, template, events, seed, budget = world
     prebuilt = data.draw(st.lists(st.sampled_from(services), unique=True))
     ids = [s.id for s in services] + [e.service.id for e in events if e.service is not None]
     rng = random.Random(seed)
@@ -1341,8 +1336,6 @@ def test_deferred_trace_matches_the_eager_trace(world, matrix, data):
         with mock.patch.object(scenario_module, "Simulator", simulator):
             net = build_simulator(Scenario(prebuilt, template, links, events))
         assert type(net) is simulator
-        net.announce_latency_ms = announce_ms
-        net.set_partitions(groups)
         timeline = run_scenario(services, template, events, net, budget=budget)
         return timeline_jsonl(timeline), net.trace_jsonl(), net.trace_records()
 

@@ -54,6 +54,13 @@ def test_contract_rejects_negative_inputs():
         check_contract(B1, -1.0, 0)
     with pytest.raises(ValueError):
         check_contract(B1, 1.0, -1)
+    # NaN compares false with every bound, so it would always comply.
+    with pytest.raises(ValueError, match="^observed_response_ms must be >= 0$"):
+        check_contract(B1, float("nan"), 0)
+    with pytest.raises(ValueError, match="^tolerance must be >= 0$"):
+        check_contract(B1, 7.0, 0, tolerance=float("nan"))
+    with pytest.raises(ValueError, match="^tolerance must be >= 0$"):
+        check_contract(B1, 1.0, 0, tolerance=-0.5)
 
 
 def test_notification_invariants():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -335,6 +336,23 @@ def test_one_layer_deterministic_bytes():
     third = serialize_scenario(generate_one_layer(50, 2, seed=10))
     assert first == second
     assert first != third
+
+
+def test_generators_draw_in_a_fixed_order():
+    """The generated documents, byte for byte: any change to what the
+    generators draw from their seeded generator, or in which order, changes
+    this digest."""
+    digest = hashlib.sha256()
+    for seed in range(4):
+        for k in (1, 2, "half", "all"):
+            for n in (1, 2, 7):
+                digest.update(serialize_scenario(generate_one_layer(n, k, seed)).encode())
+            for top in (2, 3, 5):
+                digest.update(serialize_scenario(generate_pyramidal(top, k, seed)).encode())
+        digest.update(serialize_scenario(generate_medical(seed)).encode())
+    assert digest.hexdigest() == (
+        "6021b7748a76783c19acff58eba149a575afb57f582a77b52830499bead20893"
+    )
 
 
 def test_pyramidal_service_counts():
