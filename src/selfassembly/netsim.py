@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DuplicateId, LatencyUndefined, PeerUnknown
 from .model import ServiceDescriptor
@@ -69,6 +69,7 @@ class MatrixLatency:
         return f"MatrixLatency({len(self.entries)} entries)"
 
 
+@dataclass
 class SeededLatency:
     """``base_ms`` plus reproducible jitter drawn from a seeded generator.
 
@@ -76,31 +77,24 @@ class SeededLatency:
     clamped at zero so latencies stay non-negative.
     """
 
-    def __init__(self, base_ms: float, jitter_ms: float, seed: int):
-        if not base_ms >= 0:  # also rejects NaN, which max(0.0, ...) would hide
+    base_ms: float
+    jitter_ms: float
+    seed: int
+    _rng: random.Random = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.base_ms >= 0:  # also rejects NaN, which max(0.0, ...) would hide
             raise ValueError("base_ms must be >= 0")
-        if not jitter_ms >= 0:
+        if not self.jitter_ms >= 0:
             raise ValueError("jitter_ms must be >= 0")
-        self.base_ms = float(base_ms)
-        self.jitter_ms = float(jitter_ms)
-        self.seed = int(seed)
+        self.base_ms = float(self.base_ms)
+        self.jitter_ms = float(self.jitter_ms)
+        self.seed = int(self.seed)
         self._rng = random.Random(self.seed)
 
     def sample(self, from_id: str, to_id: str) -> float:
         value = self.base_ms + self._rng.uniform(-self.jitter_ms, self.jitter_ms)
         return max(0.0, value)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SeededLatency):
-            return NotImplemented
-        return (self.base_ms, self.jitter_ms, self.seed) == (
-            other.base_ms,
-            other.jitter_ms,
-            other.seed,
-        )
-
-    def __repr__(self) -> str:
-        return f"SeededLatency(base_ms={self.base_ms}, jitter_ms={self.jitter_ms}, seed={self.seed})"
 
 
 LatencyModel = UniformLatency | MatrixLatency | SeededLatency
@@ -110,58 +104,54 @@ class Simulator:
     """Single-threaded peer-network simulator with one logical clock.
 
     * ``announce``/``withdraw`` maintain the registry of live peers; a peer
-      announced ``at`` a time is visible once the clock reaches it.
+      is visible from its announce until its withdrawal.
     * ``advance`` moves the clock forward.
-    * ``visible_peers`` lists every other live peer visible now: every
-      peer sees every other.
+    * ``visible_peers`` lists every other live peer: every peer sees every
+      other.
     * ``measure_link`` stamps a message across a link and returns the
       receive/send timestamp difference, which equals the modeled latency
       by construction.  ``measure_links`` does the same for every target
       one sender can see, in one call; the flood uses it.
 
-    Every action appends one record to the event trace, so identical
-    scenarios with identical seeds serialize to byte-identical logs.
+    Every action appends one record to the event trace, stamped with the
+    clock, so identical scenarios with identical seeds serialize to
+    byte-identical logs.
     """
 
     def __init__(self, latency: LatencyModel | None = None, *, trace: bool = True):
         self.clock = 0.0
         self.latency = latency if latency is not None else UniformLatency(0.0)
-        self._visible_from: dict[str, float] = {}  # the live registry: sid -> visible from
+        self._live: set[str] = set()
         self._overrides: dict[tuple[str, str], float] = {}
         self._trace_enabled = trace
         self._trace: list[dict | tuple] = []  # records, or tuples for _render
 
     # ------------------------------------------------------------------ registry
 
-    def announce(self, service: ServiceDescriptor, at: float | None = None) -> None:
-        """Register a peer, visible from ``at`` (default: now); its descriptor is only traced."""
+    def announce(self, service: ServiceDescriptor) -> None:
+        """Register a peer, visible from now on; its descriptor is only traced."""
         sid = service.id
-        if sid in self._visible_from:
+        if sid in self._live:
             raise DuplicateId(f"service {sid!r} is already announced")
-        when = self.clock if at is None else float(at)
-        self._visible_from[sid] = when
+        self._live.add(sid)
         if self._trace_enabled:
-            self._trace.append((when, service))
+            self._trace.append((self.clock, service))
 
-    def withdraw(self, service_id: str, at: float | None = None) -> None:
+    def withdraw(self, service_id: str) -> None:
         """Remove a peer; it disappears from every later view."""
-        if service_id not in self._visible_from:
+        if service_id not in self._live:
             raise PeerUnknown(f"service {service_id!r} is not live")
-        del self._visible_from[service_id]
-        self.log_event("withdraw", service_id, None, t=self.clock if at is None else float(at))
+        self._live.remove(service_id)
+        self.log_event("withdraw", service_id, None)
 
     def is_live(self, service_id: str) -> bool:
-        return service_id in self._visible_from
+        return service_id in self._live
 
     def visible_peers(self, observer_id: str) -> set[str]:
-        """Ids of every live peer visible now, excluding the observer's own."""
-        if observer_id not in self._visible_from:
+        """Ids of every live peer, excluding the observer's own."""
+        if observer_id not in self._live:
             raise PeerUnknown(f"observer {observer_id!r} is not live")
-        now = self.clock
-        return {
-            sid for sid, since in self._visible_from.items()
-            if since <= now and sid != observer_id
-        }
+        return self._live - {observer_id}
 
     # ------------------------------------------------------------------ links
 
@@ -185,7 +175,7 @@ class Simulator:
         timestamp difference.
         """
         for sid in (from_id, to_id):
-            if sid not in self._visible_from:
+            if sid not in self._live:
                 raise PeerUnknown(f"service {sid!r} is not live")
         link_ms = self.link_latency(from_id, to_id)
         if self._trace_enabled:
@@ -193,26 +183,24 @@ class Simulator:
         return link_ms
 
     def measure_links(self, from_id: str, to_ids: Iterable[str]) -> list[tuple[str, float]]:
-        """``(to_id, link_ms)`` for each target visible now, in the order
-        given, each measured as :meth:`measure_link` does.
+        """``(to_id, link_ms)`` for each live target other than the sender,
+        in the order given, each measured as :meth:`measure_link` does.
 
-        Visibility is the :meth:`visible_peers` rule; a target it hides is
-        skipped unmeasured.  A target whose link the latency model cannot
-        price (:class:`LatencyUndefined`) is skipped too, after one
-        ``unmeasurable`` trace record.  Raises :class:`PeerUnknown` when
-        the sender is not live.
+        A target that is not live is skipped unmeasured.  A target whose
+        link the latency model cannot price (:class:`LatencyUndefined`) is
+        skipped too, after one ``unmeasurable`` trace record.  Raises
+        :class:`PeerUnknown` when the sender is not live.
         """
-        if from_id not in self._visible_from:
+        live = self._live
+        if from_id not in live:
             raise PeerUnknown(f"observer {from_id!r} is not live")
         now = self.clock
-        visible_from = self._visible_from.get
         override = self._overrides.get
         sample = self.latency.sample
         trace = self._trace if self._trace_enabled else None
         measured = []
         for to_id in to_ids:
-            since = visible_from(to_id)
-            if since is None or not since <= now or to_id == from_id:
+            if to_id not in live or to_id == from_id:
                 continue
             link_ms = override((from_id, to_id))
             if link_ms is None:
@@ -231,7 +219,7 @@ class Simulator:
     def advance(self, until: float) -> None:
         """Move the clock to ``until``; it never moves backwards."""
         until = float(until)
-        if not until >= self.clock:  # also rejects NaN, which would hide every peer
+        if not until >= self.clock:  # also rejects NaN, which would stamp later records
             raise ValueError(f"cannot advance clock from {self.clock} to {until}")
         self.clock = until
 
@@ -242,14 +230,13 @@ class Simulator:
         kind: str,
         from_id: str | None = None,
         to_id: str | None = None,
-        t: float | None = None,
         **detail,
     ) -> None:
         if not self._trace_enabled:
             return
         self._trace.append(
             {
-                "t": self.clock if t is None else t,
+                "t": self.clock,
                 "kind": kind,
                 "from": from_id,
                 "to": to_id,

@@ -21,7 +21,7 @@ from .errors import (
     NoStartingService,
     TemplateInvalid,
 )
-from .model import ApplicationTemplate, ServiceDescriptor, validate_template
+from .model import ApplicationTemplate, ServiceDescriptor, service_map, validate_template
 from .netsim import Simulator
 
 
@@ -178,7 +178,7 @@ def run_scenario(
     *,
     budget: int = DEFAULT_COMBINATION_BUDGET,
 ) -> list[TimelineEntry]:
-    """Assemble at time zero, then replay events and re-assemble when one
+    """Assemble now, then replay events and re-assemble when one
     touches the committed assembly.
 
     Appearances always trigger a re-run (a new service may be better);
@@ -187,22 +187,24 @@ def run_scenario(
     service reported out of contract is left out of the re-run it
     triggers, but stays available afterwards.  Infeasible re-runs are
     recorded and the loop continues.  Initial services not yet live on
-    ``net`` are announced first, in id order.
+    ``net`` are announced first, in id order.  Every timeline entry and
+    trace record is stamped with ``net.clock``, so events must be sorted by
+    time and none may come before the clock.
     """
     events = list(events)
-    for earlier, later in zip(events, events[1:]):
-        if later.at < earlier.at:
-            raise ValueError("events must be sorted by time")
+    times = [net.clock] + [event.at for event in events]
+    for earlier, later in zip(times, times[1:]):
+        if not later >= earlier:  # also rejects NaN
+            raise ValueError(
+                f"event at t={later} does not follow t={earlier}: events must be sorted"
+                " by time and come no earlier than the simulator clock"
+            )
     report = validate_template(template)
     if not report.ok:
         raise TemplateInvalid(report)
 
     initial = list(initial_services)
-    live = {descriptor.id: descriptor for descriptor in initial}
-    if len(live) != len(initial):
-        ids = sorted(d.id for d in initial)
-        twice = next(a for a, b in zip(ids, ids[1:]) if a == b)
-        raise ValueError(f"duplicate service id {twice!r}")
+    live = dict(service_map(initial))
     is_live = net.is_live
     for sid in sorted(sid for sid in live if not is_live(sid)):
         net.announce(live[sid])
@@ -212,8 +214,9 @@ def run_scenario(
     timeline: list[TimelineEntry] = []
     committed: AssemblyResult | None = None
 
-    def attempt(at: float, trigger: str, exclude: str | None = None) -> None:
+    def attempt(trigger: str, exclude: str | None = None) -> None:
         nonlocal committed
+        at = net.clock
         pool = [d for sid, d in typed.items() if sid != exclude]
         try:
             result = assemble(pool, template, net, budget=budget)
@@ -226,16 +229,9 @@ def run_scenario(
             committed = None
             entry = TimelineEntry(at, trigger, None, str(exc), 0)
         timeline.append(entry)
-        net.log_event(
-            "reassembly",
-            None,
-            None,
-            t=at,
-            trigger=trigger,
-            feasible=entry.feasible,
-        )
+        net.log_event("reassembly", None, None, trigger=trigger, feasible=entry.feasible)
 
-    attempt(0.0, "initial")
+    attempt("initial")
 
     for event in events:
         if event.at > net.clock:
@@ -243,22 +239,22 @@ def run_scenario(
         if event.kind is EventKind.SERVICE_APPEARS:
             descriptor = event.service
             assert descriptor is not None
-            net.announce(descriptor, at=event.at)
+            net.announce(descriptor)
             live[descriptor.id] = descriptor
             if descriptor.type in types:
                 typed[descriptor.id] = descriptor
-            attempt(event.at, f"service_appears:{descriptor.id}")
+            attempt(f"service_appears:{descriptor.id}")
         elif event.kind is EventKind.SERVICE_DISAPPEARS:
             sid = event.service_id
             assert sid is not None
             if sid not in live:
                 raise ValueError(f"event at t={event.at} removes unknown service {sid!r}")
             used = committed is not None and sid in committed.assembly.nodes
-            net.withdraw(sid, at=event.at)
+            net.withdraw(sid)
             del live[sid]
             typed.pop(sid, None)
             if used:
-                attempt(event.at, f"service_disappears:{sid}")
+                attempt(f"service_disappears:{sid}")
         elif event.kind is EventKind.LINK_DEGRADES:
             assert event.link_from is not None and event.link_to is not None
             assert event.new_ms is not None
@@ -268,24 +264,20 @@ def run_scenario(
                 and (event.link_from, event.link_to) in committed.assembly.edges
             )
             if used:
-                attempt(event.at, f"link_degrades:{event.link_from}->{event.link_to}")
+                attempt(f"link_degrades:{event.link_from}->{event.link_to}")
         elif event.kind is EventKind.INJECT_OUT_CONTRACT:
             sid = event.service_id
             assert sid is not None
             if sid not in live:
                 raise ValueError(f"event at t={event.at} flags unknown service {sid!r}")
-            notification = ContractNotification(
-                sid, event.at, ContractStatus.OUT_CONTRACT, ContractCause.INJECTED
-            )
             net.log_event(
                 "out_contract",
                 sid,
                 None,
-                t=event.at,
-                status=notification.status.value,
-                cause=notification.cause.value,
+                status=ContractStatus.OUT_CONTRACT.value,
+                cause=ContractCause.INJECTED.value,
             )
             used = committed is not None and sid in committed.assembly.nodes
             if used:
-                attempt(event.at, f"out_contract:{sid}", exclude=sid)
+                attempt(f"out_contract:{sid}", exclude=sid)
     return timeline

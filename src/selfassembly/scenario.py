@@ -209,6 +209,8 @@ def _parse_event(obj: Any, where: str) -> ScenarioEvent:
     at = _number(obj["at_ms"], f"{where}.at_ms")
     if math.isnan(at):  # it would pass the sort check and reach the timeline
         raise ScenarioFormatError(f"{where}.at_ms: expected a number, got nan")
+    if at < 0:  # the simulator clock starts at 0 and never runs backwards
+        raise ScenarioFormatError(f"{where}.at_ms: must be >= 0, got {at}")
     if kind == "service_appears":
         return ScenarioEvent.appears(at, _parse_service(obj["service"], f"{where}.service"))
     if kind == "service_disappears":
@@ -379,7 +381,7 @@ def build_simulator(scenario: Scenario, *, trace: bool = True) -> Simulator:
     """A fresh simulator with every scenario service announced at time zero."""
     net = Simulator(scenario.links, trace=trace)
     for descriptor in sorted(scenario.services, key=attrgetter("id")):
-        net.announce(descriptor, at=0.0)
+        net.announce(descriptor)
     return net
 
 

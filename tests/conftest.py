@@ -28,7 +28,7 @@ def seven_template() -> ApplicationTemplate:
 def make_net(services, latency=None) -> Simulator:
     net = Simulator(latency if latency is not None else UniformLatency(0.0))
     for svc in sorted(services, key=lambda s: s.id):
-        net.announce(svc, at=0.0)
+        net.announce(svc)
     return net
 
 

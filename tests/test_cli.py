@@ -221,6 +221,20 @@ def test_simulate_rejects_a_nan_event_time(tmp_path):
     assert run.stderr == "error: events[1].at_ms: expected a number, got nan\n"
 
 
+def test_simulate_rejects_a_negative_event_time(tmp_path):
+    # Unchecked, the timeline ran 0.0 -> -2.0, before the clock's start.
+    document = json.loads(_write_example7(tmp_path / "ok.json").read_text())
+    document["events"] = [{"at_ms": -2, "kind": "inject_out_contract", "id": "B1"}]
+    scenario_path = tmp_path / "negative.json"
+    scenario_path.write_text(json.dumps(document))
+    timeline_path = tmp_path / "timeline.jsonl"
+    run = _run_cli("simulate", "--scenario", str(scenario_path), "--timeline", str(timeline_path))
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr == "error: events[0].at_ms: must be >= 0, got -2.0\n"
+    assert not timeline_path.exists()
+
+
 def test_simulate_a_peer_arriving_with_no_matrix_link(tmp_path):
     # The flood skips A1 -> B99, which the matrix cannot price, instead of aborting.
     document = {

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -115,6 +116,19 @@ def test_latency_parameters_reject_negative_and_nan():
     assert net.trace_records()[-1]["kind"] == "announce"  # nothing was overridden
 
 
+def test_seeded_latency_is_a_value_of_its_parameters():
+    model = SeededLatency(2, 1, seed=7)
+    assert repr(model) == "SeededLatency(base_ms=2.0, jitter_ms=1.0, seed=7)"
+    rng = random.Random(7)
+    expected = [max(0.0, 2.0 + rng.uniform(-1.0, 1.0)) for _ in range(5)]
+    assert [model.sample("A1", "B1") for _ in range(5)] == expected
+    # Equality ignores how far the generator has run; the model is mutable state.
+    assert model == SeededLatency(2.0, 1.0, seed=7)
+    assert model != SeededLatency(2.0, 1.0, seed=8)
+    with pytest.raises(TypeError):
+        hash(model)
+
+
 # -------------------------------------------------------------------- advance
 
 
@@ -129,7 +143,7 @@ def test_advance_clock_is_monotonic():
     net.advance(5.0)
     with pytest.raises(ValueError):
         net.advance(4.0)
-    # A NaN clock would hide every peer until the next advance.
+    # A NaN clock would stamp every later trace record NaN.
     with pytest.raises(ValueError, match="^cannot advance clock from 5.0 to nan$"):
         net.advance(float("nan"))
     assert net.clock == 5.0
@@ -155,14 +169,19 @@ def test_surrounding_unknown_observer():
         Simulator().visible_peers("ghost")
 
 
-def test_announce_propagation_latency_delays_visibility():
+def test_a_peer_is_visible_from_its_announce():
     net = Simulator()
-    net.announce(ServiceDescriptor("A1", "tA", 1.0, 1), at=0.0)
-    net.announce(ServiceDescriptor("B1", "tB", 1.0, 1), at=10.0)
-    net.advance(5.0)
-    assert net.visible_peers("A1") == set()
+    net.announce(ServiceDescriptor("A1", "tA", 1.0, 1))
     net.advance(10.0)
+    assert net.visible_peers("A1") == set()
+    assert net.measure_links("A1", ["B1"]) == []
+    net.announce(ServiceDescriptor("B1", "tB", 1.0, 1))
     assert net.visible_peers("A1") == {"B1"}
+    assert net.visible_peers("B1") == {"A1"}
+    assert net.measure_links("A1", ["B1"]) == [("B1", 0.0)]
+    assert [(rec["t"], rec["kind"]) for rec in net.trace_records()] == [
+        (0.0, "announce"), (10.0, "announce"), (10.0, "measure")
+    ]
 
 
 def test_can_see_withdrawn_and_unknown_targets():
@@ -172,19 +191,29 @@ def test_can_see_withdrawn_and_unknown_targets():
     assert net.measure_links("A1", ["B3", "ghost", "B1"]) == [("B1", 0.0)]
 
 
-def test_can_see_waits_for_announce_latency():
-    net = Simulator()
-    net.announce(ServiceDescriptor("A1", "tA", 1.0, 1), at=0.0)
-    net.announce(ServiceDescriptor("B1", "tB", 1.0, 1), at=15.0)
-    assert net.visible_peers("A1") == set()  # clock 0: B1 visible from 15
-    assert net.measure_links("A1", ["B1"]) == []
-    # An observer that is not yet visible itself still sees others.
-    assert net.visible_peers("B1") == {"A1"}
-    net.advance(14.0)
-    assert net.visible_peers("A1") == set()
-    net.advance(15.0)
-    assert net.visible_peers("A1") == {"B1"}
-    assert net.measure_links("A1", ["B1"]) == [("B1", 0.0)]
+def test_every_trace_record_is_stamped_with_the_clock():
+    net = Simulator(UniformLatency(1.0))
+    net.announce(ServiceDescriptor("A1", "tA", 1.0, 1))
+    net.advance(2.5)
+    net.announce(ServiceDescriptor("B1", "tB", 1.0, 1))
+    net.measure_link("A1", "B1")
+    net.advance(4.0)
+    net.degrade_link("A1", "B1", 3.0)
+    net.measure_links("A1", ["B1"])
+    net.log_event("note", t=-1.0)  # a detail named t is only a detail
+    net.advance(7.0)
+    net.withdraw("B1")
+    records = net.trace_records()
+    assert [(rec["t"], rec["kind"]) for rec in records] == [
+        (0.0, "announce"),
+        (2.5, "announce"),
+        (2.5, "measure"),
+        (4.0, "link_degrade"),
+        (4.0, "measure"),
+        (4.0, "note"),
+        (7.0, "withdraw"),
+    ]
+    assert records[5]["detail"] == {"t": -1.0}
 
 
 # ---------------------------------------------------------------------- trace

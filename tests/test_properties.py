@@ -338,8 +338,9 @@ def reference_flood(services, template, net):
 
 @st.composite
 def flood_worlds(draw):
-    """Services of a three-type template, some announced late or never
-    (bystanders of other types too), a clock, and one optional withdrawal.
+    """Services of a three-type template, announced in rounds with the
+    clock advanced between them, or never (bystanders of other types too),
+    and one optional withdrawal.
     Links are seeded, or a matrix with holes on some flooded pairs; some
     flooded pairs are degraded, holes among them."""
     types = ["tA", "tB", "tC", "tX"]
@@ -351,8 +352,8 @@ def flood_worlds(draw):
     ids = [s.id for s in services]
     # One service in five is never announced: a start among them fails the
     # flood at once, and most worlds should get as far as measuring.
-    announce_at = {sid: draw(st.sampled_from([0.0, 2.0, 5.0, 0.0, None])) for sid in ids}
-    clock = draw(st.sampled_from([0.0, 2.0, 3.5, 6.0, 9.0]))
+    rounds = {sid: draw(st.sampled_from([0, 1, 2, 0, None])) for sid in ids}
+    steps = draw(st.lists(st.sampled_from([0.0, 2.0, 3.5]), min_size=2, max_size=2))
     withdrawn = draw(st.one_of(st.none(), st.sampled_from(ids)))
     template = ApplicationTemplate((("tA", "tB"), ("tB", "tC"), ("tA", "tC")), (1, 1, ALL))
     flooded = [
@@ -372,18 +373,19 @@ def flood_worlds(draw):
         latency = partial(MatrixLatency, table)
     else:
         latency = partial(SeededLatency, 2.0, 1.0, draw(st.integers(min_value=0, max_value=2 ** 16)))
-    return services, template, announce_at, clock, withdrawn, latency, degraded
+    return services, template, rounds, steps, withdrawn, latency, degraded
 
 
 def _flood_net(world):
-    services, _template, announce_at, clock, withdrawn, latency, degraded = world
+    services, _template, rounds, steps, withdrawn, latency, degraded = world
     net = Simulator(latency())
-    for descriptor in services:
-        if announce_at[descriptor.id] is not None:
-            net.announce(descriptor, at=announce_at[descriptor.id])
     for (from_id, to_id), ms in degraded:
         net.degrade_link(from_id, to_id, ms)
-    net.advance(clock)
+    for round_, step in enumerate([0.0, *steps]):
+        net.advance(net.clock + step)
+        for descriptor in services:
+            if rounds[descriptor.id] == round_:
+                net.announce(descriptor)
     if withdrawn is not None and net.is_live(withdrawn):
         net.withdraw(withdrawn)
     return net
@@ -1145,7 +1147,7 @@ def reference_run_scenario(initial, template, events, net, *, budget=DEFAULT_COM
             committed = None
             entry = TimelineEntry(at, trigger, None, str(exc), 0)
         timeline.append(entry)
-        net.log_event("reassembly", None, None, t=at, trigger=trigger, feasible=entry.feasible)
+        net.log_event("reassembly", None, None, trigger=trigger, feasible=entry.feasible)
 
     def uses(sid):
         return committed is not None and sid in committed.assembly.nodes
@@ -1155,13 +1157,13 @@ def reference_run_scenario(initial, template, events, net, *, budget=DEFAULT_COM
         if event.at > net.clock:
             net.advance(event.at)
         if event.kind is EventKind.SERVICE_APPEARS:
-            net.announce(event.service, at=event.at)
+            net.announce(event.service)
             live[event.service.id] = event.service
             attempt(event.at, f"service_appears:{event.service.id}")
         elif event.kind is EventKind.SERVICE_DISAPPEARS:
             sid = event.service_id
             used = uses(sid)
-            net.withdraw(sid, at=event.at)
+            net.withdraw(sid)
             del live[sid]
             if used:
                 attempt(event.at, f"service_disappears:{sid}")
@@ -1172,8 +1174,7 @@ def reference_run_scenario(initial, template, events, net, *, budget=DEFAULT_COM
                 attempt(event.at, f"link_degrades:{link[0]}->{link[1]}")
         else:
             sid = event.service_id
-            net.log_event("out_contract", sid, None, t=event.at, status="OutContract",
-                          cause="Injected")
+            net.log_event("out_contract", sid, None, status="OutContract", cause="Injected")
             if uses(sid):
                 attempt(event.at, f"out_contract:{sid}", exclude=sid)
     return timeline
@@ -1242,6 +1243,22 @@ def test_template_typed_index_matches_handing_over_the_whole_registry(world):
     assert _churn(run_scenario, world) == _churn(reference_run_scenario, world)
 
 
+@settings(max_examples=100, deadline=None)
+@given(churn_worlds())
+def test_every_record_is_stamped_forward_in_time(world):
+    """Trace and timeline times are finite, never decrease, and each
+    timeline entry shares its time with its ``reassembly`` record."""
+    services, template, events, seed, budget = world
+    net = Simulator(SeededLatency(2.0, 1.5, seed))
+    timeline = run_scenario(services, template, events, net, budget=budget)
+    records = net.trace_records()
+    timeline_times = [entry.to_json_obj()["t"] for entry in timeline]
+    for times in ([rec["t"] for rec in records], timeline_times):
+        assert all(math.isfinite(t) for t in times)
+        assert all(earlier <= later for earlier, later in zip(times, times[1:]))
+    assert [rec["t"] for rec in records if rec["kind"] == "reassembly"] == timeline_times
+
+
 def test_run_scenario_hands_assemble_only_template_typed_services(monkeypatch):
     scenario = generate_medical(0)
     types = scenario.template.types()
@@ -1279,26 +1296,24 @@ class EagerTraceSimulator(Simulator):
     when the event happens, instead of a tuple rendered when the trace is
     read."""
 
-    def announce(self, service, at=None):
+    def announce(self, service):
         sid = service.id
-        if sid in self._visible_from:
+        if sid in self._live:
             raise DuplicateId(f"service {sid!r} is already announced")
-        when = self.clock if at is None else float(at)
-        self._visible_from[sid] = when
+        self._live.add(sid)
         detail = {
             "type": service.type, "qos_ms": service.qos_nominal, "threshold": service.threshold
         }
         self._trace.append(
-            {"t": when, "kind": "announce", "from": sid, "to": None, "detail": detail}
+            {"t": self.clock, "kind": "announce", "from": sid, "to": None, "detail": detail}
         )
 
     def measure_links(self, from_id, to_ids):
-        if from_id not in self._visible_from:
+        if not self.is_live(from_id):
             raise PeerUnknown(f"observer {from_id!r} is not live")
         measured = []
         for to_id in to_ids:
-            since = self._visible_from.get(to_id)
-            if since is None or not since <= self.clock or to_id == from_id:
+            if not self.is_live(to_id) or to_id == from_id:
                 continue
             try:
                 link_ms = self.link_latency(from_id, to_id)
@@ -1310,7 +1325,6 @@ class EagerTraceSimulator(Simulator):
                 "measure",
                 from_id,
                 to_id,
-                t=t_sent,
                 t_sent=t_sent,
                 t_received=t_sent + link_ms,
                 link_ms=link_ms,

@@ -199,6 +199,31 @@ def test_events_must_be_sorted(example7):
         run_scenario(services, template, events, Simulator(UniformLatency(0.0)))
 
 
+@pytest.mark.parametrize(
+    "clock, at",
+    [(0.0, -1.0), (0.0, float("nan")), (20.0, 10.0)],
+    ids=["negative", "nan", "before-an-advanced-clock"],
+)
+def test_an_event_before_the_clock_is_rejected_before_any_record(example7, clock, at):
+    services, template = example7
+    net = Simulator(UniformLatency(0.0))
+    net.advance(clock)
+    events = [ScenarioEvent.disappears(at, "B3")]
+    with pytest.raises(ValueError, match=f"^event at t={at} does not follow t={clock}: "):
+        run_scenario(services, template, events, net)
+    assert net.trace_records() == []
+    assert net.clock == clock
+
+
+def test_duplicate_initial_ids_are_rejected_before_any_record(example7):
+    services, template = example7
+    net = Simulator(UniformLatency(0.0))
+    twice = services + [ServiceDescriptor("B2", "tB", 9.0, 1)]
+    with pytest.raises(ValueError, match="^duplicate service id 'B2'$"):
+        run_scenario(twice, template, [], net)
+    assert net.trace_records() == []
+
+
 def test_timeline_log_shape(example7):
     services, template = example7
     events = [ScenarioEvent.disappears(100.0, "B3")]

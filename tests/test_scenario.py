@@ -246,6 +246,11 @@ BAD_NUMBERS = [
     (lambda d: d["events"].append(_degrades(NAN)), "events[0].new_ms", "must be >= 0, got nan"),
     (lambda d: d["events"].append({"at_ms": NAN, "kind": "service_disappears", "id": "B1"}),
      "events[0].at_ms", "expected a number, got nan"),
+    # A negative time would come before the simulator clock, which starts at 0.
+    (lambda d: d["events"].append({"at_ms": -1.0, "kind": "service_disappears", "id": "B1"}),
+     "events[0].at_ms", "must be >= 0, got -1.0"),
+    (lambda d: d["events"].extend([_degrades(2.0), _appears_with_qos(1) | {"at_ms": -5}]),
+     "events[1].at_ms", "must be >= 0, got -5.0"),
     # ±inf in every numeric field, each named where it enters.
     (lambda d: d["services"][1].update(qos_ms=INF), "services[1].qos_ms",
      "must be finite, got inf"),
