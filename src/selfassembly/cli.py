@@ -74,6 +74,16 @@ def _parse_k(text: str):
     return value
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selfassembly",
@@ -85,15 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_assemble.add_argument("--scenario", required=True, help="scenario JSON file")
     p_assemble.add_argument("--dot", help="write the assembly as a DOT digraph")
     p_assemble.add_argument("--json", dest="json_out", help="write the assembly as JSON")
-    p_assemble.add_argument("--budget", type=int, default=DEFAULT_COMBINATION_BUDGET)
+    p_assemble.add_argument("--budget", type=_count, default=DEFAULT_COMBINATION_BUDGET)
 
     p_sim = sub.add_parser("simulate", help="replay scenario events and log every re-assembly")
     p_sim.add_argument("--scenario", required=True)
     p_sim.add_argument("--timeline", help="write the timeline as line-delimited JSON")
-    p_sim.add_argument("--budget", type=int, default=DEFAULT_COMBINATION_BUDGET)
+    p_sim.add_argument("--budget", type=_count, default=DEFAULT_COMBINATION_BUDGET)
 
     p_verify = sub.add_parser("verify", help="cross-check the assembler against the exhaustive oracle")
-    p_verify.add_argument("--random", type=int, default=200, metavar="N", help="number of random instances")
+    p_verify.add_argument("--random", type=_count, default=200, metavar="N", help="number of random instances")
     p_verify.add_argument("--seed", type=int, default=0)
 
     p_gen = sub.add_parser("generate", help="write a scenario file for a standard layout")

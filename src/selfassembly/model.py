@@ -73,6 +73,8 @@ class ServiceDescriptor(_ServiceFields):
             raise ValueError("service type must be non-empty")
         if not qos_nominal >= 0:  # also rejects NaN, which costs could not order
             raise ValueError(f"qos_nominal must be >= 0, got {qos_nominal}")
+        if isinstance(threshold, bool) or not isinstance(threshold, int):
+            raise ValueError(f"threshold must be an integer, got {threshold!r}")
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
         return tuple.__new__(cls, (id, type, qos_nominal, threshold))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Container, Iterable
 
 from .assembler import DEFAULT_COMBINATION_BUDGET, AssemblyResult, assemble
 from .errors import (
@@ -170,6 +170,35 @@ def timeline_jsonl(timeline: Iterable[TimelineEntry]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _check_events(events: list[ScenarioEvent], clock: float, initial_ids: Container[str]) -> None:
+    """Raise ``ValueError`` unless each event is at or after the one before
+    it and ``clock``, then unless each names ids live at its time (an
+    appearance one that is not); the live set starts as ``initial_ids``."""
+    times = [clock] + [event.at for event in events]
+    for earlier, later in zip(times, times[1:]):
+        if not later >= earlier:  # also rejects NaN
+            raise ValueError(
+                f"event at t={later} does not follow t={earlier}: events must be sorted"
+                " by time and come no earlier than the simulator clock"
+            )
+    changed: dict[str, bool] = {}  # liveness of the ids an earlier event changed
+    for idx, event in enumerate(events):
+        if event.kind is EventKind.SERVICE_APPEARS:
+            sid = event.service.id
+            if changed.get(sid, sid in initial_ids):
+                raise ValueError(f"events[{idx}]: service {sid!r} is already live")
+            changed[sid] = True
+            continue
+        named = (event.service_id,)
+        if event.kind is EventKind.LINK_DEGRADES:
+            named = (event.link_from, event.link_to)
+        for sid in named:
+            if not changed.get(sid, sid in initial_ids):
+                raise ValueError(f"events[{idx}]: service {sid!r} is not live")
+        if event.kind is EventKind.SERVICE_DISAPPEARS:
+            changed[event.service_id] = False
+
+
 def run_scenario(
     initial_services: Iterable[ServiceDescriptor],
     template: ApplicationTemplate,
@@ -189,22 +218,18 @@ def run_scenario(
     recorded and the loop continues.  Initial services not yet live on
     ``net`` are announced first, in id order.  Every timeline entry and
     trace record is stamped with ``net.clock``, so events must be sorted by
-    time and none may come before the clock.
+    time and none may come before the clock.  Events that break this, or
+    name an id not live among the initial services and the events before
+    them, raise ``ValueError`` before anything is announced or recorded.
     """
     events = list(events)
-    times = [net.clock] + [event.at for event in events]
-    for earlier, later in zip(times, times[1:]):
-        if not later >= earlier:  # also rejects NaN
-            raise ValueError(
-                f"event at t={later} does not follow t={earlier}: events must be sorted"
-                " by time and come no earlier than the simulator clock"
-            )
+    initial = list(initial_services)
+    live = service_map(initial)
+    _check_events(events, net.clock, live)
     report = validate_template(template)
     if not report.ok:
         raise TemplateInvalid(report)
 
-    initial = list(initial_services)
-    live = dict(service_map(initial))
     is_live = net.is_live
     for sid in sorted(sid for sid in live if not is_live(sid)):
         net.announce(live[sid])
@@ -240,36 +265,27 @@ def run_scenario(
             descriptor = event.service
             assert descriptor is not None
             net.announce(descriptor)
-            live[descriptor.id] = descriptor
             if descriptor.type in types:
                 typed[descriptor.id] = descriptor
             attempt(f"service_appears:{descriptor.id}")
         elif event.kind is EventKind.SERVICE_DISAPPEARS:
             sid = event.service_id
             assert sid is not None
-            if sid not in live:
-                raise ValueError(f"event at t={event.at} removes unknown service {sid!r}")
             used = committed is not None and sid in committed.assembly.nodes
             net.withdraw(sid)
-            del live[sid]
             typed.pop(sid, None)
             if used:
                 attempt(f"service_disappears:{sid}")
         elif event.kind is EventKind.LINK_DEGRADES:
             assert event.link_from is not None and event.link_to is not None
             assert event.new_ms is not None
-            net.degrade_link(event.link_from, event.link_to, event.new_ms)
-            used = (
-                committed is not None
-                and (event.link_from, event.link_to) in committed.assembly.edges
-            )
-            if used:
-                attempt(f"link_degrades:{event.link_from}->{event.link_to}")
+            link = (event.link_from, event.link_to)
+            net.degrade_link(*link, event.new_ms)
+            if committed is not None and link in committed.assembly.edges:
+                attempt(f"link_degrades:{link[0]}->{link[1]}")
         elif event.kind is EventKind.INJECT_OUT_CONTRACT:
             sid = event.service_id
             assert sid is not None
-            if sid not in live:
-                raise ValueError(f"event at t={event.at} flags unknown service {sid!r}")
             net.log_event(
                 "out_contract",
                 sid,

@@ -30,7 +30,7 @@ from .netsim import (
     Simulator,
     UniformLatency,
 )
-from .runtime import EventKind, ScenarioEvent
+from .runtime import EventKind, ScenarioEvent, _check_events
 
 
 @dataclass
@@ -207,7 +207,7 @@ def _parse_event(obj: Any, where: str) -> ScenarioEvent:
         raise ScenarioFormatError(f"{where}.kind: unknown event kind {kind!r}")
     _check_keys(obj, _EVENT_KEYS[kind], set(), where)
     at = _number(obj["at_ms"], f"{where}.at_ms")
-    if math.isnan(at):  # it would pass the sort check and reach the timeline
+    if math.isnan(at):  # named by its index here; the order check names only its time
         raise ScenarioFormatError(f"{where}.at_ms: expected a number, got nan")
     if at < 0:  # the simulator clock starts at 0 and never runs backwards
         raise ScenarioFormatError(f"{where}.at_ms: must be >= 0, got {at}")
@@ -276,31 +276,11 @@ def parse_scenario(document: str | dict) -> Scenario:
         events = [
             _parse_event(entry, f"events[{idx}]") for idx, entry in enumerate(obj["events"])
         ]
-        for earlier, later in zip(events, events[1:]):
-            if later.at < earlier.at:
-                raise ScenarioFormatError("events: not sorted by at_ms")
-        _check_live_ids(events, live)
+        try:
+            _check_events(events, 0.0, live)
+        except ValueError as exc:
+            raise ScenarioFormatError(str(exc)) from None
     return Scenario(services, template, links, events)
-
-
-def _check_live_ids(events: list[ScenarioEvent], live: set[str]) -> None:
-    """Reject an event naming a service not live at its time, or announcing
-    one that is; ``live`` starts as the initial ids and follows the events."""
-    for idx, event in enumerate(events):
-        if event.kind is EventKind.SERVICE_APPEARS:
-            sid = event.service.id
-            if sid in live:
-                raise ScenarioFormatError(f"events[{idx}]: service {sid!r} is already live")
-            live.add(sid)
-            continue
-        named = (event.service_id,)
-        if event.kind is EventKind.LINK_DEGRADES:
-            named = (event.link_from, event.link_to)
-        for sid in named:
-            if sid not in live:
-                raise ScenarioFormatError(f"events[{idx}]: service {sid!r} is not live")
-        if event.kind is EventKind.SERVICE_DISAPPEARS:
-            live.remove(event.service_id)
 
 
 def load_scenario(path) -> Scenario:

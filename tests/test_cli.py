@@ -359,6 +359,20 @@ def test_unknown_command_exit_code():
     assert main(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [("verify", "--random"), ("assemble", "--budget"), ("simulate", "--budget")],
+)
+def test_a_negative_count_is_a_usage_error(command, option, tmp_path, capsys):
+    args = [command]
+    if command != "verify":
+        args += ["--scenario", str(_write_example7(tmp_path / "example7.json"))]
+    assert main([*args, option, "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be >= 0, got -3" in captured.err
+
+
 # ------------------------------------------------ assemble against the eager path
 
 

@@ -97,6 +97,11 @@ def test_descriptor_validation_messages():
         (("A1", "tA", -0.5, 1), "qos_nominal must be >= 0, got -0.5"),
         (("A1", "tA", float("nan"), 1), "qos_nominal must be >= 0, got nan"),
         (("A1", "tA", 1.0, 0), "threshold must be >= 1, got 0"),
+        # select_assembly counts a service full only at load threshold + 1.
+        (("A1", "tA", 1.0, 1.5), "threshold must be an integer, got 1.5"),
+        (("A1", "tA", 1.0, 2.0), "threshold must be an integer, got 2.0"),
+        (("A1", "tA", 1.0, True), "threshold must be an integer, got True"),
+        (("A1", "tA", 1.0, "2"), "threshold must be an integer, got '2'"),
     ]
     for fields, message in cases:
         with pytest.raises(ValueError) as info:

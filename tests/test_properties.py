@@ -59,7 +59,7 @@ from selfassembly.oracle import _subgraphs_from, exhaustive_worst_path
 from selfassembly.runtime import EventKind, ScenarioEvent, TimelineEntry
 from selfassembly.scenario import Scenario
 
-from conftest import make_net
+from conftest import make_net, seven_services, seven_template
 from recursive_search import (
     reference_candidates,
     reference_count,
@@ -1186,11 +1186,13 @@ CHURN_TYPES = ["tA", "tB", "tC", "tX", "tY"]
 @st.composite
 def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
     """A two-pair template over a few services of its types plus
-    bystanders of two other types, jittered links, sometimes a small
-    budget, and a churn trace whose events name only ids live at their
-    time: appearances of either kind, withdrawals, link degradations and
-    out-of-contract reports, of template services (often committed ones)
-    and bystanders alike."""
+    bystanders of two other types, sometimes a small budget, and a churn
+    trace whose events name only ids live at their time: appearances of
+    either kind, withdrawals, link degradations and out-of-contract
+    reports, of template services (often committed ones) and bystanders
+    alike.  Links are jittered, or a matrix over the template's pairs with
+    some left out, which a degradation may fill; ``latency`` makes a fresh
+    model per run."""
 
     def service(sid, service_type):
         return ServiceDescriptor(
@@ -1226,12 +1228,22 @@ def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
     template = ApplicationTemplate((("tA", "tB"), ("tB", "tC")), (draw(st.integers(1, 2)), 1))
     seed = draw(st.integers(0, 2 ** 16))
     budget = draw(st.sampled_from([DEFAULT_COMBINATION_BUDGET] * 3 + [1]))
-    return services, template, events, seed, budget
+    latency = partial(SeededLatency, 2.0, 1.5, seed)
+    if draw(st.booleans()):
+        rng = random.Random(seed)
+        descriptors = services + [e.service for e in events if e.service is not None]
+        table = {
+            (a.id, b.id): rng.choice(qos_values)
+            for x, y in template.body for a in descriptors for b in descriptors
+            if (a.type, b.type) == (x, y) and rng.random() < 0.75
+        }
+        latency = partial(MatrixLatency, table)
+    return services, template, events, seed, budget, latency
 
 
 def _churn(run, world):
-    services, template, events, seed, budget = world
-    net = Simulator(SeededLatency(2.0, 1.5, seed))
+    services, template, events, _seed, budget, latency = world
+    net = Simulator(latency())
     timeline = run(services, template, events, net, budget=budget)
     entries = [(entry.trigger, entry.reason, entry.result) for entry in timeline]
     return timeline_jsonl(timeline), net.trace_jsonl(), entries
@@ -1248,8 +1260,8 @@ def test_template_typed_index_matches_handing_over_the_whole_registry(world):
 def test_every_record_is_stamped_forward_in_time(world):
     """Trace and timeline times are finite, never decrease, and each
     timeline entry shares its time with its ``reassembly`` record."""
-    services, template, events, seed, budget = world
-    net = Simulator(SeededLatency(2.0, 1.5, seed))
+    services, template, events, _seed, budget, latency = world
+    net = Simulator(latency())
     timeline = run_scenario(services, template, events, net, budget=budget)
     records = net.trace_records()
     timeline_times = [entry.to_json_obj()["t"] for entry in timeline]
@@ -1257,6 +1269,48 @@ def test_every_record_is_stamped_forward_in_time(world):
         assert all(math.isfinite(t) for t in times)
         assert all(earlier <= later for earlier, later in zip(times, times[1:]))
     assert [rec["t"] for rec in records if rec["kind"] == "reassembly"] == timeline_times
+
+
+@st.composite
+def unchecked_events(draw):
+    """Events on ids that are live, unknown, withdrawn or re-announced, at
+    times >= 0 that now and then run backwards."""
+    ids = st.sampled_from(["A1", "B2", "B3", "C1", "N1", "ZZ"])
+    events, at = [], 0.0
+    for _ in range(draw(st.integers(0, 5))):
+        at = max(0.0, at + draw(st.sampled_from([0.0, 1.0, 2.5, -1.0])))
+        kind = draw(st.sampled_from(list(EventKind)))
+        if kind is EventKind.SERVICE_APPEARS:
+            events.append(ScenarioEvent.appears(at, ServiceDescriptor(draw(ids), "tB", 1.0, 2)))
+        elif kind is EventKind.SERVICE_DISAPPEARS:
+            events.append(ScenarioEvent.disappears(at, draw(ids)))
+        elif kind is EventKind.LINK_DEGRADES:
+            events.append(ScenarioEvent.link_degrades(at, draw(ids), draw(ids), 3.0))
+        else:
+            events.append(ScenarioEvent.inject_out_contract(at, draw(ids)))
+    return events
+
+
+@settings(max_examples=200, deadline=None)
+@given(unchecked_events())
+def test_parse_and_replay_reject_the_same_events_alike(events):
+    """A document's events fail to parse exactly when their replay on a
+    fresh simulator fails, with the same message and before any record."""
+    services, template = seven_services(), seven_template()
+    document = serialize_scenario(Scenario(services, template, UniformLatency(1.0), events))
+    try:
+        parse_scenario(document)
+        parsed = None
+    except ScenarioFormatError as exc:
+        parsed = str(exc)
+    net = Simulator(UniformLatency(1.0))
+    try:
+        run_scenario(services, template, events, net)
+        replayed = None
+    except ValueError as exc:
+        replayed = str(exc)
+        assert (net.trace_records(), net.clock) == ([], 0.0)
+    assert parsed == replayed
 
 
 def test_run_scenario_hands_assemble_only_template_typed_services(monkeypatch):
@@ -1339,7 +1393,7 @@ def test_deferred_trace_matches_the_eager_trace(world, matrix, data):
     """``build_simulator`` announces some of the initial services and
     ``run_scenario`` the rest, over seeded or matrix links of non-dyadic
     values; both simulators must write the same trace and timeline."""
-    services, template, events, seed, budget = world
+    services, template, events, seed, budget, _latency = world
     prebuilt = data.draw(st.lists(st.sampled_from(services), unique=True))
     ids = [s.id for s in services] + [e.service.id for e in events if e.service is not None]
     rng = random.Random(seed)

@@ -224,6 +224,33 @@ def test_duplicate_initial_ids_are_rejected_before_any_record(example7):
     assert net.trace_records() == []
 
 
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (ScenarioEvent.disappears(2.0, "ZZ"), "events[1]: service 'ZZ' is not live"),
+        (ScenarioEvent.disappears(2.0, "B3"), "events[1]: service 'B3' is not live"),
+        (ScenarioEvent.inject_out_contract(2.0, "ZZ"), "events[1]: service 'ZZ' is not live"),
+        (ScenarioEvent.appears(2.0, ServiceDescriptor("B2", "tB", 1.0, 1)),
+         "events[1]: service 'B2' is already live"),
+        (ScenarioEvent.link_degrades(2.0, "A1", "B3", 9.0), "events[1]: service 'B3' is not live"),
+        (ScenarioEvent.link_degrades(2.0, "ZZ", "B1", 9.0), "events[1]: service 'ZZ' is not live"),
+    ],
+    ids=["unknown", "withdrawn", "inject-unknown", "re-announced", "link-to-withdrawn",
+         "link-from-unknown"],
+)
+def test_an_event_on_an_id_not_live_is_rejected_before_any_record(example7, second, message):
+    services, template = example7
+    events = [ScenarioEvent.disappears(1.0, "B3"), second]
+    for net in (Simulator(UniformLatency(0.0)), make_net(services)):
+        announced = net.trace_records()
+        with pytest.raises(ValueError) as info:
+            run_scenario(services, template, events, net)
+        assert str(info.value) == message
+        assert net.trace_records() == announced
+        assert net.clock == 0.0
+        assert net.is_live("B3") == bool(announced)  # announced before the call, not withdrawn
+
+
 def test_timeline_log_shape(example7):
     services, template = example7
     events = [ScenarioEvent.disappears(100.0, "B3")]

@@ -169,7 +169,8 @@ def _appears(at, sid):
         # The order check comes first, so its message is unchanged.
         ([{"at_ms": 2, "kind": "service_disappears", "id": "ZZ"},
           {"at_ms": 1, "kind": "service_disappears", "id": "ZZ"}],
-         "events: not sorted by at_ms"),
+         "event at t=1.0 does not follow t=2.0: events must be sorted by time"
+         " and come no earlier than the simulator clock"),
     ],
 )
 def test_events_on_ids_not_live_at_their_time_rejected(events, message):
