@@ -157,7 +157,8 @@ def build_binding_graph(
     to the paired type's services with one :meth:`Simulator.measure_links`
     call, which skips the targets it cannot see, so the cost follows the
     template's services rather than the registry size.  Each measured
-    value is checked once, as :meth:`QoSMatrix.set` checks it.
+    value is checked once, as :meth:`QoSMatrix.set` checks it, and kept in
+    flood order (sender, pair, target id), which :func:`assemble` indexes.
     :func:`assemble` passes the template's ``facts``, checked once.
     """
     if facts is None:
@@ -217,7 +218,8 @@ def enumerate_candidates(
         raise ValueError(f"start {start_id!r} is not a node of the binding graph")
     if svc[start_id].type != template.starting_type():
         raise ValueError(f"service {start_id!r} is not of the starting type")
-    return _candidates(_index(graph, svc, links), _facts(template), start_id, svc)
+    picks = [(e, links.get(*e) if e in links else _MissingLink(e)) for e in sorted(graph.edges)]
+    return _candidates(_index(picks, svc), _facts(template), start_id, svc)
 
 
 _Edge = tuple[str, str]
@@ -241,23 +243,15 @@ class _MissingLink:
         raise MissingLinkQoS(*self.edge)
 
 
-def _index(graph: AssemblyGraph, svc: _Services, links: QoSMatrix) -> _Successors:
-    """Each node's out edges grouped by target type and sorted by target
-    for determinism, each with its link time: one :meth:`QoSMatrix.get`
-    per edge, a :class:`_MissingLink` where there is none.  The edge tuples
-    are the graph's own, which candidates share."""
-    lookup = links.get
+def _index(picks: Iterable[_Pick], svc: _Services) -> _Successors:
+    """Each node's picks grouped by target type, in the order given: the
+    flood's table in its insertion order (sender, pair, target id), or
+    sorted edges, each with its link time or a :class:`_MissingLink`, so
+    each group comes out sorted by target.  Candidates share the edge tuples."""
     succ_by_type: dict[str, dict[str, list[_Pick]]] = {}
-    for edge in graph.edges:
-        a, b = edge
-        try:
-            ms = lookup(a, b)
-        except MissingLinkQoS:
-            ms = _MissingLink(edge)
-        succ_by_type.setdefault(a, {}).setdefault(svc[b].type, []).append((edge, ms))
-    for groups in succ_by_type.values():
-        for picks in groups.values():
-            picks.sort(key=lambda pick: pick[0][1])  # by target: faster than comparing edges
+    for pick in picks:
+        a, b = pick[0]
+        succ_by_type.setdefault(a, {}).setdefault(svc[b].type, []).append(pick)
     return succ_by_type
 
 
@@ -643,7 +637,7 @@ def assemble(
     svc = service_map(services)
     graph, links = build_binding_graph(svc, template, net, facts=facts)
     start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == facts.start_type)
-    succ_by_type = _index(graph, svc, links)
+    succ_by_type = _index(links._entries.items(), svc)  # the flood's table, in flood order
     lower = _least_costs(succ_by_type, facts, svc, graph.nodes)
     per_start: dict[str, Sequence[CandidateSubgraph]] = {}
     for sid in start_ids:

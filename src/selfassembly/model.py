@@ -79,6 +79,10 @@ class ServiceDescriptor(_ServiceFields):
             raise ValueError(f"threshold must be >= 1, got {threshold}")
         return tuple.__new__(cls, (id, type, qos_nominal, threshold))
 
+    # ``_unchecked(fields)``: a descriptor of the 4-tuple ``fields``, which
+    # the caller has already checked as ``__new__`` does; no Python call.
+    _unchecked = classmethod(tuple.__new__)
+
     @classmethod
     def _make(cls, iterable) -> "ServiceDescriptor":  # so that _replace validates too
         return cls(*iterable)
@@ -232,7 +236,7 @@ class AssemblyGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", frozenset((a, b) for a, b in self.edges))
+        object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))  # the given tuples
         for a, b in self.edges:
             if a not in self.nodes or b not in self.nodes:
                 raise ValueError(f"edge ({a!r}, {b!r}) references a node outside the graph")

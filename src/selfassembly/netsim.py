@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, KeysView, Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 
 from .errors import DuplicateId, LatencyUndefined, PeerUnknown
 from .model import ServiceDescriptor
@@ -99,6 +101,8 @@ class SeededLatency:
 
 LatencyModel = UniformLatency | MatrixLatency | SeededLatency
 
+_ID = attrgetter("id")
+
 
 class Simulator:
     """Single-threaded peer-network simulator with one logical clock.
@@ -121,37 +125,49 @@ class Simulator:
     def __init__(self, latency: LatencyModel | None = None, *, trace: bool = True):
         self.clock = 0.0
         self.latency = latency if latency is not None else UniformLatency(0.0)
-        self._live: set[str] = set()
+        self._live: dict[str, None] = {}  # the ids of the live peers
         self._overrides: dict[tuple[str, str], float] = {}
         self._trace_enabled = trace
         self._trace: list[dict | tuple] = []  # records, or tuples for _render
 
     # ------------------------------------------------------------------ registry
 
-    def announce(self, service: ServiceDescriptor) -> None:
-        """Register a peer, visible from now on; its descriptor is only traced."""
-        sid = service.id
-        if sid in self._live:
-            raise DuplicateId(f"service {sid!r} is already announced")
-        self._live.add(sid)
+    def announce(self, *services: ServiceDescriptor) -> None:
+        """Register one or many peers, visible from now on; each descriptor is
+        only traced, in argument order.  Atomic: if an id repeats, in the call
+        or the registry, :class:`DuplicateId` names the first repeat in
+        argument order, as single calls would, and nothing changes."""
+        live = self._live
+        fresh = dict.fromkeys(map(_ID, services))
+        if len(fresh) != len(services) or not live.keys().isdisjoint(fresh):
+            seen = set()
+            for sid in map(_ID, services):
+                if sid in live or sid in seen:
+                    raise DuplicateId(f"service {sid!r} is already announced")
+                seen.add(sid)
+        live.update(fresh)
         if self._trace_enabled:
-            self._trace.append((self.clock, service))
+            self._trace.extend(zip(repeat(self.clock), services))
 
     def withdraw(self, service_id: str) -> None:
         """Remove a peer; it disappears from every later view."""
         if service_id not in self._live:
             raise PeerUnknown(f"service {service_id!r} is not live")
-        self._live.remove(service_id)
+        del self._live[service_id]
         self.log_event("withdraw", service_id, None)
 
     def is_live(self, service_id: str) -> bool:
         return service_id in self._live
 
+    def live_ids(self) -> KeysView[str]:
+        """The ids of every live peer: a read-only view of the registry."""
+        return self._live.keys()
+
     def visible_peers(self, observer_id: str) -> set[str]:
         """Ids of every live peer, excluding the observer's own."""
         if observer_id not in self._live:
             raise PeerUnknown(f"observer {observer_id!r} is not live")
-        return self._live - {observer_id}
+        return self._live.keys() - {observer_id}
 
     # ------------------------------------------------------------------ links
 

@@ -170,10 +170,10 @@ def timeline_jsonl(timeline: Iterable[TimelineEntry]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _check_events(events: list[ScenarioEvent], clock: float, initial_ids: Container[str]) -> None:
+def _check_events(events: list[ScenarioEvent], clock: float, live: Container[str]) -> None:
     """Raise ``ValueError`` unless each event is at or after the one before
     it and ``clock``, then unless each names ids live at its time (an
-    appearance one that is not); the live set starts as ``initial_ids``."""
+    appearance one that is not); the live set starts as ``live``."""
     times = [clock] + [event.at for event in events]
     for earlier, later in zip(times, times[1:]):
         if not later >= earlier:  # also rejects NaN
@@ -185,7 +185,7 @@ def _check_events(events: list[ScenarioEvent], clock: float, initial_ids: Contai
     for idx, event in enumerate(events):
         if event.kind is EventKind.SERVICE_APPEARS:
             sid = event.service.id
-            if changed.get(sid, sid in initial_ids):
+            if changed.get(sid, sid in live):
                 raise ValueError(f"events[{idx}]: service {sid!r} is already live")
             changed[sid] = True
             continue
@@ -193,7 +193,7 @@ def _check_events(events: list[ScenarioEvent], clock: float, initial_ids: Contai
         if event.kind is EventKind.LINK_DEGRADES:
             named = (event.link_from, event.link_to)
         for sid in named:
-            if not changed.get(sid, sid in initial_ids):
+            if not changed.get(sid, sid in live):
                 raise ValueError(f"events[{idx}]: service {sid!r} is not live")
         if event.kind is EventKind.SERVICE_DISAPPEARS:
             changed[event.service_id] = False
@@ -216,25 +216,29 @@ def run_scenario(
     service reported out of contract is left out of the re-run it
     triggers, but stays available afterwards.  Infeasible re-runs are
     recorded and the loop continues.  Initial services not yet live on
-    ``net`` are announced first, in id order.  Every timeline entry and
-    trace record is stamped with ``net.clock``, so events must be sorted by
-    time and none may come before the clock.  Events that break this, or
-    name an id not live among the initial services and the events before
-    them, raise ``ValueError`` before anything is announced or recorded.
+    ``net`` are announced first, in id order, in one call.  Every timeline
+    entry and trace record is stamped with ``net.clock``, so events must be
+    sorted by time and none may come before the clock.  Events that break
+    this, or name an id not live on ``net``, among the initial services or
+    after the events before them, raise ``ValueError`` before anything is
+    announced or recorded.
     """
     events = list(events)
     initial = list(initial_services)
-    live = service_map(initial)
-    _check_events(events, net.clock, live)
+    ids = {d.id for d in initial}
+    if len(ids) != len(initial):
+        service_map(initial)  # raises, naming the first repeated id
+    held = net.live_ids()
+    missing = ids - held
+    _check_events(events, net.clock, held | missing if missing else held)
     report = validate_template(template)
     if not report.ok:
         raise TemplateInvalid(report)
 
-    is_live = net.is_live
-    for sid in sorted(sid for sid in live if not is_live(sid)):
-        net.announce(live[sid])
+    if missing:
+        net.announce(*sorted([d for d in initial if d.id in missing]))  # by id: ids are unique
     types = template.types()
-    typed = dict(sorted((d.id, d) for d in initial if d.type in types))  # those that can bind
+    typed = dict(sorted([(d.id, d) for d in initial if d.type in types]))  # those that can bind
 
     timeline: list[TimelineEntry] = []
     committed: AssemblyResult | None = None

@@ -11,7 +11,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any
 
 from .errors import ScenarioFormatError
@@ -244,27 +244,27 @@ def parse_scenario(document: str | dict) -> Scenario:
     raw_services = obj["services"]
     if not isinstance(raw_services, list):
         raise ScenarioFormatError("services: expected a list")
-    services = []
-    for idx, entry in enumerate(raw_services):
-        # A plain entry of the four keys, of the types JSON decodes them to and
-        # no +inf, goes straight to the descriptor, which checks the values; any
-        # other, or one the descriptor rejects, is checked key by key.
+    services: list[ServiceDescriptor] = []
+    fields_of = itemgetter("id", "type", "qos_ms", "threshold")
+    unchecked = ServiceDescriptor._unchecked
+    for entry in raw_services:
+        # A plain entry of the four keys, of the types JSON decodes them to, is
+        # checked here once, as the descriptor checks it: non-empty strings, a
+        # threshold >= 1 and a finite qos >= 0.  Any other is checked key by key.
         if type(entry) is dict and len(entry) == 4:
             try:
-                sid, kind, qos = entry["id"], entry["type"], entry["qos_ms"]
-                threshold = entry["threshold"]
-                if (
-                    type(sid) is str
-                    and type(kind) is str
-                    and type(threshold) is int
-                    and (type(qos) is float and qos != math.inf or type(qos) is int)
-                ):
-                    services.append(ServiceDescriptor(sid, kind, float(qos), threshold))
-                    continue
-            except (KeyError, ValueError, OverflowError):
+                sid, kind, qos, threshold = fields_of(entry)
+                qos = float(qos) if type(qos) is int else qos
+            except (KeyError, OverflowError):
                 pass
-        services.append(_parse_service(entry, f"services[{idx}]"))
-    live = {s.id for s in services}
+            else:
+                if (type(sid) is str and sid and type(kind) is str and kind
+                        and type(threshold) is int and threshold >= 1
+                        and type(qos) is float and 0 <= qos < math.inf):
+                    services.append(unchecked((sid, kind, qos, threshold)))
+                    continue
+        services.append(_parse_service(entry, f"services[{len(services)}]"))
+    live = set(map(itemgetter(0), services))
     if len(live) != len(services):
         raise ScenarioFormatError("services: duplicate ids")
     template = _parse_template(obj["template"])
@@ -360,8 +360,7 @@ def write_scenario(scenario: Scenario, path) -> None:
 def build_simulator(scenario: Scenario, *, trace: bool = True) -> Simulator:
     """A fresh simulator with every scenario service announced at time zero."""
     net = Simulator(scenario.links, trace=trace)
-    for descriptor in sorted(scenario.services, key=attrgetter("id")):
-        net.announce(descriptor)
+    net.announce(*sorted(scenario.services, key=attrgetter("id")))
     return net
 
 

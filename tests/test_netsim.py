@@ -40,6 +40,63 @@ def test_duplicate_announce_rejected():
         net.announce(ServiceDescriptor("A1", "tA", 2.0, 1))
 
 
+def test_one_announce_of_a_batch_equals_single_announces():
+    services = seven_services()
+    batched, single = Simulator(), Simulator()
+    batched.announce(*services[:4])
+    batched.advance(2.5)
+    batched.announce(*services[4:])
+    for service in services[:4]:
+        single.announce(service)
+    single.advance(2.5)
+    for service in services[4:]:
+        single.announce(service)
+    assert set(batched.live_ids()) == set(single.live_ids()) == {s.id for s in services}
+    assert batched.trace_jsonl() == single.trace_jsonl()
+    assert [r["from"] for r in batched.trace_records()] == [s.id for s in services]
+
+
+def _first_single_failure(net_factory, batch):
+    net = net_factory()
+    for service in batch:
+        try:
+            net.announce(service)
+        except DuplicateId as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "ids, first",
+    [
+        (["N1", "N2", "N1"], "N1"),  # repeated within the batch
+        (["N1", "A1", "N2"], "A1"),  # already in the registry
+        (["N1", "N2", "N2", "A1"], "N2"),  # a batch repeat before a registry one
+        (["N1", "A1", "N1"], "A1"),  # a registry repeat before a batch one
+    ],
+)
+def test_a_batch_with_a_repeated_id_changes_nothing(ids, first):
+    batch = [ServiceDescriptor(sid, "tB", 1.0, 1) for sid in ids]
+
+    def registry():
+        return make_net(seven_services())
+
+    net = registry()
+    before = (set(net.live_ids()), net.trace_jsonl())
+    with pytest.raises(DuplicateId) as info:
+        net.announce(*batch)
+    assert str(info.value) == f"service {first!r} is already announced"
+    assert str(info.value) == _first_single_failure(registry, batch)
+    assert (set(net.live_ids()), net.trace_jsonl()) == before
+
+
+def test_announce_with_no_services_does_nothing():
+    net = make_net(seven_services())
+    before = (set(net.live_ids()), net.trace_jsonl())
+    net.announce()
+    assert (set(net.live_ids()), net.trace_jsonl()) == before
+
+
 def test_withdraw_unknown_peer():
     with pytest.raises(PeerUnknown):
         Simulator().withdraw("ghost")

@@ -407,6 +407,41 @@ def test_point_query_flood_matches_the_view_scan(world):
     assert _outcome(build_binding_graph, world) == _outcome(reference_flood, world)
 
 
+@settings(max_examples=200, deadline=None)
+@given(flood_worlds())
+def test_assemble_indexes_the_flood_table_as_the_reference_regroups_the_graph(world):
+    """The index ``assemble`` builds from the flood's table, in the table's
+    order, holds per sender and target type the reference index's targets
+    in order, each with its ``links.get`` time and the graph's own edge."""
+    services, template = world[0], world[1]
+    seen = []
+
+    def spy(real):
+        def call(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+        return call
+
+    with mock.patch.object(assembler, "build_binding_graph", spy(build_binding_graph)), \
+            mock.patch.object(assembler, "_index", spy(_index)):
+        try:
+            assemble(services, template, _flood_net(world))
+        except (PeerUnknown, NoStartingService, InsufficientServices, Infeasible):
+            pass
+    if len(seen) < 2:
+        return  # the flood raised before anything was indexed
+    (graph, links), index = seen
+    old_succ, shared_edge = reference_index(graph, service_map(services))
+    assert index == {
+        a: {t: [(shared_edge[(a, b)], links.get(a, b)) for b in targets] for t, targets in groups.items()}
+        for a, groups in old_succ.items()
+    }
+    assert all(
+        edge is shared_edge[edge]
+        for groups in index.values() for picks in groups.values() for edge, _ in picks
+    )
+
+
 def test_flood_from_a_sender_that_is_not_live_raises():
     services = [ServiceDescriptor("A1", "tA", 1.0, 1), ServiceDescriptor("B1", "tB", 1.0, 1)]
     template = ApplicationTemplate((("tA", "tB"),), (1,))
@@ -607,7 +642,7 @@ def test_least_cost_plateaus_are_exact_prefixes_of_the_full_lists(instance, data
     services, template, table = instance
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
-    succ = _index(graph, svc, links)
+    succ = _index(links._entries.items(), svc)
     facts = _facts(template)
     lower = _least_costs(succ, facts, svc, graph.nodes)
     for sid, full in _full_lists(services, template, graph, links).items():
@@ -700,7 +735,7 @@ def test_counted_length_equals_the_full_list_length(instance):
     graph, links = build_binding_graph(services, template, make_net(services, latency))
     full = _full_lists(services, template, graph, links)
     svc = service_map(services)
-    succ = _index(graph, svc, links)
+    succ = _index(links._entries.items(), svc)
     short = {sid: pool for sid, pool in full.items() if isinstance(pool, InsufficientServices)}
     for sid, exc in short.items():
         with pytest.raises(InsufficientServices, match=f"^{re.escape(str(exc))}$"):
@@ -789,7 +824,7 @@ def test_walker_matches_the_recursive_search(instance, data):
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
     facts = _facts(template)
-    succ = _index(graph, svc, links)
+    succ = _index(links._entries.items(), svc)
     lower = _least_costs(succ, facts, svc, graph.nodes)
     old_succ, shared_edge = reference_index(graph, svc)
     old_lower = reference_least_costs(old_succ, links, facts, svc, graph.nodes)
@@ -891,7 +926,7 @@ def test_walker_prices_a_sink_that_a_binder_above_the_deepest_level_picks():
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
     facts = _facts(template)
-    succ = _index(graph, svc, links)
+    succ = _index(links._entries.items(), svc)
     full = _candidates(succ, facts, "A", svc)
     assert len(full) == 8 == _count(succ, facts, "A", svc)
     old_succ, shared_edge = reference_index(graph, svc)
@@ -962,7 +997,7 @@ def test_a_node_picked_by_two_binders_keeps_the_smaller_headroom(tight):
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
     facts = _facts(template)
-    succ = _index(graph, svc, links)
+    succ = _index(links._entries.items(), svc)
     lower = _least_costs(succ, facts, svc, graph.nodes)
     full = _candidates(succ, facts, "A", svc)
     plateau = _candidates(succ, facts, "A", svc, lower, lower["A"])
@@ -1050,8 +1085,10 @@ ODD_VALUES = {
     "id": ["", "x", "1", None, 1, True, []],
     "type": ["", "tZ", None, 2.5, ["tA"]],
     "qos_ms": [True, False, "2", None, math.nan, -0.5, -1e-300, -0.0, 0, 10 ** 20, math.inf,
-               -math.inf, _Int(2), _Float(1.5), 10 ** 400, -(10 ** 400)],
-    "threshold": [True, False, 1.0, 2.5, "1", None, 0, -1, 10 ** 20, _Int(2), _Float(2.0)],
+               -math.inf, _Int(2), _Float(1.5), 10 ** 400, -(10 ** 400),
+               5e-324, 1.7976931348623157e308, 2 ** 1023],
+    "threshold": [True, False, 1.0, 2.5, "1", None, 0, -1, 10 ** 20, _Int(2), _Float(2.0),
+                  2 ** 63],
 }
 
 
@@ -1350,17 +1387,20 @@ class EagerTraceSimulator(Simulator):
     when the event happens, instead of a tuple rendered when the trace is
     read."""
 
-    def announce(self, service):
-        sid = service.id
-        if sid in self._live:
-            raise DuplicateId(f"service {sid!r} is already announced")
-        self._live.add(sid)
-        detail = {
-            "type": service.type, "qos_ms": service.qos_nominal, "threshold": service.threshold
-        }
-        self._trace.append(
-            {"t": self.clock, "kind": "announce", "from": sid, "to": None, "detail": detail}
-        )
+    def announce(self, *services):
+        seen = set()
+        for service in services:  # nothing is registered if an id repeats
+            if service.id in self._live or service.id in seen:
+                raise DuplicateId(f"service {service.id!r} is already announced")
+            seen.add(service.id)
+        for service in services:
+            self._live[service.id] = None
+            detail = {
+                "type": service.type, "qos_ms": service.qos_nominal, "threshold": service.threshold
+            }
+            self._trace.append(
+                {"t": self.clock, "kind": "announce", "from": service.id, "to": None, "detail": detail}
+            )
 
     def measure_links(self, from_id, to_ids):
         if not self.is_live(from_id):

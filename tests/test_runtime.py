@@ -251,6 +251,22 @@ def test_an_event_on_an_id_not_live_is_rejected_before_any_record(example7, seco
         assert net.is_live("B3") == bool(announced)  # announced before the call, not withdrawn
 
 
+def test_events_are_checked_against_the_ids_net_already_holds(example7):
+    services, template = example7
+    extra = ServiceDescriptor("X1", "tB", 1.0, 1)
+    net = make_net(services + [extra])  # X1 is live on net, not an initial service
+    announced = net.trace_records()
+    events = [ScenarioEvent.disappears(1.0, "B3"), ScenarioEvent.appears(2.0, extra)]
+    with pytest.raises(ValueError) as info:
+        run_scenario(services, template, events, net)
+    assert str(info.value) == "events[1]: service 'X1' is already live"
+    assert (net.clock, net.is_live("B3"), net.trace_records()) == (0.0, True, announced)
+
+    timeline = run_scenario(services, template, [ScenarioEvent.disappears(1.0, "X1")], net)
+    assert [entry.trigger for entry in timeline] == ["initial"]
+    assert not net.is_live("X1")
+
+
 def test_timeline_log_shape(example7):
     services, template = example7
     events = [ScenarioEvent.disappears(100.0, "B3")]

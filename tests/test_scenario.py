@@ -288,6 +288,42 @@ def test_integer_too_large_for_a_float_names_its_field(change, field, error):
     assert str(info.value) == f"{field}: {error}"
 
 
+# A plain service entry is checked once, where it is parsed, by the rules the
+# descriptor applies: each boundary value either way, as JSON text.
+@pytest.mark.parametrize(
+    "field, value, outcome",
+    [
+        ("id", "", "service id must be non-empty"),
+        ("type", "", "service type must be non-empty"),
+        ("threshold", 0, "threshold must be >= 1, got 0"),
+        ("threshold", 1, 1),
+        ("threshold", 2 ** 63, 2 ** 63),
+        ("qos_ms", -5e-324, "qos_nominal must be >= 0, got -5e-324"),
+        ("qos_ms", -1, "qos_nominal must be >= 0, got -1.0"),
+        ("qos_ms", NAN, "qos_nominal must be >= 0, got nan"),
+        ("qos_ms", -0.0, -0.0),
+        ("qos_ms", 0, 0.0),
+        ("qos_ms", 5e-324, 5e-324),
+        ("qos_ms", 1.7976931348623157e308, 1.7976931348623157e308),
+        ("qos_ms", 2 ** 1023, float(2 ** 1023)),
+    ],
+    ids=["empty-id", "empty-type", "threshold-0", "threshold-1", "threshold-2**63",
+         "qos--5e-324", "qos--1", "qos-nan", "qos--0.0", "qos-int-0", "qos-5e-324",
+         "qos-largest-float", "qos-2**1023"],
+)
+def test_a_plain_service_entry_is_checked_as_the_descriptor_checks_it(field, value, outcome):
+    document = _with_events()
+    document["services"][1][field] = value
+    if isinstance(outcome, str):
+        with pytest.raises(ScenarioFormatError) as info:
+            parse_scenario(json.dumps(document))
+        assert str(info.value) == f"services[1]: {outcome}"
+        return
+    parsed = parse_scenario(json.dumps(document)).services[1]
+    assert repr(getattr(parsed, "qos_nominal" if field == "qos_ms" else field)) == repr(outcome)
+    assert parsed == ServiceDescriptor(*parsed)
+
+
 def test_integer_with_too_many_digits_rejected():
     # json.loads itself refuses to convert an integer of over 4300 digits.
     text = json.dumps(_with_events()).replace('"qos_ms": 1', '"qos_ms": ' + "9" * 5000, 1)
