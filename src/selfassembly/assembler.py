@@ -21,7 +21,8 @@ Assembly proceeds in three stages:
    distinct inbound bindings within its threshold.  Loads are updated per
    placed candidate, and a prefix of starts that already overloads a
    service is skipped with every combination below it, which still counts
-   as tested.
+   as tested.  Selection reads each start's pool only by ``item(i)`` and
+   ``length()``, and wraps plain lists and tuples without a copy.
 
 The search is exhaustive but capped: it settles for the first feasible
 combination rather than a globally optimal one, which the ascending sort
@@ -497,12 +498,31 @@ def _count(succ_by_type: _Successors, facts: _TemplateFacts, start_id: str, svc:
     )
 
 
-def _item(pool: Sequence[CandidateSubgraph], index: int) -> CandidateSubgraph | None:
-    """``pool[index]``, or ``None`` past the end of the pool."""
-    try:
-        return pool[index]
-    except IndexError:
-        return None
+class _Pool:
+    """One start's candidates, as selection reads them: a plain sequence,
+    uncopied, or a list of :func:`assemble`, which holds its least-cost
+    plateau, counts its length once, and lists in full only when an item
+    past the plateau is asked for."""
+
+    __slots__ = ("_items", "_complete", "_count", "_length")
+
+    def __init__(self, items: Sequence[CandidateSubgraph], complete=None, count=None) -> None:
+        self._items = items
+        self._complete: Callable[[], list[CandidateSubgraph]] | None = complete  # the full list
+        self._count: Callable[[], int] | None = count  # its length, without listing
+        self._length = len(items) if complete is None else None
+
+    def item(self, index: int) -> CandidateSubgraph | None:
+        """The candidate of rank ``index``, or ``None`` past the end."""
+        if index >= len(self._items) and self._complete is not None:
+            self._items, self._complete = self._complete(), None
+            self._length = len(self._items)
+        return self._items[index] if index < len(self._items) else None
+
+    def length(self) -> int:
+        if self._length is None:
+            self._length = self._count()
+        return self._length
 
 
 def select_assembly(
@@ -527,11 +547,9 @@ def select_assembly(
     infeasible; the whole subtree is skipped and counted as tested
     without being built.  ``combinations_tested``, the :class:`Infeasible`
     count and the point where the budget runs out are therefore exactly
-    those of testing every combination one by one.  A list is asked for
-    its length only when a subtree below it is skipped, and for an item
-    only when the odometer reaches it.  For the lazy lists of
-    :func:`assemble`, lengths are counted; the full list is built only
-    when the odometer reaches an item past the plateau.
+    those of testing every combination one by one.  Each list is read as
+    a :class:`_Pool`: asked for its ``length()`` only when a subtree below
+    it is skipped, and for an ``item(i)`` only when the odometer reaches it.
 
     Raises :class:`Infeasible` after exhausting every combination and
     :class:`CombinationBudgetExceeded` if ``budget`` combinations were
@@ -540,9 +558,9 @@ def select_assembly(
     if not per_start:
         raise ValueError("no starting services to combine")
     start_ids = sorted(per_start)
-    pools = [per_start[sid] for sid in start_ids]
-    for sid, candidates in zip(start_ids, pools):
-        if not candidates:
+    pools = [p if isinstance(p, _Pool) else _Pool(p) for p in map(per_start.get, start_ids)]
+    for sid, pool in zip(start_ids, pools):
+        if pool.item(0) is None:
             raise ValueError(f"start {sid!r} has an empty candidate list")
 
     svc = service_map(services)
@@ -582,30 +600,30 @@ def select_assembly(
     chosen = [0] * len(pools)
     position = 0
     tested = 0
-    candidate = pools[0][0]
+    candidate = pools[0].item(0)
     while True:
         place(candidate)
         if not overloaded and position < last:
             position += 1
             chosen[position] = 0
-            candidate = pools[position][0]
+            candidate = pools[position].item(0)
             continue
         # A full feasible combination, or a prefix none of whose
         # combinations can be feasible: count them all as tested.
-        size = math.prod(len(pool) for pool in pools[position + 1:])
+        size = math.prod(pool.length() for pool in pools[position + 1:])
         if tested + size > budget:
             raise CombinationBudgetExceeded(budget)
         tested += size
         if not overloaded:
             break
         remove(candidate)
-        candidate = _item(pools[position], chosen[position] + 1)
+        candidate = pools[position].item(chosen[position] + 1)
         while candidate is None:
             position -= 1
             if position < 0:
                 raise Infeasible(tested)
-            remove(pools[position][chosen[position]])
-            candidate = _item(pools[position], chosen[position] + 1)
+            remove(pools[position].item(chosen[position]))
+            candidate = pools[position].item(chosen[position] + 1)
         chosen[position] += 1
 
     union_edges = frozenset(edge for edge, held in holders.items() if held)
@@ -613,7 +631,7 @@ def select_assembly(
     for a, b in union_edges:
         nodes.add(a)
         nodes.add(b)
-    combo = {sid: pool[index] for sid, pool, index in zip(start_ids, pools, chosen)}
+    combo = {sid: pool.item(index) for sid, pool, index in zip(start_ids, pools, chosen)}
     per_load = {node: loads.get(node, 0) for node in sorted(nodes)}
     return AssemblyResult(AssemblyGraph(frozenset(nodes), union_edges), combo, tested, per_load)
 
@@ -639,54 +657,12 @@ def assemble(
     start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == facts.start_type)
     succ_by_type = _index(links._entries.items(), svc)  # the flood's table, in flood order
     lower = _least_costs(succ_by_type, facts, svc, graph.nodes)
-    per_start: dict[str, Sequence[CandidateSubgraph]] = {}
+    per_start: dict[str, _Pool | list[CandidateSubgraph]] = {}
     for sid in start_ids:
-        cutoff = lower[sid]
-        if cutoff is None:
-            per_start[sid] = _candidates(succ_by_type, facts, sid, svc)
-            continue
-        plateau = _candidates(succ_by_type, facts, sid, svc, lower, cutoff)
-        complete = partial(_candidates, succ_by_type, facts, sid, svc)
-        count = partial(_count, succ_by_type, facts, sid, svc)
-        per_start[sid] = _LazyCandidates(plateau, complete, count)
+        walk = (succ_by_type, facts, sid, svc)
+        if lower[sid] is None:
+            per_start[sid] = _candidates(*walk)
+        else:
+            plateau = _candidates(*walk, lower, lower[sid])
+            per_start[sid] = _Pool(plateau, partial(_candidates, *walk), partial(_count, *walk))
     return select_assembly(per_start, svc, budget=budget)
-
-
-class _LazyCandidates(Sequence):
-    """One start's candidate list that holds its least-cost plateau.
-    Lengths are counted; the full list is built only when the odometer
-    reaches an item past the plateau."""
-
-    __slots__ = ("_items", "_complete", "_count", "_length")
-
-    def __init__(
-        self,
-        prefix: list[CandidateSubgraph],
-        complete: Callable[[], list],
-        count: Callable[[], int],
-    ) -> None:
-        self._items = prefix
-        self._complete: Callable[[], list] | None = complete
-        self._count = count
-        self._length: int | None = None
-
-    def _full(self) -> list[CandidateSubgraph]:
-        if self._complete is not None:
-            self._items = self._complete()
-            self._complete = None
-        return self._items
-
-    def __getitem__(self, index):
-        if isinstance(index, int) and 0 <= index < len(self._items):
-            return self._items[index]
-        return self._full()[index]
-
-    def __len__(self) -> int:
-        if self._complete is None:
-            return len(self._items)
-        if self._length is None:
-            self._length = self._count()
-        return self._length
-
-    def __bool__(self) -> bool:
-        return bool(self._items) or bool(self._full())

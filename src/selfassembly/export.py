@@ -8,8 +8,12 @@ from .assembler import AssemblyResult
 from .model import QoSMatrix, ServiceDescriptor, service_map
 
 
+def _escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _quote(identifier: str) -> str:
-    return '"' + identifier.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return f'"{_escape(identifier)}"'
 
 
 def assembly_to_dot(
@@ -24,7 +28,7 @@ def assembly_to_dot(
     for node in sorted(result.assembly.nodes):
         descriptor = svc[node]
         label = (
-            f"{descriptor.id}\\n{descriptor.type} "
+            f"{_escape(descriptor.id)}\\n{_escape(descriptor.type)} "
             f"qos={descriptor.qos_nominal:g} thr={descriptor.threshold}"
         )
         lines.append(f"  {_quote(node)} [label=\"{label}\"];")

@@ -156,9 +156,6 @@ class Simulator:
         del self._live[service_id]
         self.log_event("withdraw", service_id, None)
 
-    def is_live(self, service_id: str) -> bool:
-        return service_id in self._live
-
     def live_ids(self) -> KeysView[str]:
         """The ids of every live peer: a read-only view of the registry."""
         return self._live.keys()

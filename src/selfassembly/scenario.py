@@ -83,6 +83,7 @@ def _parse_service(obj: Any, where: str) -> ServiceDescriptor:
     _check_keys(obj, {"id", "type", "qos_ms", "threshold"}, set(), where)
     if not isinstance(obj["id"], str) or not isinstance(obj["type"], str):
         raise ScenarioFormatError(f"{where}: id and type must be strings")
+    # ServiceDescriptor checks this too; here it names the field before qos_ms is checked.
     if isinstance(obj["threshold"], bool) or not isinstance(obj["threshold"], int):
         raise ScenarioFormatError(f"{where}: threshold must be an integer")
     try:

@@ -282,23 +282,27 @@ def _first_start_always_overloads(width):
 
 
 def test_select_skips_every_combination_below_an_overloaded_prefix():
-    # 10^9 combinations: only skipping whole subtrees finishes in time.
-    per_start, services = _first_start_always_overloads(1000)
-    began = time.perf_counter()
-    with pytest.raises(Infeasible) as info:
-        select_assembly(per_start, services, budget=10**9)
-    assert info.value.combinations_tested == 10**9
-    with pytest.raises(CombinationBudgetExceeded) as capped:
-        select_assembly(per_start, services)
-    assert capped.value.budget == DEFAULT_COMBINATION_BUDGET == 10_000_000
-    assert time.perf_counter() - began < 1.0
+    # 10^9 combinations: only skipping whole subtrees finishes in time,
+    # over lists and over tuples alike.
+    lists, services = _first_start_always_overloads(1000)
+    tuples = {sid: tuple(pool) for sid, pool in lists.items()}
+    for per_start in (lists, tuples):
+        began = time.perf_counter()
+        with pytest.raises(Infeasible) as info:
+            select_assembly(per_start, services, budget=10**9)
+        assert info.value.combinations_tested == 10**9
+        with pytest.raises(CombinationBudgetExceeded) as capped:
+            select_assembly(per_start, services)
+        assert capped.value.budget == DEFAULT_COMBINATION_BUDGET == 10_000_000
+        assert time.perf_counter() - began < 1.0
 
 
 def test_select_requires_candidates():
     with pytest.raises(ValueError):
         select_assembly({}, seven_services())
-    with pytest.raises(ValueError):
-        select_assembly({"A1": []}, seven_services())
+    for empty in ([], ()):
+        with pytest.raises(ValueError):
+            select_assembly({"A1": empty}, seven_services())
 
 
 # -------------------------------------------------------------------- assemble

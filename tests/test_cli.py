@@ -99,6 +99,9 @@ def test_assemble_writes_dot_and_json(tmp_path, capsys):
     dot_text = dot_path.read_text()
     _check_dot(dot_text)
     assert dot_text.count("->") == 9  # committed assembly, not the full fan-out
+    for s in seven_services():  # plain ids and types are written as they are
+        label = f"{s.id}\\n{s.type} qos={s.qos_nominal:g} thr={s.threshold}"
+        assert f'  "{s.id}" [label="{label}"];\n' in dot_text
 
     doc = json.loads(json_path.read_text())
     assert set(doc) == {
@@ -111,6 +114,47 @@ def test_assemble_writes_dot_and_json(tmp_path, capsys):
     }
     assert len(doc["nodes"]) == 7
     assert set(doc["chosen"]) == {"A1", "A2", "A3"}
+
+
+_DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+
+
+def _dot_unescape(quoted: str) -> str:
+    """A DOT label's text: ``\\n`` is a line break, any other escape its character."""
+    return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], quoted[1:-1])
+
+
+def test_dot_escapes_quotes_and_backslashes_in_ids_and_types(tmp_path):
+    # A document may name a service or a type with any non-empty string.
+    services = [
+        ServiceDescriptor('A"1', 't"A', 1.0, 1),
+        ServiceDescriptor("B\\1", "t\\B", 2.0, 1),
+        ServiceDescriptor('C\\"', 'tC"\\', 0.5, 1),
+        ServiceDescriptor("D\\n", "tD", 0.25, 1),
+    ]
+    template = ApplicationTemplate(
+        (('t"A', "t\\B"), ("t\\B", 'tC"\\'), ("t\\B", "tD")), (1, 1, 1)
+    )
+    scenario_path, dot_path = tmp_path / "quoted.json", tmp_path / "quoted.dot"
+    write_scenario(Scenario(services, template, UniformLatency(1.0), []), scenario_path)
+    assert main(["assemble", "--scenario", str(scenario_path), "--dot", str(dot_path)]) == 0
+
+    lines = dot_path.read_text().splitlines()
+    assert (lines[0], lines[-1]) == ("digraph assembly {", "}")
+    node_re = re.compile(rf"  ({_DOT_STRING}) \[label=({_DOT_STRING})\];")
+    edge_re = re.compile(rf"  ({_DOT_STRING}) -> ({_DOT_STRING}) \[label={_DOT_STRING}\];")
+    labels, edges = {}, set()
+    for line in lines[1:-1]:
+        node, edge = node_re.fullmatch(line), edge_re.fullmatch(line)
+        assert node or edge, line
+        if node:
+            labels[_dot_unescape(node[1])] = _dot_unescape(node[2])
+        else:
+            edges.add((_dot_unescape(edge[1]), _dot_unescape(edge[2])))
+    assert labels == {
+        s.id: f"{s.id}\n{s.type} qos={s.qos_nominal:g} thr={s.threshold}" for s in services
+    }
+    assert edges == {('A"1', "B\\1"), ("B\\1", 'C\\"'), ("B\\1", "D\\n")}
 
 
 def test_assemble_parse_error_exit_code(tmp_path):

@@ -30,7 +30,7 @@ def test_withdraw_removes_from_every_view():
     everyone = {s.id for s in seven_services()} - {"B3"}
     for observer in ("A1", "B1", "C1"):
         assert net.visible_peers(observer) == everyone - {observer}
-    assert not net.is_live("B3")
+    assert "B3" not in net.live_ids()
 
 
 def test_duplicate_announce_rejected():

@@ -386,7 +386,7 @@ def _flood_net(world):
         for descriptor in services:
             if rounds[descriptor.id] == round_:
                 net.announce(descriptor)
-    if withdrawn is not None and net.is_live(withdrawn):
+    if withdrawn is not None and withdrawn in net.live_ids():
         net.withdraw(withdrawn)
     return net
 
@@ -746,13 +746,12 @@ def test_counted_length_equals_the_full_list_length(instance):
     lazy = _lazy_lists(services, template, latency, calls)
     assert sorted(lazy) == sorted(full)
     for sid, pool in lazy.items():
-        assert len(pool) == len(full[sid])
+        assert pool.length() == len(full[sid])
         assert sid not in calls  # counted, not listed
-        with pytest.raises(IndexError):
-            pool[len(pool)]  # past the end: forces the full list
+        assert pool.item(pool.length()) is None  # past the end: forces the full list
         assert calls.count(sid) == 1
-        assert len(pool) == len(full[sid])
-        assert list(pool) == full[sid]
+        assert pool.length() == len(full[sid])
+        assert [pool.item(i) for i in range(pool.length())] == full[sid]
 
 
 def test_pruning_counts_later_starts_without_listing_them():
@@ -1165,7 +1164,7 @@ def reference_run_scenario(initial, template, events, net, *, budget=DEFAULT_COM
     registry, bystanders included, to ``assemble``."""
     live = {}
     for descriptor in sorted(initial, key=lambda s: s.id):
-        if not net.is_live(descriptor.id):
+        if descriptor.id not in net.live_ids():
             net.announce(descriptor)
         live[descriptor.id] = descriptor
     timeline = []
@@ -1403,11 +1402,11 @@ class EagerTraceSimulator(Simulator):
             )
 
     def measure_links(self, from_id, to_ids):
-        if not self.is_live(from_id):
+        if from_id not in self.live_ids():
             raise PeerUnknown(f"observer {from_id!r} is not live")
         measured = []
         for to_id in to_ids:
-            if not self.is_live(to_id) or to_id == from_id:
+            if to_id not in self.live_ids() or to_id == from_id:
                 continue
             try:
                 link_ms = self.link_latency(from_id, to_id)

@@ -248,7 +248,7 @@ def test_an_event_on_an_id_not_live_is_rejected_before_any_record(example7, seco
         assert str(info.value) == message
         assert net.trace_records() == announced
         assert net.clock == 0.0
-        assert net.is_live("B3") == bool(announced)  # announced before the call, not withdrawn
+        assert ("B3" in net.live_ids()) == bool(announced)  # announced before the call, not withdrawn
 
 
 def test_events_are_checked_against_the_ids_net_already_holds(example7):
@@ -260,11 +260,11 @@ def test_events_are_checked_against_the_ids_net_already_holds(example7):
     with pytest.raises(ValueError) as info:
         run_scenario(services, template, events, net)
     assert str(info.value) == "events[1]: service 'X1' is already live"
-    assert (net.clock, net.is_live("B3"), net.trace_records()) == (0.0, True, announced)
+    assert (net.clock, "B3" in net.live_ids(), net.trace_records()) == (0.0, True, announced)
 
     timeline = run_scenario(services, template, [ScenarioEvent.disappears(1.0, "X1")], net)
     assert [entry.trigger for entry in timeline] == ["initial"]
-    assert not net.is_live("X1")
+    assert "X1" not in net.live_ids()
 
 
 def test_timeline_log_shape(example7):
