@@ -14,7 +14,8 @@ Assembly proceeds in three stages:
    search is one iterative walk over the template's types.
    :func:`assemble` lists each start's least-cost plateau first, counts
    lengths with the same walk, and lists a start in full only when the
-   odometer reaches an item past its plateau.
+   odometer reaches an item past its plateau.  Given the record of the
+   attempt before, it keeps the pool of each start the change did not reach.
 3. :func:`select_assembly` walks combinations of one candidate per start
    (an odometer over the sorted lists, rightmost start varying fastest) and
    commits the first whose deduplicated union keeps every service's
@@ -257,19 +258,26 @@ def _index(picks: Iterable[_Pick], svc: _Services) -> _Successors:
 
 
 def _least_costs(
-    succ_by_type: _Successors, facts: _TemplateFacts, svc: _Services, nodes: Iterable[str]
-) -> dict[str, float | None]:
+    succ_by_type: _Successors, facts: _TemplateFacts, svc: _Services, nodes: Iterable[str],
+    previous: _Attempt | None = None,
+) -> tuple[dict[str, float | None], set[str]]:
     """The least cost of a candidate rooted at each node, or ``None`` when
     some node it must include lacks targets (listing it raises
-    :class:`InsufficientServices`).
+    :class:`InsufficientServices`), and the nodes that are clean.
 
     Bottom-up in reverse type order, a node's value is ``qos + max`` over
     its type pairs of the k-th smallest ``link + lower[target]`` (the
     largest for ALL, nothing for k=0), in the association of the candidate
     costs.  Float ``+`` and ``max`` are monotone, so a start's value is its
     cheapest candidate's cost bit for bit.
+
+    A node is clean when the ``previous`` attempt valued it, with the same
+    descriptor object and equal groups, and every target in them is clean:
+    it keeps its previous value, as its candidates are the previous ones.
     """
+    old_svc, old_groups, old_lower, _ = previous or ({}, {}, {}, {})
     lower: dict[str, float | None] = {}
+    clean: set[str] = set()
 
     def least(node: str, specs: list[tuple[str, Constraint]]) -> float | None:
         groups = succ_by_type.get(node, {})
@@ -293,14 +301,26 @@ def _least_costs(
         qos = svc[node].qos_nominal
         return qos if worst is None else qos + worst
 
+    def kept(node: str) -> bool:
+        groups = succ_by_type.get(node)
+        if old_svc.get(node) is not svc[node] or node not in old_lower or old_groups.get(node) != groups:
+            return False
+        return len(clean) == len(lower) or all(  # every node valued so far is clean, or its targets
+            t in clean for g in (groups or {}).values() for (_, t), _ in g
+        )
+
     by_type: dict[str, list[str]] = {}
     for node in nodes:
         by_type.setdefault(svc[node].type, []).append(node)
     for node_type in reversed(facts.order):
         specs = facts.specs[node_type]
         for node in by_type.get(node_type, ()):
-            lower[node] = least(node, specs) if specs else svc[node].qos_nominal
-    return lower
+            if previous and kept(node):
+                clean.add(node)
+                lower[node] = old_lower[node]
+            else:
+                lower[node] = least(node, specs) if specs else svc[node].qos_nominal
+    return lower, clean
 
 
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
@@ -525,6 +545,22 @@ class _Pool:
         return self._length
 
 
+_Attempt = tuple[_Services, _Successors, Mapping[str, float | None], Mapping[str, _Pool]]
+
+
+class _Reuse:
+    """What one :func:`assemble` leaves to the next over the same template:
+    the template's checked facts, and the descriptors, index, least costs
+    and pools of the last attempt that listed its plateaus, replaced only
+    as a whole."""
+
+    __slots__ = ("template", "facts", "attempt")
+
+    def __init__(self, template: ApplicationTemplate) -> None:
+        self.template, self.facts = template, _facts(template, check=True)
+        self.attempt: _Attempt | None = None
+
+
 def select_assembly(
     per_start: Mapping[str, Sequence[CandidateSubgraph]],
     services: Mapping[str, ServiceDescriptor] | Iterable[ServiceDescriptor],
@@ -642,6 +678,7 @@ def assemble(
     net: Simulator,
     *,
     budget: int = DEFAULT_COMBINATION_BUDGET,
+    reuse: _Reuse | None = None,
 ) -> AssemblyResult:
     """Run the full pipeline: flood and measure, enumerate per start,
     commit the first feasible combination.
@@ -650,19 +687,31 @@ def assemble(
     graph are indexed once and shared by every stage.  Each start's list
     is lazy (see the module docstring); for a start without candidates
     the unbounded search raises its :class:`InsufficientServices`.
+
+    ``reuse`` is the record of an earlier call over the same template,
+    which this one replaces; without one, or for another template, a fresh
+    one checks the template.  A start :func:`_least_costs` finds clean
+    keeps its pool from that call; the flood and selection always run.
     """
-    facts = _facts(template, check=True)  # reported before a duplicate id, as by the flood
+    if reuse is None or reuse.template is not template:
+        reuse = _Reuse(template)  # reported before a duplicate id, as by the flood
+    facts = reuse.facts
     svc = service_map(services)
     graph, links = build_binding_graph(svc, template, net, facts=facts)
     start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == facts.start_type)
     succ_by_type = _index(links._entries.items(), svc)  # the flood's table, in flood order
-    lower = _least_costs(succ_by_type, facts, svc, graph.nodes)
+    # A zero link turns reuse off: -0.0 == 0.0, yet a sum may keep the sign.
+    previous = reuse.attempt if all(links._entries.values()) else None
+    lower, clean = _least_costs(succ_by_type, facts, svc, graph.nodes, previous)
     per_start: dict[str, _Pool | list[CandidateSubgraph]] = {}
     for sid in start_ids:
         walk = (succ_by_type, facts, sid, svc)
-        if lower[sid] is None:
+        if sid in clean:
+            per_start[sid] = previous[3][sid]
+        elif lower[sid] is None:
             per_start[sid] = _candidates(*walk)
         else:
             plateau = _candidates(*walk, lower, lower[sid])
             per_start[sid] = _Pool(plateau, partial(_candidates, *walk), partial(_count, *walk))
+    reuse.attempt = (svc, succ_by_type, lower, per_start)
     return select_assembly(per_start, svc, budget=budget)

@@ -1,27 +1,23 @@
 """The self-maintenance loop: contract checking and re-assembly on churn.
 
 A committed assembly stays in place until an event invalidates it or could
-improve it; the reaction is always a full re-run of the assembly pipeline
-on the live services of template types (an atomic swap, never an in-place
-patch).  An infeasible re-run leaves the system without a committed
-assembly, waiting for a restorative event.
+improve it; the reaction is a re-run of the assembly pipeline on the live
+services of template types (an atomic swap, never an in-place patch).  The
+re-run floods and selects in full, but keeps each start's candidate pool
+that the event did not reach.  An infeasible re-run leaves the system
+without a committed assembly, waiting for a restorative event.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Container, Iterable
 
-from .assembler import DEFAULT_COMBINATION_BUDGET, AssemblyResult, assemble
-from .errors import (
-    CombinationBudgetExceeded,
-    Infeasible,
-    InsufficientServices,
-    NoStartingService,
-    TemplateInvalid,
-)
-from .model import ApplicationTemplate, ServiceDescriptor, service_map, validate_template
+from .assembler import DEFAULT_COMBINATION_BUDGET, AssemblyResult, _Reuse, assemble
+from .errors import CombinationBudgetExceeded, Infeasible, InsufficientServices, NoStartingService
+from .model import ApplicationTemplate, ServiceDescriptor, service_map
 from .netsim import Simulator
 
 
@@ -215,7 +211,9 @@ def run_scenario(
     the affected service or link is part of the committed assembly.  A
     service reported out of contract is left out of the re-run it
     triggers, but stays available afterwards.  Infeasible re-runs are
-    recorded and the loop continues.  Initial services not yet live on
+    recorded and the loop continues.  Every attempt shares one reuse record
+    with the one before (see :func:`~selfassembly.assembler.assemble`);
+    nothing is kept across calls.  Initial services not yet live on
     ``net`` are announced first, in id order, in one call.  Every timeline
     entry and trace record is stamped with ``net.clock``, so events must be
     sorted by time and none may come before the clock.  Events that break
@@ -225,15 +223,13 @@ def run_scenario(
     """
     events = list(events)
     initial = list(initial_services)
-    ids = {d.id for d in initial}
+    ids = set(map(attrgetter("id"), initial))
     if len(ids) != len(initial):
         service_map(initial)  # raises, naming the first repeated id
     held = net.live_ids()
     missing = ids - held
     _check_events(events, net.clock, held | missing if missing else held)
-    report = validate_template(template)
-    if not report.ok:
-        raise TemplateInvalid(report)
+    reuse = _Reuse(template)  # checks the template before anything is announced
 
     if missing:
         net.announce(*sorted([d for d in initial if d.id in missing]))  # by id: ids are unique
@@ -248,7 +244,7 @@ def run_scenario(
         at = net.clock
         pool = [d for sid, d in typed.items() if sid != exclude]
         try:
-            result = assemble(pool, template, net, budget=budget)
+            result = assemble(pool, template, net, budget=budget, reuse=reuse)
             committed = result
             entry = TimelineEntry(at, trigger, result, None, result.combinations_tested)
         except Infeasible as exc:

@@ -644,7 +644,7 @@ def test_least_cost_plateaus_are_exact_prefixes_of_the_full_lists(instance, data
     svc = service_map(services)
     succ = _index(links._entries.items(), svc)
     facts = _facts(template)
-    lower = _least_costs(succ, facts, svc, graph.nodes)
+    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
     for sid, full in _full_lists(services, template, graph, links).items():
         if isinstance(full, InsufficientServices):
             assert lower[sid] is None
@@ -824,7 +824,7 @@ def test_walker_matches_the_recursive_search(instance, data):
     svc = service_map(services)
     facts = _facts(template)
     succ = _index(links._entries.items(), svc)
-    lower = _least_costs(succ, facts, svc, graph.nodes)
+    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
     old_succ, shared_edge = reference_index(graph, svc)
     old_lower = reference_least_costs(old_succ, links, facts, svc, graph.nodes)
     assert {node: _bits(value) for node, value in lower.items()} == {
@@ -935,7 +935,7 @@ def test_walker_prices_a_sink_that_a_binder_above_the_deepest_level_picks():
     for candidate in full:
         reference = worst_path_time(candidate.graph, "A", svc, links)
         assert candidate.cost.hex() == reference.hex()
-    lower = _least_costs(succ, facts, svc, graph.nodes)
+    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
     for candidate in full:
         assert _candidates(succ, facts, "A", svc, lower, candidate.cost) == [
             c for c in full if c.cost <= candidate.cost
@@ -997,7 +997,7 @@ def test_a_node_picked_by_two_binders_keeps_the_smaller_headroom(tight):
     svc = service_map(services)
     facts = _facts(template)
     succ = _index(links._entries.items(), svc)
-    lower = _least_costs(succ, facts, svc, graph.nodes)
+    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
     full = _candidates(succ, facts, "A", svc)
     plateau = _candidates(succ, facts, "A", svc, lower, lower["A"])
     assert lower["A"] == 10.0
@@ -1226,8 +1226,12 @@ def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
     trace whose events name only ids live at their time: appearances of
     either kind, withdrawals, link degradations and out-of-contract
     reports, of template services (often committed ones) and bystanders
-    alike.  Links are jittered, or a matrix over the template's pairs with
-    some left out, which a degradation may fill; ``latency`` makes a fresh
+    alike.  Some events come in runs: bystander events that reach no
+    template service, and degradations of one link, often outside the
+    assembly, now and then to its current value.  A withdrawn id may be
+    announced again with another qos or threshold over the same links.
+    Links are jittered, or a matrix over the template's pairs with some
+    left out, which a degradation may fill; ``latency`` makes a fresh
     model per run."""
 
     def service(sid, service_type):
@@ -1240,25 +1244,58 @@ def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
         service(f"{t}{i}", t) for t, (low, high) in widths.items()
         for i in range(draw(st.integers(low, high)))
     ]
-    live = [s.id for s in services]
+    by_id = {s.id: s for s in services}  # the latest descriptor of each id
+    live, degraded = [s.id for s in services], {}
     events = []
     at = 0.0
+
+    def appear(descriptor):
+        events.append(ScenarioEvent.appears(at, descriptor))
+        live.append(descriptor.id)
+        by_id[descriptor.id] = descriptor
+
+    def withdraw(sid):
+        events.append(ScenarioEvent.disappears(at, sid))
+        live.remove(sid)
+
     for fresh in range(draw(st.integers(0, 8))):
         at += draw(st.sampled_from([0.0, 5.0, 10.0]))
-        kind = draw(st.sampled_from(["appears", "disappears", "degrades", "out_contract"]))
-        if kind == "appears" or len(live) < 2:
-            descriptor = service(f"n{fresh}", draw(st.sampled_from(CHURN_TYPES)))
-            events.append(ScenarioEvent.appears(at, descriptor))
-            live.append(descriptor.id)
+        kind = draw(st.sampled_from(  # "returns" twice: a new qos shows only if it changes a choice
+            ["appears", "returns", "disappears", "degrades", "out_contract", "bystanders", "returns"]
+        ))
+        downstream = [sid for sid in live if by_id[sid].type in ("tB", "tC")]
+        if kind == "appears" or len(live) < 2 or kind == "returns" and not downstream:
+            appear(service(f"n{fresh}", draw(st.sampled_from(CHURN_TYPES))))
+        elif kind == "returns":  # a withdrawal the committed assembly may not notice
+            old = by_id[draw(st.sampled_from(downstream))]
+            withdraw(old.id)
+            at += draw(st.sampled_from([0.0, 5.0]))
+            qos = draw(st.sampled_from([q for q in qos_values if q != old.qos_nominal]))
+            appear(old._replace(qos_nominal=qos, threshold=draw(st.integers(1, 3))))
         elif kind == "disappears":
-            sid = draw(st.sampled_from(live))
-            live.remove(sid)
-            events.append(ScenarioEvent.disappears(at, sid))
+            withdraw(draw(st.sampled_from(live)))
         elif kind == "degrades":  # a sensor-gateway link is often a committed one
-            pairs = [(a, b) for a in live for b in live if (a[:2], b[:2]) == ("tA", "tB")]
-            a, b = draw(st.sampled_from(pairs)) if pairs and draw(st.booleans()) else (
+            pairs = [
+                (a, b) for a in live for b in live
+                if (by_id[a].type, by_id[b].type) in (("tA", "tB"), ("tB", "tC"))
+            ]
+            link = draw(st.sampled_from(pairs)) if pairs and draw(st.booleans()) else (
                 draw(st.sampled_from(live)), draw(st.sampled_from(live)))
-            events.append(ScenarioEvent.link_degrades(at, a, b, draw(st.sampled_from([0.0, 9.0]))))
+            for _ in range(draw(st.integers(1, 3))):
+                ms = draw(st.sampled_from([0.0, 9.0, degraded.get(link, 9.0)]))
+                degraded[link] = ms
+                events.append(ScenarioEvent.link_degrades(at, *link, ms))
+        elif kind == "bystanders":
+            for step in range(draw(st.integers(1, 3))):
+                idle = [sid for sid in live if by_id[sid].type in ("tX", "tY")]
+                what = draw(st.sampled_from(["appears", "disappears", "out_contract"]))
+                if what == "appears" or not idle:
+                    appear(service(f"n{fresh}x{step}", draw(st.sampled_from(["tX", "tY"]))))
+                elif what == "disappears":
+                    withdraw(draw(st.sampled_from(idle)))
+                else:
+                    sid = draw(st.sampled_from(idle))
+                    events.append(ScenarioEvent.inject_out_contract(at, sid))
         else:
             events.append(ScenarioEvent.inject_out_contract(at, draw(st.sampled_from(live))))
     template = ApplicationTemplate((("tA", "tB"), ("tB", "tC")), (draw(st.integers(1, 2)), 1))
@@ -1267,11 +1304,11 @@ def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
     latency = partial(SeededLatency, 2.0, 1.5, seed)
     if draw(st.booleans()):
         rng = random.Random(seed)
-        descriptors = services + [e.service for e in events if e.service is not None]
+        types = {sid: descriptor.type for sid, descriptor in by_id.items()}  # an id keeps its type
         table = {
-            (a.id, b.id): rng.choice(qos_values)
-            for x, y in template.body for a in descriptors for b in descriptors
-            if (a.type, b.type) == (x, y) and rng.random() < 0.75
+            (a, b): rng.choice(qos_values)
+            for x, y in template.body for a in types for b in types
+            if (types[a], types[b]) == (x, y) and rng.random() < 0.75
         }
         latency = partial(MatrixLatency, table)
     return services, template, events, seed, budget, latency

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -13,9 +14,11 @@ from selfassembly import (
     UniformLatency,
     assemble,
     check_contract,
+    generate_medical,
     run_scenario,
     timeline_jsonl,
 )
+from selfassembly import assembler, runtime
 
 from conftest import make_net
 
@@ -265,6 +268,62 @@ def test_events_are_checked_against_the_ids_net_already_holds(example7):
     timeline = run_scenario(services, template, [ScenarioEvent.disappears(1.0, "X1")], net)
     assert [entry.trigger for entry in timeline] == ["initial"]
     assert "X1" not in net.live_ids()
+
+
+# ------------------------------------------------------------ reuse on churn
+
+
+def test_a_rerun_lists_only_the_plateaus_the_event_reached(monkeypatch):
+    """A re-run lists the least-cost plateau of each start whose reachable
+    subgraph changed since the attempt before, and of no other."""
+    scenario = generate_medical(0)
+    services, template = scenario.services, scenario.template
+    first = assemble(services, template, make_net(services, UniformLatency(1.0)))
+    gateway = next(b for a, b in first.chosen["A1"].edges if a == "A1")
+    events = [
+        ScenarioEvent.appears(10.0, ServiceDescriptor("X1", "tX", 1.0, 1)),
+        ScenarioEvent.disappears(20.0, "A2"),
+        ScenarioEvent.link_degrades(30.0, "A1", gateway, 50.0),
+        ScenarioEvent.appears(40.0, ServiceDescriptor("B10", "tB", 1.0, 10)),
+    ]
+    listings = []
+    real_candidates, real_assemble = assembler._candidates, runtime.assemble
+
+    def candidates(succ, facts, start_id, svc, lower=None, cutoff=math.inf):
+        listings[-1] += cutoff != math.inf
+        return real_candidates(succ, facts, start_id, svc, lower, cutoff)
+
+    def attempt(*args, **options):
+        listings.append(0)
+        return real_assemble(*args, **options)
+
+    monkeypatch.setattr(assembler, "_candidates", candidates)
+    monkeypatch.setattr(runtime, "assemble", attempt)
+    timeline = run_scenario(services, template, events, Simulator(UniformLatency(1.0)))
+    assert [entry.trigger for entry in timeline] == [
+        "initial", "service_appears:X1", "service_disappears:A2",
+        f"link_degrades:A1->{gateway}", "service_appears:B10",
+    ]
+    assert all(entry.feasible for entry in timeline)
+    assert listings == [10, 0, 0, 1, 9]
+
+
+def test_a_link_degraded_to_negative_zero_is_priced_again():
+    """``-0.0 == 0.0``, yet after the degradation the start's cost is
+    ``-0.0 + (-0.0 + -0.0)``, as a fresh ``assemble`` prices it."""
+    services = [ServiceDescriptor("A1", "tA", -0.0, 1), ServiceDescriptor("B1", "tB", -0.0, 1)]
+    template = ApplicationTemplate((("tA", "tB"),), (1,))
+    net = Simulator(UniformLatency(0.0))
+    events = [ScenarioEvent.link_degrades(1.0, "A1", "B1", -0.0)]
+    timeline = run_scenario(services, template, events, net)
+
+    def costs(result):
+        return {sid: candidate.cost.hex() for sid, candidate in result.chosen.items()}
+
+    assert [entry.trigger for entry in timeline] == ["initial", "link_degrades:A1->B1"]
+    assert costs(timeline[0].result) == {"A1": (0.0).hex()}
+    fresh = assemble(services, template, net)
+    assert costs(timeline[1].result) == costs(fresh) == {"A1": (-0.0).hex()}
 
 
 def test_timeline_log_shape(example7):
