@@ -12,10 +12,11 @@ Assembly proceeds in three stages:
    ALL constraint), sorted by worst-path time, each cost equal to
    :func:`~selfassembly.model.worst_path_time` of it bit for bit.  The
    search is one iterative walk over the template's types.
-   :func:`assemble` lists each start's least-cost plateau first, counts
-   lengths with the same walk, and lists a start in full only when the
-   odometer reaches an item past its plateau.  Given the record of the
-   attempt before, it keeps the pool of each start the change did not reach.
+   :func:`assemble` lists each start's least-cost plateau first and counts
+   lengths with the same walk.  Past the plateau it hands items out in rank
+   order, listing one branch of the start's own picks at a time, only when
+   the next item could come from it.  Given the record of the attempt
+   before, it keeps the pool of each start the change did not reach.
 3. :func:`select_assembly` walks combinations of one candidate per start
    (an odometer over the sorted lists, rightmost start varying fastest) and
    commits the first whose deduplicated union keeps every service's
@@ -37,7 +38,8 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import combinations, islice, product
 from operator import attrgetter
 
 from .errors import (
@@ -148,6 +150,7 @@ def build_binding_graph(
     net: Simulator,
     *,
     facts: _TemplateFacts | None = None,
+    index: dict[str, dict[str, list[_Pick]]] | None = None,
 ) -> tuple[AssemblyGraph, QoSMatrix]:
     """Flood the template from the starting services and measure links.
 
@@ -159,9 +162,10 @@ def build_binding_graph(
     to the paired type's services with one :meth:`Simulator.measure_links`
     call, which skips the targets it cannot see, so the cost follows the
     template's services rather than the registry size.  Each measured
-    value is checked once, as :meth:`QoSMatrix.set` checks it, and kept in
-    flood order (sender, pair, target id), which :func:`assemble` indexes.
-    :func:`assemble` passes the template's ``facts``, checked once.
+    value is checked once, as :meth:`QoSMatrix.set` checks it.
+    :func:`assemble` passes the template's ``facts``, checked once, and a
+    dict ``index`` to fill: ``index[sender][to_type]`` lists the call's
+    ``(edge, link)`` picks by target id, if any, sharing the edge tuples.
     """
     if facts is None:
         facts = _facts(template, check=True)
@@ -179,18 +183,24 @@ def build_binding_graph(
     reached = set(starts)
     queue = deque((sid, start_type) for sid in starts)
     measured: dict[tuple[str, str], float] = {}  # one entry per edge
+    groups = {} if index is None else index
     while queue:
         sender, sender_type = queue.popleft()
         for to_type, _constraint in specs_of[sender_type]:
-            for target, ms in net.measure_links(sender, ids_by_type.get(to_type, ())):
+            picks = net.measure_links(sender, ids_by_type.get(to_type, ()))
+            for i, (target, ms) in enumerate(picks):
                 ms = float(ms)
                 if not ms >= 0:  # also rejects NaN
                     raise ValueError(f"link time must be >= 0, got {ms}")
-                measured[(sender, target)] = ms
+                edge = (sender, target)
+                measured[edge] = ms
+                picks[i] = (edge, ms)  # the call's own list becomes the group: no second list
                 if target not in reached:
                     reached.add(target)
                     queue.append((target, to_type))
-    return AssemblyGraph(frozenset(reached), frozenset(measured)), QoSMatrix._unchecked(measured)
+            if picks:
+                groups.setdefault(sender, {})[to_type] = picks
+    return AssemblyGraph._unchecked(frozenset(reached), frozenset(measured)), QoSMatrix._unchecked(measured)
 
 
 def enumerate_candidates(
@@ -229,6 +239,7 @@ _Services = Mapping[str, ServiceDescriptor]
 _Pick = tuple[_Edge, float]  # an edge of the binding graph and its link time
 _Successors = Mapping[str, Mapping[str, Sequence[_Pick]]]
 _Pair = tuple[str, str, Constraint, Sequence[_Pick]]  # binder, target type, constraint, pool
+_Assignment = tuple[tuple[_Pick, ...], ...]  # the picks of each pair of a level
 
 
 class _MissingLink:
@@ -246,10 +257,9 @@ class _MissingLink:
 
 
 def _index(picks: Iterable[_Pick], svc: _Services) -> _Successors:
-    """Each node's picks grouped by target type, in the order given: the
-    flood's table in its insertion order (sender, pair, target id), or
-    sorted edges, each with its link time or a :class:`_MissingLink`, so
-    each group comes out sorted by target.  Candidates share the edge tuples."""
+    """Each node's picks grouped by target type, in the order given: sorted
+    edges, each with its link time or a :class:`_MissingLink`, so that each
+    group is sorted by target as the flood's ``index`` groups are."""
     succ_by_type: dict[str, dict[str, list[_Pick]]] = {}
     for pick in picks:
         a, b = pick[0]
@@ -353,15 +363,15 @@ def _headroom(qos: float, ms: float, limit: float, floor: float) -> float:
 
 
 class _Frame:
-    """A level of the walk: its pools, the assignment of picks the branch
-    holds there, and the headrooms that assignment set (a node's first one
-    includes it), to undo them."""
+    """A level of the walk: its pools, the assignments of picks left there
+    (just ``only``, if given), the one the branch holds, and the
+    headrooms it set (a node's first one includes it), to undo them."""
 
     __slots__ = ("level", "pairs", "assignments", "assignment", "narrowed")
 
-    def __init__(self, level: int, pairs: list[_Pair]) -> None:
+    def __init__(self, level: int, pairs: list[_Pair], only: _Assignment | None = None) -> None:
         self.level, self.pairs, self.narrowed = level, pairs, []
-        self.assignments = product(*(
+        self.assignments = iter((only,)) if only is not None else product(*(
             (tuple(pool),) if isinstance(k, AllServices) else combinations(pool, k)
             for _, _, k, pool in pairs
         ))
@@ -374,6 +384,7 @@ def _branches(
     svc: _Services,
     lower: Mapping[str, float | None] | None = None,
     cutoff: float = math.inf,
+    first: _Assignment | None = None,
 ) -> Iterator[tuple[list[_Frame], list[_Pair]]]:
     """The candidate search: one walk with an explicit stack over the types
     with pairs ("levels"), binders before targets.  A level's binders pick
@@ -382,7 +393,8 @@ def _branches(
     every target is a sink, so the walk yields the branch there: the frames
     above at their current assignments, and the deepest pools (none if no
     binder reached it).  :class:`InsufficientServices` is raised at the
-    first binder short of targets in that order.
+    first binder short of targets in that order.  Given ``first``, picks
+    of the start's pools, the start makes only those.
 
     With ``lower`` of :func:`_least_costs`, only candidates of cost at most
     ``cutoff`` are reached.  Each included binder has a headroom, the most
@@ -418,7 +430,7 @@ def _branches(
         if level == last:
             yield frames, pairs
         else:
-            frames.append(_Frame(level, pairs))
+            frames.append(_Frame(level, pairs, None if frames else first))
         while frames:  # the next assignment, backtracking past spent frames
             frame = frames[-1]
             for node, previous in reversed(frame.narrowed):
@@ -457,16 +469,18 @@ def _candidates(
     svc: _Services,
     lower: Mapping[str, float | None] | None = None,
     cutoff: float = math.inf,
+    first: _Assignment | None = None,
 ) -> list[CandidateSubgraph]:
     """The candidate list behind :func:`enumerate_candidates`; given
     ``lower`` of :func:`_least_costs`, only its exact prefix of cost at
-    most ``cutoff``.  A pick at the deepest level is priced once per branch
-    of :func:`_branches`, as its link plus its sink's qos.  A candidate
-    then re-prices only the binders above, bottom-up in the association of
+    most ``cutoff``; given ``first``, only the branch of those start picks.
+    A pick at the deepest level is priced once per branch of
+    :func:`_branches`, as its link plus its sink's qos.  A candidate then
+    re-prices only the binders above, bottom-up in the association of
     :func:`worst_path_time`, the sinks they pick at their qos.
     """
     raw: list[tuple[float, tuple[_Edge, ...]]] = []
-    for frames, pairs in _branches(succ_by_type, facts, start_id, svc, lower, cutoff):
+    for frames, pairs in _branches(succ_by_type, facts, start_id, svc, lower, cutoff, first):
         worth: dict[str, float] = {}
         plan: list[tuple[str, float, tuple[tuple[float, str], ...]]] = []  # bottom-up
         above: list[_Edge] = []
@@ -518,26 +532,68 @@ def _count(succ_by_type: _Successors, facts: _TemplateFacts, start_id: str, svc:
     )
 
 
+def _past_plateau(
+    succ_by_type: _Successors, facts: _TemplateFacts, start_id: str, svc: _Services,
+    lower: Mapping[str, float | None], rank: int,
+) -> Iterator[CandidateSubgraph]:
+    """The candidates of cost above ``lower[start_id]``, ranked from
+    ``rank``: Lawler's (1972) partition, one level deep.  A branch is one
+    assignment of the start's picks; its least cost, in the association of
+    :func:`_least_costs`, is exact.  One heap holds branches by least cost
+    and listed items by ``(cost, edges)``, a branch first on equal cost, so
+    an item leaves only when no unlisted branch could hold one before it.
+    A branch of sinks only is its one candidate, of that cost bit for bit.
+    """
+    least, qos = lower[start_id], svc[start_id].qos_nominal
+    groups = succ_by_type.get(start_id, {})
+    pairs = [(start_id, t, k, groups.get(t, ())) for t, k in facts.specs[facts.start_type]]
+    deep = [bool(facts.specs[to_type]) for _, to_type, _, _ in pairs]
+    heap: list[tuple] = []
+    for order, assignment in enumerate(_Frame(0, pairs).assignments):
+        terms = [ms + lower[target] for chosen in assignment for (_, target), ms in chosen]
+        heap.append((qos + max(terms) if terms else qos, 0, order, assignment))
+    heapify(heap)
+    while heap:
+        entry = heap[0]
+        if entry[1]:
+            heappop(heap)
+            yield CandidateSubgraph(start_id, entry[2], entry[0], rank)
+            rank += 1
+        elif any(chosen for chosen, below in zip(entry[3], deep) if below):
+            heappop(heap)
+            for item in _candidates(succ_by_type, facts, start_id, svc, first=entry[3]):
+                if item.cost > least:  # the plateau's items are handed out already
+                    heappush(heap, (item.cost, 1, item.edges))
+        elif entry[0] > least:  # the branch's one candidate takes its place
+            edges = tuple(sorted(edge for chosen in entry[3] for edge, _ in chosen))
+            heapreplace(heap, (entry[0], 1, edges))
+        else:
+            heappop(heap)
+
+
 class _Pool:
     """One start's candidates, as selection reads them: a plain sequence,
     uncopied, or a list of :func:`assemble`, which holds its least-cost
-    plateau, counts its length once, and lists in full only when an item
-    past the plateau is asked for."""
+    plateau, counts its length once, and at the first read past the
+    plateau makes the iterator of the rest, read only as far as asked."""
 
-    __slots__ = ("_items", "_complete", "_count", "_length")
+    __slots__ = ("_items", "_rest", "_more", "_count", "_length")
 
-    def __init__(self, items: Sequence[CandidateSubgraph], complete=None, count=None) -> None:
+    def __init__(self, items: Sequence[CandidateSubgraph], rest=None, count=None) -> None:
         self._items = items
-        self._complete: Callable[[], list[CandidateSubgraph]] | None = complete  # the full list
-        self._count: Callable[[], int] | None = count  # its length, without listing
-        self._length = len(items) if complete is None else None
+        self._rest: Callable[[int], Iterator[CandidateSubgraph]] | None = rest  # makes the next
+        self._more: Iterator[CandidateSubgraph] | None = None  # the items after ``items``
+        self._count: Callable[[], int] | None = count  # the length, without listing
+        self._length = len(items) if rest is None else None
 
     def item(self, index: int) -> CandidateSubgraph | None:
         """The candidate of rank ``index``, or ``None`` past the end."""
-        if index >= len(self._items) and self._complete is not None:
-            self._items, self._complete = self._complete(), None
-            self._length = len(self._items)
-        return self._items[index] if index < len(self._items) else None
+        items = self._items
+        if index >= len(items) and self._rest is not None:
+            if self._more is None:
+                self._more = self._rest(len(items))
+            items.extend(islice(self._more, index + 1 - len(items)))
+        return items[index] if index < len(items) else None
 
     def length(self) -> int:
         if self._length is None:
@@ -683,8 +739,8 @@ def assemble(
     """Run the full pipeline: flood and measure, enumerate per start,
     commit the first feasible combination.
 
-    The template is checked once, and it, the registry and the binding
-    graph are indexed once and shared by every stage.  Each start's list
+    The template is checked once, the flood indexes the binding graph as
+    it measures it, and every stage shares both.  Each start's list
     is lazy (see the module docstring); for a start without candidates
     the unbounded search raises its :class:`InsufficientServices`.
 
@@ -697,9 +753,9 @@ def assemble(
         reuse = _Reuse(template)  # reported before a duplicate id, as by the flood
     facts = reuse.facts
     svc = service_map(services)
-    graph, links = build_binding_graph(svc, template, net, facts=facts)
+    succ_by_type: dict[str, dict[str, list[_Pick]]] = {}
+    graph, links = build_binding_graph(svc, template, net, facts=facts, index=succ_by_type)
     start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == facts.start_type)
-    succ_by_type = _index(links._entries.items(), svc)  # the flood's table, in flood order
     # A zero link turns reuse off: -0.0 == 0.0, yet a sum may keep the sign.
     previous = reuse.attempt if all(links._entries.values()) else None
     lower, clean = _least_costs(succ_by_type, facts, svc, graph.nodes, previous)
@@ -712,6 +768,6 @@ def assemble(
             per_start[sid] = _candidates(*walk)
         else:
             plateau = _candidates(*walk, lower, lower[sid])
-            per_start[sid] = _Pool(plateau, partial(_candidates, *walk), partial(_count, *walk))
+            per_start[sid] = _Pool(plateau, partial(_past_plateau, *walk, lower), partial(_count, *walk))
     reuse.attempt = (svc, succ_by_type, lower, per_start)
     return select_assembly(per_start, svc, budget=budget)

@@ -13,7 +13,14 @@ import argparse
 import sys
 import time
 
-from .assembler import DEFAULT_COMBINATION_BUDGET, assemble
+from .assembler import (
+    DEFAULT_COMBINATION_BUDGET,
+    AssemblyResult,
+    assemble,
+    build_binding_graph,
+    enumerate_candidates,
+    select_assembly,
+)
 from .errors import (
     CombinationBudgetExceeded,
     Infeasible,
@@ -24,7 +31,7 @@ from .errors import (
     TemplateInvalid,
 )
 from .export import assembly_to_dot, assembly_to_json
-from .model import QoSMatrix
+from .model import QoSMatrix, service_map
 from .netsim import MatrixLatency
 from .oracle import check_assembly, exhaustive_assemblies
 from .runtime import run_scenario, timeline_jsonl
@@ -160,6 +167,29 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if final.feasible else EXIT_INFEASIBLE
 
 
+def _assemble_eagerly(services, template, net) -> AssemblyResult:
+    """The reference for ``assemble``: :func:`select_assembly` over the full
+    :func:`enumerate_candidates` list of each start, in id order."""
+    graph, links = build_binding_graph(services, template, net)
+    svc = service_map(services)
+    starts = sorted(sid for sid in graph.nodes if svc[sid].type == template.starting_type())
+    lists = {sid: enumerate_candidates(graph, links, template, sid, svc) for sid in starts}
+    return select_assembly(lists, svc)
+
+
+def _outcome(run, services, template, net) -> tuple[AssemblyResult | None, tuple]:
+    """``run``'s result, ``None`` for an infeasible instance, and what it
+    gave with floats as their bits: the union's edges, each chosen
+    candidate's edges, rank and cost, and the count; or the error's type
+    and count."""
+    try:
+        result = run(services, template, net)
+    except (Infeasible, InsufficientServices, NoStartingService) as exc:
+        return None, (type(exc).__name__, getattr(exc, "combinations_tested", None))
+    chosen = [(sid, c.edges, c.rank, c.cost.hex()) for sid, c in sorted(result.chosen.items())]
+    return result, (sorted(result.assembly.edges), chosen, result.combinations_tested)
+
+
 def cmd_verify(args) -> int:
     mismatches = 0
     feasible_count = 0
@@ -169,12 +199,11 @@ def cmd_verify(args) -> int:
         services, template, links = generate_random_instance(seed)
         latency = MatrixLatency(dict(links.items()))
         net = build_simulator(Scenario(services, template, latency), trace=False)
-        try:
-            result = assemble(services, template, net)
-        except (Infeasible, InsufficientServices, NoStartingService):
-            result = None
-        report = exhaustive_assemblies(services, template, links)
+        result, exact = _outcome(assemble, services, template, net)
         problems: list[str] = []
+        if exact != _outcome(_assemble_eagerly, services, template, net)[1]:
+            problems.append("assemble differs from selection over full candidate lists")
+        report = exhaustive_assemblies(services, template, links)
         if (result is not None) != report.feasible:
             problems.append(
                 f"feasibility mismatch (assembler={result is not None}, oracle={report.feasible})"

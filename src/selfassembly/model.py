@@ -242,6 +242,15 @@ class AssemblyGraph:
                 raise ValueError(f"edge ({a!r}, {b!r}) references a node outside the graph")
 
     @classmethod
+    def _unchecked(cls, nodes: frozenset[str], edges: frozenset[tuple[str, str]]) -> AssemblyGraph:
+        """A graph over ``nodes`` and ``edges``, frozensets whose edges the
+        caller built as tuples between two of ``nodes``; kept, not checked."""
+        graph = cls.__new__(cls)
+        object.__setattr__(graph, "nodes", nodes)
+        object.__setattr__(graph, "edges", edges)
+        return graph
+
+    @classmethod
     def from_edges(
         cls,
         edges: Iterable[tuple[str, str]],

@@ -20,13 +20,14 @@ from selfassembly import (
     TemplateInvalid,
     assemble,
     build_binding_graph,
+    build_simulator,
     count_combinations,
     enumerate_candidates,
     generate_one_layer,
     select_assembly,
     service_map,
 )
-from selfassembly import model
+from selfassembly import assembler, model
 from selfassembly.oracle import binomial_table, check_assembly, exhaustive_worst_path
 
 from conftest import make_net, seven_services, seven_template
@@ -448,3 +449,23 @@ def test_assemble_reads_each_link_once():
         result = assemble(services, ApplicationTemplate((("tA", "tB"),), (2,)), net)
     assert result.combinations_tested == 1
     assert len(calls) <= 200
+
+
+def test_a_wide_pool_read_in_rank_order_is_the_full_list():
+    # One start picking 2 of 200 sinks: past its plateau, 19,900 branches
+    # of one candidate each are handed out one at a time.
+    scenario = generate_one_layer(200, 2, 0)
+    captured = {}
+    with mock.patch.object(
+        assembler, "select_assembly", lambda per_start, svc, budget: captured.update(per_start)
+    ):
+        assemble(scenario.services, scenario.template, build_simulator(scenario))
+    pool, items = captured["A1"], []
+    began = time.perf_counter()
+    while (item := pool.item(len(items))) is not None:
+        items.append(item)
+    assert time.perf_counter() - began < 1.0
+    graph, links = build_binding_graph(scenario.services, scenario.template, build_simulator(scenario))
+    full = enumerate_candidates(graph, links, scenario.template, "A1", service_map(scenario.services))
+    assert len(full) == pool.length() == 19_900
+    assert [(c.cost.hex(), c.rank, c.edges) for c in items] == [(c.cost.hex(), c.rank, c.edges) for c in full]

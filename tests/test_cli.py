@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from selfassembly.cli import exit_code, main
+from selfassembly.cli import EXIT_MISMATCH, exit_code, main
 from selfassembly.scenario import (
     Scenario,
     build_simulator,
@@ -20,7 +20,7 @@ from selfassembly.scenario import (
     serialize_scenario,
     write_scenario,
 )
-from selfassembly import errors
+from selfassembly import assembler, errors
 from selfassembly import (
     DEFAULT_COMBINATION_BUDGET,
     ApplicationTemplate,
@@ -381,6 +381,22 @@ def test_verify_small_run(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "mismatches=0" in out
+
+
+def test_verify_reports_items_handed_out_past_a_plateau_out_of_rank_order(monkeypatch, capsys):
+    # The oracle checks feasibility and membership only; the full lists
+    # also pin each chosen candidate's rank, cost and the count.
+    real = assembler._past_plateau
+
+    def swapped(*args):
+        items = list(real(*args))
+        yield from items[1::-1] + items[2:]
+
+    monkeypatch.setattr(assembler, "_past_plateau", swapped)
+    assert main(["verify", "--random", "50", "--seed", "7"]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert "assemble differs from selection over full candidate lists" in captured.err
+    assert "mismatches=0" not in captured.out
 
 
 def test_generate_writes_canonical_file(tmp_path):

@@ -53,7 +53,15 @@ from selfassembly import (
 )
 from selfassembly import assembler, runtime
 from selfassembly import scenario as scenario_module
-from selfassembly.assembler import _candidates, _count, _facts, _headroom, _index, _least_costs
+from selfassembly.assembler import (
+    _candidates,
+    _count,
+    _facts,
+    _headroom,
+    _index,
+    _least_costs,
+    _past_plateau,
+)
 from selfassembly.model import AllServices
 from selfassembly.oracle import _subgraphs_from, exhaustive_worst_path
 from selfassembly.runtime import EventKind, ScenarioEvent, TimelineEntry
@@ -410,27 +418,30 @@ def test_point_query_flood_matches_the_view_scan(world):
 @settings(max_examples=200, deadline=None)
 @given(flood_worlds())
 def test_assemble_indexes_the_flood_table_as_the_reference_regroups_the_graph(world):
-    """The index ``assemble`` builds from the flood's table, in the table's
-    order, holds per sender and target type the reference index's targets
-    in order, each with its ``links.get`` time and the graph's own edge."""
+    """The groups the flood hands ``assemble``, which its stages use, hold
+    per sender and target type the reference index's targets in order,
+    each with its ``links.get`` time and the graph's own edge."""
     services, template = world[0], world[1]
-    seen = []
+    floods, used = [], []
 
-    def spy(real):
-        def call(*args, **kwargs):
-            seen.append(real(*args, **kwargs))
-            return seen[-1]
-        return call
+    def flood(*args, **kwargs):
+        floods.append((build_binding_graph(*args, **kwargs), kwargs["index"]))
+        return floods[-1][0]
 
-    with mock.patch.object(assembler, "build_binding_graph", spy(build_binding_graph)), \
-            mock.patch.object(assembler, "_index", spy(_index)):
+    def least_costs(succ_by_type, *args, **kwargs):
+        used.append(succ_by_type)
+        return _least_costs(succ_by_type, *args, **kwargs)
+
+    with mock.patch.object(assembler, "build_binding_graph", flood), \
+            mock.patch.object(assembler, "_least_costs", least_costs):
         try:
             assemble(services, template, _flood_net(world))
         except (PeerUnknown, NoStartingService, InsufficientServices, Infeasible):
             pass
-    if len(seen) < 2:
+    if not floods:
         return  # the flood raised before anything was indexed
-    (graph, links), index = seen
+    ((graph, links), index), = floods
+    assert used == [index] and used[0] is index
     old_succ, shared_edge = reference_index(graph, service_map(services))
     assert index == {
         a: {t: [(shared_edge[(a, b)], links.get(a, b)) for b in targets] for t, targets in groups.items()}
@@ -578,6 +589,10 @@ def test_assemble_with_squeezed_thresholds_matches_the_plain_odometer(seed, data
 tie_prone = st.sampled_from([0.0, 0.1, 0.7, 1.0])
 
 
+# Ties of both zeros: a cost keeps the sign of -0.0 only where every term has it.
+signed_zeros = st.sampled_from([-0.0, 0.0, 0.5])
+
+
 WIDE_LIST_CAP = 1500
 
 
@@ -617,6 +632,36 @@ def wide_instances(draw, values=tie_prone):
     body = tuple(zip(types, types[1:]))
     table = {(x, y): draw(values) for a, b in body for x in ids[a] for y in ids[b]}
     return services, ApplicationTemplate(body, tuple(ks)), table
+
+
+@st.composite
+def contended_instances(draw, values=link_or_qos, second_k=(ALL, 1)):
+    """Two or three starts over a shared layer of gateways, most of them of
+    threshold 1, so that selection reads far past each plateau.  The
+    starting type has a second pair, of a constraint in ``second_k``, to a
+    sink type or to the gateways' own targets, drawn before or after its
+    gateway pair.  Ids are prefixed per type in a drawn order, so that a
+    start's edges may sort after those below it and ties across branches
+    are broken deep in the edge tuples.  A template checks only with
+    positive constraints."""
+    widths = {"tA": draw(st.integers(2, 3)), "tB": draw(st.integers(2, 3))}
+    widths.update(tC=draw(st.integers(1, 2)), tD=draw(st.integers(1, 2)))
+    second = draw(st.sampled_from(["tC", "tD"]))
+    pairs = [(("tA", "tB"), draw(st.integers(1, 2))), (("tA", second), draw(st.sampled_from(second_k)))]
+    if draw(st.booleans()):
+        pairs.reverse()
+    pairs.append((("tB", "tC"), draw(st.sampled_from([ALL, 1, widths["tC"]]))))
+    thresholds = {"tA": [1], "tB": [1, 1, 1, 2], "tC": [1, 2, 3, 4], "tD": [1, 2, 3, 4]}
+    prefix = dict(zip(widths, draw(st.permutations("abcd"))))
+    services = [
+        ServiceDescriptor(f"{prefix[t]}{i}", t, draw(values), draw(st.sampled_from(thresholds[t])))
+        for t, width in widths.items()
+        for i in range(width)
+    ]
+    ids = {t: [s.id for s in services if s.type == t] for t in widths}
+    table = {(x, y): draw(values) for (a, b), _ in pairs for x in ids[a] for y in ids[b]}
+    body, constraints = zip(*pairs)
+    return services, ApplicationTemplate(body, constraints), table
 
 
 def _full_lists(services, template, graph, links):
@@ -666,10 +711,24 @@ def _assembly(run):
         return type(exc).__name__, str(exc), count
 
 
-@settings(max_examples=300, deadline=None)
+def _exactly(outcome):
+    """An outcome of :func:`_assembly` with each chosen cost as its bits."""
+    if not isinstance(outcome, AssemblyResult):
+        return outcome
+    chosen = {sid: (c.edges, c.rank, c.cost.hex()) for sid, c in outcome.chosen.items()}
+    return outcome.assembly, chosen, outcome.combinations_tested, outcome.per_service_load
+
+
+@settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
-        dag_instances(), dag_instances(tie_prone), wide_instances(), wide_instances(link_or_qos)
+        dag_instances(),
+        dag_instances(tie_prone),
+        wide_instances(),
+        wide_instances(link_or_qos),
+        contended_instances(),
+        contended_instances(tie_prone),
+        contended_instances(signed_zeros),
     ),
     st.data(),
 )
@@ -690,28 +749,40 @@ def test_lazy_assemble_matches_selection_over_full_lists(instance, data):
     def lazy():
         return assemble(services, template, make_net(services, latency), budget=budget)
 
-    assert _assembly(lazy) == _assembly(eager)
+    assert _exactly(_assembly(lazy)) == _exactly(_assembly(eager))
 
 
 # ------------------------------------------------- counted list lengths
 
 
-def _unbounded_spy(calls):
-    """``_candidates`` that records the start of every unbounded search."""
+def _branch_spy(calls):
+    """``_candidates`` that records each branch listed past a plateau: its start,
+    the start's picks that make it, and how many candidates it built."""
     real = assembler._candidates
 
-    def spy(succ, facts, start_id, svc, lower=None, cutoff=math.inf):
-        if cutoff == math.inf:
-            calls.append(start_id)
-        return real(succ, facts, start_id, svc, lower, cutoff)
+    def spy(succ, facts, start_id, svc, lower=None, cutoff=math.inf, first=None):
+        listed = real(succ, facts, start_id, svc, lower, cutoff, first)
+        if first is not None:
+            calls.append((start_id, first, len(listed)))
+        return listed
 
     return spy
 
 
-def _lazy_lists(services, template, latency, calls):
-    """The lists ``assemble`` hands to selection, each search recorded in ``calls``."""
+def _branches_listed(calls, sid, size):
+    """How many branches of ``sid`` were listed, after checking that none
+    was listed twice and that they built at most ``size`` candidates, the
+    length of its full list."""
+    branches = [(first, built) for start, first, built in calls if start == sid]
+    assert len({first for first, _ in branches}) == len(branches)
+    assert sum(built for _, built in branches) <= size
+    return len(branches)
+
+
+def _lazy_lists(services, template, latency):
+    """The lists ``assemble`` hands to selection."""
     captured = {}
-    with mock.patch.object(assembler, "_candidates", _unbounded_spy(calls)), mock.patch.object(
+    with mock.patch.object(
         assembler, "select_assembly", lambda per_start, svc, budget: captured.update(per_start)
     ):
         assemble(services, template, make_net(services, latency))
@@ -743,15 +814,16 @@ def test_counted_length_equals_the_full_list_length(instance):
     if short:
         return  # assemble raises before selection
     calls = []
-    lazy = _lazy_lists(services, template, latency, calls)
-    assert sorted(lazy) == sorted(full)
-    for sid, pool in lazy.items():
-        assert pool.length() == len(full[sid])
-        assert sid not in calls  # counted, not listed
-        assert pool.item(pool.length()) is None  # past the end: forces the full list
-        assert calls.count(sid) == 1
-        assert pool.length() == len(full[sid])
-        assert [pool.item(i) for i in range(pool.length())] == full[sid]
+    with mock.patch.object(assembler, "_candidates", _branch_spy(calls)):
+        lazy = _lazy_lists(services, template, latency)
+        assert sorted(lazy) == sorted(full)
+        for sid, pool in lazy.items():
+            assert pool.length() == len(full[sid])
+            assert _branches_listed(calls, sid, len(full[sid])) == 0  # counted, not listed
+            assert pool.item(pool.length()) is None  # past the end: reads every branch
+            _branches_listed(calls, sid, len(full[sid]))
+            assert pool.length() == len(full[sid])
+            assert [pool.item(i) for i in range(pool.length())] == full[sid]
 
 
 def test_pruning_counts_later_starts_without_listing_them():
@@ -775,13 +847,43 @@ def test_pruning_counts_later_starts_without_listing_them():
     assert [len(pool) for pool in full.values()] == [4, 4, 4, 4]
     for budget in (DEFAULT_COMBINATION_BUDGET, 33, 32):
         calls = []
-        with mock.patch.object(assembler, "_candidates", _unbounded_spy(calls)):
+        with mock.patch.object(assembler, "_candidates", _branch_spy(calls)):
             lazy = _assembly(
                 lambda: assemble(services, template, make_net(services, latency), budget=budget)
             )
-        assert calls == ["A2"]
+        assert {start for start, _, _ in calls} == {"A2"}
+        _branches_listed(calls, "A2", len(full["A2"]))
         assert lazy == _assembly(lambda: reference_select(full, services, budget))
         assert lazy == _assembly(lambda: select_assembly(full, services, budget=budget))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        dag_instances(),
+        dag_instances(tie_prone),
+        contended_instances(second_k=(ALL, 0, 1)),
+        contended_instances(tie_prone, (ALL, 0, 1)),
+        contended_instances(signed_zeros, (ALL, 0, 1)),
+        dag_instances(signed_zeros),
+        layered_random_instances(),
+    )
+)
+def test_items_past_the_plateau_continue_the_full_list(instance):
+    """A start's plateau, then the items handed out past it, are its full
+    list bit for bit, also with a k=0 pair, which only an unchecked
+    template has, and with ``-0.0`` values on the plateau."""
+    services, template, table = instance
+    svc, facts, succ = service_map(services), _facts(template), {}
+    net = make_net(services, MatrixLatency(table))
+    graph, links = build_binding_graph(services, template, net, facts=facts, index=succ)
+    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
+    for sid, full in _full_lists(services, template, graph, links).items():
+        if isinstance(full, InsufficientServices):
+            continue
+        plateau = _candidates(succ, facts, sid, svc, lower, lower[sid])
+        rest = _past_plateau(succ, facts, sid, svc, lower, len(plateau))
+        assert _listing(lambda: plateau + list(rest)) == _listing(lambda: full)
 
 
 # ------------------------------------------------- the iterative candidate walker
@@ -1220,7 +1322,7 @@ CHURN_TYPES = ["tA", "tB", "tC", "tX", "tY"]
 
 
 @st.composite
-def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
+def churn_worlds(draw, qos_values=None):
     """A two-pair template over a few services of its types plus
     bystanders of two other types, sometimes a small budget, and a churn
     trace whose events name only ids live at their time: appearances of
@@ -1232,12 +1334,17 @@ def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
     announced again with another qos or threshold over the same links.
     Links are jittered, or a matrix over the template's pairs with some
     left out, which a degradation may fill; ``latency`` makes a fresh
-    model per run."""
+    model per run.  Unless ``qos_values`` is given, a third of the worlds
+    draw qos and matrix values mostly of ``0.0`` and ``-0.0``; a
+    degradation may set either, so a cost's sign shows whether it was
+    priced again."""
+    zeros = qos_values is None and draw(st.integers(0, 2)) == 0
+    if qos_values is None:
+        qos_values = (-0.0, 0.0) if zeros else (0.5, 1.0, 2.5)
 
     def service(sid, service_type):
-        return ServiceDescriptor(
-            sid, service_type, draw(st.sampled_from(qos_values)), draw(st.integers(1, 3))
-        )
+        qos = -0.0 if zeros else draw(st.sampled_from(qos_values))
+        return ServiceDescriptor(sid, service_type, qos, draw(st.integers(1, 3)))
 
     widths = {"tA": (1, 3), "tB": (1, 3), "tC": (1, 2), "tX": (0, 4), "tY": (0, 3)}
     services = [
@@ -1262,6 +1369,7 @@ def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
         at += draw(st.sampled_from([0.0, 5.0, 10.0]))
         kind = draw(st.sampled_from(  # "returns" twice: a new qos shows only if it changes a choice
             ["appears", "returns", "disappears", "degrades", "out_contract", "bystanders", "returns"]
+            + ["degrades"] * (3 if zeros else 0)  # a zero link's sign shows only after it flips
         ))
         downstream = [sid for sid in live if by_id[sid].type in ("tB", "tC")]
         if kind == "appears" or len(live) < 2 or kind == "returns" and not downstream:
@@ -1270,7 +1378,7 @@ def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
             old = by_id[draw(st.sampled_from(downstream))]
             withdraw(old.id)
             at += draw(st.sampled_from([0.0, 5.0]))
-            qos = draw(st.sampled_from([q for q in qos_values if q != old.qos_nominal]))
+            qos = draw(st.sampled_from([q for q in qos_values if q.hex() != old.qos_nominal.hex()]))
             appear(old._replace(qos_nominal=qos, threshold=draw(st.integers(1, 3))))
         elif kind == "disappears":
             withdraw(draw(st.sampled_from(live)))
@@ -1279,10 +1387,10 @@ def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
                 (a, b) for a in live for b in live
                 if (by_id[a].type, by_id[b].type) in (("tA", "tB"), ("tB", "tC"))
             ]
-            link = draw(st.sampled_from(pairs)) if pairs and draw(st.booleans()) else (
+            link = draw(st.sampled_from(pairs)) if pairs and (zeros or draw(st.booleans())) else (
                 draw(st.sampled_from(live)), draw(st.sampled_from(live)))
             for _ in range(draw(st.integers(1, 3))):
-                ms = draw(st.sampled_from([0.0, 9.0, degraded.get(link, 9.0)]))
+                ms = draw(st.sampled_from([0.0, -0.0, 9.0, degraded.get(link, 9.0)]))
                 degraded[link] = ms
                 events.append(ScenarioEvent.link_degrades(at, *link, ms))
         elif kind == "bystanders":
@@ -1302,13 +1410,13 @@ def churn_worlds(draw, qos_values=(0.5, 1.0, 2.5)):
     seed = draw(st.integers(0, 2 ** 16))
     budget = draw(st.sampled_from([DEFAULT_COMBINATION_BUDGET] * 3 + [1]))
     latency = partial(SeededLatency, 2.0, 1.5, seed)
-    if draw(st.booleans()):
+    if zeros or draw(st.booleans()):
         rng = random.Random(seed)
         types = {sid: descriptor.type for sid, descriptor in by_id.items()}  # an id keeps its type
         table = {
-            (a, b): rng.choice(qos_values)
+            (a, b): -0.0 if zeros else rng.choice(qos_values)
             for x, y in template.body for a in types for b in types
-            if (types[a], types[b]) == (x, y) and rng.random() < 0.75
+            if (types[a], types[b]) == (x, y) and (zeros or rng.random() < 0.75)
         }
         latency = partial(MatrixLatency, table)
     return services, template, events, seed, budget, latency
@@ -1318,11 +1426,11 @@ def _churn(run, world):
     services, template, events, _seed, budget, latency = world
     net = Simulator(latency())
     timeline = run(services, template, events, net, budget=budget)
-    entries = [(entry.trigger, entry.reason, entry.result) for entry in timeline]
+    entries = [(entry.trigger, entry.reason, _exactly(entry.result)) for entry in timeline]
     return timeline_jsonl(timeline), net.trace_jsonl(), entries
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(churn_worlds())
 def test_template_typed_index_matches_handing_over_the_whole_registry(world):
     assert _churn(run_scenario, world) == _churn(reference_run_scenario, world)
