@@ -35,10 +35,9 @@ from __future__ import annotations
 import math
 import struct
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import partial
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush
 from itertools import combinations, islice, product
 from operator import attrgetter
 
@@ -98,11 +97,7 @@ class CandidateSubgraph:
 
     @property
     def nodes(self) -> frozenset[str]:
-        out = {self.start_id}
-        for a, b in self.edges:
-            out.add(a)
-            out.add(b)
-        return frozenset(out)
+        return frozenset((self.start_id,)).union(*self.edges)
 
     @property
     def graph(self) -> AssemblyGraph:
@@ -169,10 +164,9 @@ def build_binding_graph(
     """
     if facts is None:
         facts = _facts(template, check=True)
-    specs_of = facts.specs
     ids_by_type: dict[str, list[str]] = {}
     for descriptor in sorted(service_map(services).values(), key=attrgetter("id")):
-        if descriptor.type in specs_of:
+        if descriptor.type in facts.specs:
             ids_by_type.setdefault(descriptor.type, []).append(descriptor.id)
 
     start_type = facts.start_type
@@ -183,10 +177,9 @@ def build_binding_graph(
     reached = set(starts)
     queue = deque((sid, start_type) for sid in starts)
     measured: dict[tuple[str, str], float] = {}  # one entry per edge
-    groups = {} if index is None else index
     while queue:
         sender, sender_type = queue.popleft()
-        for to_type, _constraint in specs_of[sender_type]:
+        for to_type, _constraint in facts.specs[sender_type]:
             picks = net.measure_links(sender, ids_by_type.get(to_type, ()))
             for i, (target, ms) in enumerate(picks):
                 ms = float(ms)
@@ -198,8 +191,8 @@ def build_binding_graph(
                 if target not in reached:
                     reached.add(target)
                     queue.append((target, to_type))
-            if picks:
-                groups.setdefault(sender, {})[to_type] = picks
+            if picks and index is not None:
+                index.setdefault(sender, {})[to_type] = picks
     return AssemblyGraph._unchecked(frozenset(reached), frozenset(measured)), QoSMatrix._unchecked(measured)
 
 
@@ -363,15 +356,15 @@ def _headroom(qos: float, ms: float, limit: float, floor: float) -> float:
 
 
 class _Frame:
-    """A level of the walk: its pools, the assignments of picks left there
-    (just ``only``, if given), the one the branch holds, and the
-    headrooms it set (a node's first one includes it), to undo them."""
+    """A level of the walk: its pools, the assignments of picks left there,
+    the one the branch holds, and the headrooms it set (a node's first one
+    includes it), to undo them."""
 
     __slots__ = ("level", "pairs", "assignments", "assignment", "narrowed")
 
-    def __init__(self, level: int, pairs: list[_Pair], only: _Assignment | None = None) -> None:
+    def __init__(self, level: int, pairs: list[_Pair]) -> None:
         self.level, self.pairs, self.narrowed = level, pairs, []
-        self.assignments = iter((only,)) if only is not None else product(*(
+        self.assignments = product(*(
             (tuple(pool),) if isinstance(k, AllServices) else combinations(pool, k)
             for _, _, k, pool in pairs
         ))
@@ -393,8 +386,8 @@ def _branches(
     every target is a sink, so the walk yields the branch there: the frames
     above at their current assignments, and the deepest pools (none if no
     binder reached it).  :class:`InsufficientServices` is raised at the
-    first binder short of targets in that order.  Given ``first``, picks
-    of the start's pools, the start makes only those.
+    first binder short of targets in that order.  Given ``first``, one
+    assignment of picks to the start's pairs, the start makes only those.
 
     With ``lower`` of :func:`_least_costs`, only candidates of cost at most
     ``cutoff`` are reached.  Each included binder has a headroom, the most
@@ -427,10 +420,12 @@ def _branches(
                         qos, limit = svc[node].qos_nominal, headroom[node]
                         pool = [p for p in pool if qos + (p[1] + lower[p[0][1]]) <= limit]
                 pairs.append((node, to_type, constraint, pool))
+        if first is not None and not frames:  # the start's level: each pool is its given picks
+            pairs = [(node, to_type, k, chosen) for (node, to_type, k, _), chosen in zip(pairs, first)]
         if level == last:
             yield frames, pairs
         else:
-            frames.append(_Frame(level, pairs, None if frames else first))
+            frames.append(_Frame(level, pairs))
         while frames:  # the next assignment, backtracking past spent frames
             frame = frames[-1]
             for node, previous in reversed(frame.narrowed):
@@ -547,57 +542,50 @@ def _past_plateau(
     least, qos = lower[start_id], svc[start_id].qos_nominal
     groups = succ_by_type.get(start_id, {})
     pairs = [(start_id, t, k, groups.get(t, ())) for t, k in facts.specs[facts.start_type]]
-    deep = [bool(facts.specs[to_type]) for _, to_type, _, _ in pairs]
     heap: list[tuple] = []
     for order, assignment in enumerate(_Frame(0, pairs).assignments):
         terms = [ms + lower[target] for chosen in assignment for (_, target), ms in chosen]
-        heap.append((qos + max(terms) if terms else qos, 0, order, assignment))
+        cost = qos + max(terms) if terms else qos
+        if any(chosen for (_, to_type, _, _), chosen in zip(pairs, assignment) if facts.specs[to_type]):
+            heap.append((cost, 0, order, assignment))
+        else:  # a branch of sinks only is its one candidate
+            heap.append((cost, 1, tuple(sorted(edge for chosen in assignment for edge, _ in chosen))))
     heapify(heap)
     while heap:
-        entry = heap[0]
-        if entry[1]:
-            heappop(heap)
+        entry = heappop(heap)
+        if not entry[1]:
+            for item in _candidates(succ_by_type, facts, start_id, svc, first=entry[3]):
+                heappush(heap, (item.cost, 1, item.edges))
+        elif entry[0] > least:  # the plateau's items, which come first, are handed out already
             yield CandidateSubgraph(start_id, entry[2], entry[0], rank)
             rank += 1
-        elif any(chosen for chosen, below in zip(entry[3], deep) if below):
-            heappop(heap)
-            for item in _candidates(succ_by_type, facts, start_id, svc, first=entry[3]):
-                if item.cost > least:  # the plateau's items are handed out already
-                    heappush(heap, (item.cost, 1, item.edges))
-        elif entry[0] > least:  # the branch's one candidate takes its place
-            edges = tuple(sorted(edge for chosen in entry[3] for edge, _ in chosen))
-            heapreplace(heap, (entry[0], 1, edges))
-        else:
-            heappop(heap)
 
 
 class _Pool:
     """One start's candidates, as selection reads them: a plain sequence,
-    uncopied, or a list of :func:`assemble`, which holds its least-cost
-    plateau, counts its length once, and at the first read past the
-    plateau makes the iterator of the rest, read only as far as asked."""
+    uncopied, or the least-cost plateau of a start's ``walk`` (the first
+    arguments of :func:`_candidates`), which counts its length once and,
+    from the first read past the plateau, reads :func:`_past_plateau` only
+    as far as asked."""
 
-    __slots__ = ("_items", "_rest", "_more", "_count", "_length")
+    __slots__ = ("_items", "_walk", "_lower", "_more", "_length")
 
-    def __init__(self, items: Sequence[CandidateSubgraph], rest=None, count=None) -> None:
-        self._items = items
-        self._rest: Callable[[int], Iterator[CandidateSubgraph]] | None = rest  # makes the next
-        self._more: Iterator[CandidateSubgraph] | None = None  # the items after ``items``
-        self._count: Callable[[], int] | None = count  # the length, without listing
-        self._length = len(items) if rest is None else None
+    def __init__(self, items: Sequence[CandidateSubgraph], walk: tuple = (), lower=None) -> None:
+        self._items, self._walk, self._lower, self._more = items, walk, lower, None
+        self._length = None if walk else len(items)
 
     def item(self, index: int) -> CandidateSubgraph | None:
         """The candidate of rank ``index``, or ``None`` past the end."""
         items = self._items
-        if index >= len(items) and self._rest is not None:
-            if self._more is None:
-                self._more = self._rest(len(items))
+        if index >= len(items) and self._walk:
+            if self._more is None:  # made here: an unstarted generator outweighs its arguments
+                self._more = _past_plateau(*self._walk, self._lower, len(items))
             items.extend(islice(self._more, index + 1 - len(items)))
         return items[index] if index < len(items) else None
 
     def length(self) -> int:
         if self._length is None:
-            self._length = self._count()
+            self._length = _count(*self._walk)
         return self._length
 
 
@@ -719,10 +707,7 @@ def select_assembly(
         chosen[position] += 1
 
     union_edges = frozenset(edge for edge, held in holders.items() if held)
-    nodes = set(start_ids)
-    for a, b in union_edges:
-        nodes.add(a)
-        nodes.add(b)
+    nodes = set(start_ids).union(*union_edges)
     combo = {sid: pool.item(index) for sid, pool, index in zip(start_ids, pools, chosen)}
     per_load = {node: loads.get(node, 0) for node in sorted(nodes)}
     return AssemblyResult(AssemblyGraph(frozenset(nodes), union_edges), combo, tested, per_load)
@@ -767,7 +752,6 @@ def assemble(
         elif lower[sid] is None:
             per_start[sid] = _candidates(*walk)
         else:
-            plateau = _candidates(*walk, lower, lower[sid])
-            per_start[sid] = _Pool(plateau, partial(_past_plateau, *walk, lower), partial(_count, *walk))
+            per_start[sid] = _Pool(_candidates(*walk, lower, lower[sid]), walk, lower)
     reuse.attempt = (svc, succ_by_type, lower, per_start)
     return select_assembly(per_start, svc, budget=budget)

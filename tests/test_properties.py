@@ -4,7 +4,7 @@ import random
 import re
 from collections import Counter, deque
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -757,10 +757,14 @@ def test_lazy_assemble_matches_selection_over_full_lists(instance, data):
 
 def _branch_spy(calls):
     """``_candidates`` that records each branch listed past a plateau: its start,
-    the start's picks that make it, and how many candidates it built."""
+    the start's picks that make it, and how many candidates it built; and
+    the start of every unbounded search, with ``None`` for both, before it
+    runs."""
     real = assembler._candidates
 
     def spy(succ, facts, start_id, svc, lower=None, cutoff=math.inf, first=None):
+        if first is None and cutoff == math.inf:
+            calls.append((start_id, None, None))
         listed = real(succ, facts, start_id, svc, lower, cutoff, first)
         if first is not None:
             calls.append((start_id, first, len(listed)))
@@ -769,11 +773,16 @@ def _branch_spy(calls):
     return spy
 
 
+def _listed_in_full(calls):
+    """The starts an unbounded search listed."""
+    return {start for start, first, _ in calls if first is None}
+
+
 def _branches_listed(calls, sid, size):
     """How many branches of ``sid`` were listed, after checking that none
     was listed twice and that they built at most ``size`` candidates, the
     length of its full list."""
-    branches = [(first, built) for start, first, built in calls if start == sid]
+    branches = [(first, built) for start, first, built in calls if start == sid and first is not None]
     assert len({first for first, _ in branches}) == len(branches)
     assert sum(built for _, built in branches) <= size
     return len(branches)
@@ -820,10 +829,13 @@ def test_counted_length_equals_the_full_list_length(instance):
         for sid, pool in lazy.items():
             assert pool.length() == len(full[sid])
             assert _branches_listed(calls, sid, len(full[sid])) == 0  # counted, not listed
+            assert sid not in _listed_in_full(calls)
             assert pool.item(pool.length()) is None  # past the end: reads every branch
             _branches_listed(calls, sid, len(full[sid]))
+            assert sid not in _listed_in_full(calls)  # branch by branch, never in full
             assert pool.length() == len(full[sid])
             assert [pool.item(i) for i in range(pool.length())] == full[sid]
+        assert not _listed_in_full(calls)
 
 
 def test_pruning_counts_later_starts_without_listing_them():
@@ -851,7 +863,8 @@ def test_pruning_counts_later_starts_without_listing_them():
             lazy = _assembly(
                 lambda: assemble(services, template, make_net(services, latency), budget=budget)
             )
-        assert {start for start, _, _ in calls} == {"A2"}
+        assert not _listed_in_full(calls)  # no start is listed in full
+        assert {start for start, _, _ in calls} == {"A2"}  # only A2 reads past its plateau
         _branches_listed(calls, "A2", len(full["A2"]))
         assert lazy == _assembly(lambda: reference_select(full, services, budget))
         assert lazy == _assembly(lambda: select_assembly(full, services, budget=budget))
@@ -884,6 +897,38 @@ def test_items_past_the_plateau_continue_the_full_list(instance):
         plateau = _candidates(succ, facts, sid, svc, lower, lower[sid])
         rest = _past_plateau(succ, facts, sid, svc, lower, len(plateau))
         assert _listing(lambda: plateau + list(rest)) == _listing(lambda: full)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        wide_instances(),
+        wide_instances(signed_zeros),
+        dag_instances(tie_prone),
+        contended_instances(tie_prone, (ALL, 0, 1)),
+        layered_random_instances(),
+    )
+)
+def test_branches_of_the_start_picks_partition_the_full_list(instance):
+    """Listing a start once per assignment of picks to its pairs, passed as
+    ``first``, gives each candidate of its full list exactly once, with
+    its cost bit for bit; also where the start's type is the deepest level,
+    as in a one-layer template, and with a k=0 pair."""
+    services, template, table = instance
+    svc, facts, succ = service_map(services), _facts(template), {}
+    net = make_net(services, MatrixLatency(table))
+    graph, links = build_binding_graph(services, template, net, facts=facts, index=succ)
+    for sid, full in _full_lists(services, template, graph, links).items():
+        if isinstance(full, InsufficientServices):
+            continue
+        pools = [(succ.get(sid, {}).get(t, ()), k) for t, k in facts.specs[facts.start_type]]
+        listed = []
+        for first in product(*(
+            (tuple(pool),) if isinstance(k, AllServices) else combinations(pool, k) for pool, k in pools
+        )):
+            listed += _candidates(succ, facts, sid, svc, first=first)
+        listed.sort(key=lambda c: (c.cost, c.edges))
+        assert [(c.cost.hex(), c.edges) for c in listed] == [(c.cost.hex(), c.edges) for c in full]
 
 
 # ------------------------------------------------- the iterative candidate walker
