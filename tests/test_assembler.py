@@ -469,3 +469,27 @@ def test_a_wide_pool_read_in_rank_order_is_the_full_list():
     full = enumerate_candidates(graph, links, scenario.template, "A1", service_map(scenario.services))
     assert len(full) == pool.length() == 19_900
     assert [(c.cost.hex(), c.rank, c.edges) for c in items] == [(c.cost.hex(), c.rank, c.edges) for c in full]
+
+
+def test_a_branch_of_equal_least_cost_is_listed_before_an_item_of_that_cost():
+    # A1's plateau is B2-C1 at 0.0.  Past it, the B2 branch's item B2-C2 and
+    # the unlisted B1 branch both cost 1.0; the B1 branch must be listed
+    # first, as its items B1-C1 and B1-C2 sort before B2-C2 by edges.
+    services = [ServiceDescriptor("A1", "tA", 0.0, 1)]
+    services += [ServiceDescriptor(sid, "tB", 0.0, 1) for sid in ("B1", "B2")]
+    services += [ServiceDescriptor(sid, "tC", 0.0, 1) for sid in ("C1", "C2")]
+    template = ApplicationTemplate((("tA", "tB"), ("tB", "tC")), (1, 1))
+    table = {("A1", "B2"): 0.0, ("A1", "B1"): 1.0, ("B2", "C1"): 0.0, ("B2", "C2"): 1.0}
+    table.update({("B1", "C1"): 0.0, ("B1", "C2"): 0.0})
+    captured = {}
+    with mock.patch.object(
+        assembler, "select_assembly", lambda per_start, svc, budget: captured.update(per_start)
+    ):
+        assemble(services, template, make_net(services, MatrixLatency(table)))
+    pool, items = captured["A1"], []
+    while (item := pool.item(len(items))) is not None:
+        items.append(item)
+    graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
+    full = enumerate_candidates(graph, links, template, "A1", service_map(services))
+    assert [c.edges[0][1] for c in full] == ["B2", "B1", "B1", "B2"]
+    assert [(c.cost.hex(), c.rank, c.edges) for c in items] == [(c.cost.hex(), c.rank, c.edges) for c in full]
