@@ -13,10 +13,12 @@ Assembly proceeds in three stages:
    :func:`~selfassembly.model.worst_path_time` of it bit for bit.  The
    search is one iterative walk over the template's types.
    :func:`assemble` lists each start's least-cost plateau first and counts
-   lengths with the same walk.  Past the plateau it hands items out in rank
-   order, listing one branch of the start's own picks at a time, only when
-   the next item could come from it.  Given the record of the attempt
-   before, it keeps the pool of each start the change did not reach.
+   lengths with the same walk.  Past the plateau the start's pool hands
+   items out in rank order from one heap, listing one branch of the start's
+   own picks at a time, only when the next item could come from it: the
+   same walk, over an index in which the start's groups are those picks.
+   Given the record of the attempt before, it keeps the pool of each start
+   the change did not reach.
 3. :func:`select_assembly` walks combinations of one candidate per start
    (an odometer over the sorted lists, rightmost start varying fastest) and
    commits the first whose deduplicated union keeps every service's
@@ -38,7 +40,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from operator import attrgetter
 
 from .errors import (
@@ -232,7 +234,6 @@ _Services = Mapping[str, ServiceDescriptor]
 _Pick = tuple[_Edge, float]  # an edge of the binding graph and its link time
 _Successors = Mapping[str, Mapping[str, Sequence[_Pick]]]
 _Pair = tuple[str, str, Constraint, Sequence[_Pick]]  # binder, target type, constraint, pool
-_Assignment = tuple[tuple[_Pick, ...], ...]  # the picks of each pair of a level
 
 
 class _MissingLink:
@@ -377,7 +378,6 @@ def _branches(
     svc: _Services,
     lower: Mapping[str, float | None] | None = None,
     cutoff: float = math.inf,
-    first: _Assignment | None = None,
 ) -> Iterator[tuple[list[_Frame], list[_Pair]]]:
     """The candidate search: one walk with an explicit stack over the types
     with pairs ("levels"), binders before targets.  A level's binders pick
@@ -386,8 +386,7 @@ def _branches(
     every target is a sink, so the walk yields the branch there: the frames
     above at their current assignments, and the deepest pools (none if no
     binder reached it).  :class:`InsufficientServices` is raised at the
-    first binder short of targets in that order.  Given ``first``, one
-    assignment of picks to the start's pairs, the start makes only those.
+    first binder short of targets in that order.
 
     With ``lower`` of :func:`_least_costs`, only candidates of cost at most
     ``cutoff`` are reached.  Each included binder has a headroom, the most
@@ -420,8 +419,6 @@ def _branches(
                         qos, limit = svc[node].qos_nominal, headroom[node]
                         pool = [p for p in pool if qos + (p[1] + lower[p[0][1]]) <= limit]
                 pairs.append((node, to_type, constraint, pool))
-        if first is not None and not frames:  # the start's level: each pool is its given picks
-            pairs = [(node, to_type, k, chosen) for (node, to_type, k, _), chosen in zip(pairs, first)]
         if level == last:
             yield frames, pairs
         else:
@@ -464,18 +461,16 @@ def _candidates(
     svc: _Services,
     lower: Mapping[str, float | None] | None = None,
     cutoff: float = math.inf,
-    first: _Assignment | None = None,
 ) -> list[CandidateSubgraph]:
     """The candidate list behind :func:`enumerate_candidates`; given
     ``lower`` of :func:`_least_costs`, only its exact prefix of cost at
-    most ``cutoff``; given ``first``, only the branch of those start picks.
-    A pick at the deepest level is priced once per branch of
-    :func:`_branches`, as its link plus its sink's qos.  A candidate then
-    re-prices only the binders above, bottom-up in the association of
+    most ``cutoff``.  A pick at the deepest level is priced once per branch
+    of :func:`_branches`, as its link plus its sink's qos.  A candidate
+    then re-prices only the binders above, bottom-up in the association of
     :func:`worst_path_time`, the sinks they pick at their qos.
     """
     raw: list[tuple[float, tuple[_Edge, ...]]] = []
-    for frames, pairs in _branches(succ_by_type, facts, start_id, svc, lower, cutoff, first):
+    for frames, pairs in _branches(succ_by_type, facts, start_id, svc, lower, cutoff):
         worth: dict[str, float] = {}
         plan: list[tuple[str, float, tuple[tuple[float, str], ...]]] = []  # bottom-up
         above: list[_Edge] = []
@@ -527,60 +522,55 @@ def _count(succ_by_type: _Successors, facts: _TemplateFacts, start_id: str, svc:
     )
 
 
-def _past_plateau(
-    succ_by_type: _Successors, facts: _TemplateFacts, start_id: str, svc: _Services,
-    lower: Mapping[str, float | None], rank: int,
-) -> Iterator[CandidateSubgraph]:
-    """The candidates of cost above ``lower[start_id]``, ranked from
-    ``rank``: Lawler's (1972) partition, one level deep.  A branch is one
-    assignment of the start's picks; its least cost, in the association of
-    :func:`_least_costs`, is exact.  One heap holds branches by least cost
-    and listed items by ``(cost, edges)``, a branch first on equal cost, so
-    an item leaves only when no unlisted branch could hold one before it.
-    A branch of sinks only is its one candidate, of that cost bit for bit.
-    """
-    least, qos = lower[start_id], svc[start_id].qos_nominal
-    groups = succ_by_type.get(start_id, {})
-    pairs = [(start_id, t, k, groups.get(t, ())) for t, k in facts.specs[facts.start_type]]
-    heap: list[tuple] = []
-    for order, assignment in enumerate(_Frame(0, pairs).assignments):
-        terms = [ms + lower[target] for chosen in assignment for (_, target), ms in chosen]
-        cost = qos + max(terms) if terms else qos
-        if any(chosen for (_, to_type, _, _), chosen in zip(pairs, assignment) if facts.specs[to_type]):
-            heap.append((cost, 0, order, assignment))
-        else:  # a branch of sinks only is its one candidate
-            heap.append((cost, 1, tuple(sorted(edge for chosen in assignment for edge, _ in chosen))))
-    heapify(heap)
-    while heap:
-        entry = heappop(heap)
-        if not entry[1]:
-            for item in _candidates(succ_by_type, facts, start_id, svc, first=entry[3]):
-                heappush(heap, (item.cost, 1, item.edges))
-        elif entry[0] > least:  # the plateau's items, which come first, are handed out already
-            yield CandidateSubgraph(start_id, entry[2], entry[0], rank)
-            rank += 1
-
-
 class _Pool:
     """One start's candidates, as selection reads them: a plain sequence,
     uncopied, or the least-cost plateau of a start's ``walk`` (the first
-    arguments of :func:`_candidates`), which counts its length once and,
-    from the first read past the plateau, reads :func:`_past_plateau` only
-    as far as asked."""
+    arguments of :func:`_candidates`), which counts its length once and
+    hands out the items past the plateau in rank order, listing only as far
+    as asked: Lawler's (1972) partition, one level deep.
 
-    __slots__ = ("_items", "_walk", "_lower", "_more", "_length")
+    A branch is one assignment of the start's picks; its least cost, in the
+    association of :func:`_least_costs`, is exact.  At the first read past
+    the plateau, one heap takes the branches by least cost; a branch of
+    sinks only goes in as its one candidate, of that cost bit for bit.  A
+    branch popped is listed by the walk over an index in which the start's
+    groups are its picks (no pair enters the start's type, so no other node
+    reads them), and its items go in by ``(cost, edges)``, after a branch of
+    equal cost, so an item leaves only when no unlisted branch could hold
+    one before it.  Each item handed out is ranked by the items before it."""
+
+    __slots__ = ("_items", "_walk", "_lower", "_heap", "_length")
 
     def __init__(self, items: Sequence[CandidateSubgraph], walk: tuple = (), lower=None) -> None:
-        self._items, self._walk, self._lower, self._more = items, walk, lower, None
+        self._items, self._walk, self._lower, self._heap = items, walk, lower, None
         self._length = None if walk else len(items)
 
     def item(self, index: int) -> CandidateSubgraph | None:
         """The candidate of rank ``index``, or ``None`` past the end."""
-        items = self._items
+        items, heap, lower = self._items, self._heap, self._lower
         if index >= len(items) and self._walk:
-            if self._more is None:  # made here: an unstarted generator outweighs its arguments
-                self._more = _past_plateau(*self._walk, self._lower, len(items))
-            items.extend(islice(self._more, index + 1 - len(items)))
+            succ_by_type, facts, start_id, svc = self._walk
+            if heap is None:
+                heap = self._heap = []
+                qos, groups = svc[start_id].qos_nominal, succ_by_type.get(start_id, {})
+                types = [t for t, _ in facts.specs[facts.start_type]]
+                pairs = [(start_id, t, k, groups.get(t, ())) for t, k in facts.specs[facts.start_type]]
+                for order, assignment in enumerate(_Frame(0, pairs).assignments):
+                    terms = [ms + lower[target] for chosen in assignment for (_, target), ms in chosen]
+                    cost = qos + max(terms) if terms else qos
+                    if any(chosen for t, chosen in zip(types, assignment) if facts.specs[t]):
+                        heap.append((cost, 0, order, dict(zip(types, assignment))))  # the start's picks
+                    else:  # a branch of sinks only is its one candidate
+                        edges = sorted(edge for chosen in assignment for edge, _ in chosen)
+                        heap.append((cost, 1, tuple(edges)))
+                heapify(heap)
+            while heap and index >= len(items):
+                entry = heappop(heap)
+                if not entry[1]:
+                    for item in _candidates({**succ_by_type, start_id: entry[3]}, facts, start_id, svc):
+                        heappush(heap, (item.cost, 1, item.edges))
+                elif entry[0] > lower[start_id]:  # the plateau's items are handed out already
+                    items.append(CandidateSubgraph(start_id, entry[2], entry[0], len(items)))
         return items[index] if index < len(items) else None
 
     def length(self) -> int:

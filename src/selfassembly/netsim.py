@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation of the peer network.
 
-The simulator keeps a logically centralized registry of live peers with
-per-peer views, one logical clock, and a configurable link latency model.
+The simulator keeps a logically centralized registry of live peers, each
+seeing every other, one logical clock, and a configurable link latency model.
 Link quality is measured as the difference of the timestamps a message
 would carry: the sender stamps the moment it leaves, the receiver the
 moment it arrives.

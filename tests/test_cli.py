@@ -386,13 +386,17 @@ def test_verify_small_run(capsys):
 def test_verify_reports_items_handed_out_past_a_plateau_out_of_rank_order(monkeypatch, capsys):
     # The oracle checks feasibility and membership only; the full lists
     # also pin each chosen candidate's rank, cost and the count.
-    real = assembler._past_plateau
+    # A start's pool hands out its first two items past the plateau swapped.
+    real = assembler._Pool.item
+    plateau_ends = {}
 
-    def swapped(*args):
-        items = list(real(*args))
-        yield from items[1::-1] + items[2:]
+    def swapped(pool, index):
+        end = plateau_ends.setdefault(pool, len(pool._items))  # selection reads item 0 first
+        if pool._walk and index in (end, end + 1) and real(pool, end + 1) is not None:
+            index = 2 * end + 1 - index
+        return real(pool, index)
 
-    monkeypatch.setattr(assembler, "_past_plateau", swapped)
+    monkeypatch.setattr(assembler._Pool, "item", swapped)
     assert main(["verify", "--random", "50", "--seed", "7"]) == EXIT_MISMATCH
     captured = capsys.readouterr()
     assert "assemble differs from selection over full candidate lists" in captured.err

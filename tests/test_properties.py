@@ -60,7 +60,7 @@ from selfassembly.assembler import (
     _headroom,
     _index,
     _least_costs,
-    _past_plateau,
+    _Pool,
 )
 from selfassembly.model import AllServices
 from selfassembly.oracle import _subgraphs_from, exhaustive_worst_path
@@ -757,17 +757,26 @@ def test_lazy_assemble_matches_selection_over_full_lists(instance, data):
 
 def _branch_spy(calls):
     """``_candidates`` that records each branch listed past a plateau: its start,
-    the start's picks that make it, and how many candidates it built; and
-    the start of every unbounded search, with ``None`` for both, before it
-    runs."""
+    the start's picks that make it (their edges per type), and how many
+    candidates it built; and the start of every unbounded search over the
+    attempt's own index, with ``None`` for both, before it runs.  A branch is
+    listed over an index that gives the start other groups than the ones its
+    plateau was listed over."""
     real = assembler._candidates
+    plateau_groups = {}
 
-    def spy(succ, facts, start_id, svc, lower=None, cutoff=math.inf, first=None):
-        if first is None and cutoff == math.inf:
+    def spy(succ, facts, start_id, svc, lower=None, cutoff=math.inf):
+        groups = succ.get(start_id)
+        if lower is not None:
+            plateau_groups[start_id] = groups
+            return real(succ, facts, start_id, svc, lower, cutoff)
+        branch = start_id in plateau_groups and groups is not plateau_groups[start_id]
+        if not branch:
             calls.append((start_id, None, None))
-        listed = real(succ, facts, start_id, svc, lower, cutoff, first)
-        if first is not None:
-            calls.append((start_id, first, len(listed)))
+        listed = real(succ, facts, start_id, svc, lower, cutoff)
+        if branch:
+            picks = tuple((t, tuple(edge for edge, _ in chosen)) for t, chosen in groups.items())
+            calls.append((start_id, picks, len(listed)))
         return listed
 
     return spy
@@ -895,8 +904,10 @@ def test_items_past_the_plateau_continue_the_full_list(instance):
         if isinstance(full, InsufficientServices):
             continue
         plateau = _candidates(succ, facts, sid, svc, lower, lower[sid])
-        rest = _past_plateau(succ, facts, sid, svc, lower, len(plateau))
-        assert _listing(lambda: plateau + list(rest)) == _listing(lambda: full)
+        pool, rest = _Pool(list(plateau), (succ, facts, sid, svc), lower), []
+        while (item := pool.item(len(plateau) + len(rest))) is not None:
+            rest.append(item)
+        assert _listing(lambda: plateau + rest) == _listing(lambda: full)
 
 
 @settings(max_examples=200, deadline=None)
@@ -911,9 +922,10 @@ def test_items_past_the_plateau_continue_the_full_list(instance):
 )
 def test_branches_of_the_start_picks_partition_the_full_list(instance):
     """Listing a start once per assignment of picks to its pairs, passed as
-    ``first``, gives each candidate of its full list exactly once, with
-    its cost bit for bit; also where the start's type is the deepest level,
-    as in a one-layer template, and with a k=0 pair."""
+    the start's groups in a copy of the index, gives each candidate of its
+    full list exactly once, with its cost bit for bit; also where the
+    start's type is the deepest level, as in a one-layer template, and with
+    a k=0 pair."""
     services, template, table = instance
     svc, facts, succ = service_map(services), _facts(template), {}
     net = make_net(services, MatrixLatency(table))
@@ -922,11 +934,12 @@ def test_branches_of_the_start_picks_partition_the_full_list(instance):
         if isinstance(full, InsufficientServices):
             continue
         pools = [(succ.get(sid, {}).get(t, ()), k) for t, k in facts.specs[facts.start_type]]
+        types = [t for t, _ in facts.specs[facts.start_type]]
         listed = []
         for first in product(*(
             (tuple(pool),) if isinstance(k, AllServices) else combinations(pool, k) for pool, k in pools
         )):
-            listed += _candidates(succ, facts, sid, svc, first=first)
+            listed += _candidates({**succ, sid: dict(zip(types, first))}, facts, sid, svc)
         listed.sort(key=lambda c: (c.cost, c.edges))
         assert [(c.cost.hex(), c.edges) for c in listed] == [(c.cost.hex(), c.edges) for c in full]
 
@@ -1495,6 +1508,31 @@ def test_every_record_is_stamped_forward_in_time(world):
         assert all(math.isfinite(t) for t in times)
         assert all(earlier <= later for earlier, later in zip(times, times[1:]))
     assert [rec["t"] for rec in records if rec["kind"] == "reassembly"] == timeline_times
+
+
+@settings(max_examples=200, deadline=None)
+@given(churn_worlds())
+def test_a_rerun_raises_only_the_classes_its_timeline_records(world):
+    """Every error an ``assemble`` of ``run_scenario`` raises is one of the
+    four classes ``attempt`` turns into a timeline entry.  No other can
+    occur: ``_Reuse`` checks the template before anything is announced (no
+    ``TemplateInvalid``); the flood's index holds a link for every pick (no
+    ``MissingLinkQoS``); every sender is a live typed service (no
+    ``PeerUnknown``); and ``measure_links`` turns ``LatencyUndefined`` into
+    an ``unmeasurable`` record."""
+    services, template, events, _seed, budget, latency = world
+    real, raised = runtime.assemble, []
+
+    def recorded(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+
+    with mock.patch.object(runtime, "assemble", recorded):
+        run_scenario(services, template, events, Simulator(latency()), budget=budget)
+    assert set(raised) <= {Infeasible, InsufficientServices, NoStartingService, CombinationBudgetExceeded}
 
 
 @st.composite
