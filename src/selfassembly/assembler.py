@@ -16,7 +16,7 @@ Assembly proceeds in three stages:
    lengths with the same walk.  Past the plateau the start's pool hands
    items out in rank order from one heap, listing one branch of the start's
    own picks at a time, only when the next item could come from it: the
-   same walk, over an index in which the start's groups are those picks.
+   same walk, over the index with the start's groups set to those picks.
    Given the record of the attempt before, it keeps the pool of each start
    the change did not reach.
 3. :func:`select_assembly` walks combinations of one candidate per start
@@ -533,11 +533,11 @@ class _Pool:
     association of :func:`_least_costs`, is exact.  At the first read past
     the plateau, one heap takes the branches by least cost; a branch of
     sinks only goes in as its one candidate, of that cost bit for bit.  A
-    branch popped is listed by the walk over an index in which the start's
-    groups are its picks (no pair enters the start's type, so no other node
-    reads them), and its items go in by ``(cost, edges)``, after a branch of
-    equal cost, so an item leaves only when no unlisted branch could hold
-    one before it.  Each item handed out is ranked by the items before it."""
+    branch popped is listed by the walk with the start's groups in the index
+    set to its picks, then put back (no pair enters the start's type, so no
+    other node reads them).  Its items go in by ``(cost, edges)``, after a
+    branch of equal cost, so an item leaves, ranked by the items before it,
+    only when no unlisted branch could hold one before it."""
 
     __slots__ = ("_items", "_walk", "_lower", "_heap", "_length")
 
@@ -567,8 +567,10 @@ class _Pool:
             while heap and index >= len(items):
                 entry = heappop(heap)
                 if not entry[1]:
-                    for item in _candidates({**succ_by_type, start_id: entry[3]}, facts, start_id, svc):
+                    groups, succ_by_type[start_id] = succ_by_type[start_id], entry[3]  # O(1), unlike a copy
+                    for item in _candidates(succ_by_type, facts, start_id, svc):
                         heappush(heap, (item.cost, 1, item.edges))
+                    succ_by_type[start_id] = groups  # the walk cannot raise: lower[start_id] is not None
                 elif entry[0] > lower[start_id]:  # the plateau's items are handed out already
                     items.append(CandidateSubgraph(start_id, entry[2], entry[0], len(items)))
         return items[index] if index < len(items) else None

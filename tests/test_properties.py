@@ -758,19 +758,31 @@ def test_lazy_assemble_matches_selection_over_full_lists(instance, data):
 def _branch_spy(calls):
     """``_candidates`` that records each branch listed past a plateau: its start,
     the start's picks that make it (their edges per type), and how many
-    candidates it built; and the start of every unbounded search over the
-    attempt's own index, with ``None`` for both, before it runs.  A branch is
-    listed over an index that gives the start other groups than the ones its
-    plateau was listed over."""
+    candidates it built; and the start of every other unbounded search, with
+    ``None`` for both, before it runs.  A bounded call lists a plateau, and
+    the spy keeps the start's groups it read.  An unbounded call lists a
+    branch only if the start's groups are another object holding one
+    assignment of the plateau's pools: k picks of a pool, or all of an ALL
+    pool; whether ``lower`` is given does not matter.  Any other unbounded
+    call, also over a copy of the start's groups, is a full listing."""
     real = assembler._candidates
     plateau_groups = {}
 
+    def one_assignment(groups, plateau, specs):
+        return all(
+            tuple(groups.get(t, ())) == tuple(plateau.get(t, ())) if isinstance(k, AllServices)
+            else len(groups.get(t, ())) == k and set(groups.get(t, ())) <= set(plateau.get(t, ()))
+            for t, k in specs
+        )
+
     def spy(succ, facts, start_id, svc, lower=None, cutoff=math.inf):
         groups = succ.get(start_id)
-        if lower is not None:
+        if cutoff < math.inf:
             plateau_groups[start_id] = groups
             return real(succ, facts, start_id, svc, lower, cutoff)
-        branch = start_id in plateau_groups and groups is not plateau_groups[start_id]
+        plateau = plateau_groups.get(start_id, groups)
+        specs = facts.specs[facts.start_type]
+        branch = groups is not plateau and one_assignment(groups or {}, plateau or {}, specs)
         if not branch:
             calls.append((start_id, None, None))
         listed = real(succ, facts, start_id, svc, lower, cutoff)
@@ -894,7 +906,8 @@ def test_pruning_counts_later_starts_without_listing_them():
 def test_items_past_the_plateau_continue_the_full_list(instance):
     """A start's plateau, then the items handed out past it, are its full
     list bit for bit, also with a k=0 pair, which only an unchecked
-    template has, and with ``-0.0`` values on the plateau."""
+    template has, and with ``-0.0`` values on the plateau; reading them
+    leaves the index as it was."""
     services, template, table = instance
     svc, facts, succ = service_map(services), _facts(template), {}
     net = make_net(services, MatrixLatency(table))
@@ -904,10 +917,11 @@ def test_items_past_the_plateau_continue_the_full_list(instance):
         if isinstance(full, InsufficientServices):
             continue
         plateau = _candidates(succ, facts, sid, svc, lower, lower[sid])
-        pool, rest = _Pool(list(plateau), (succ, facts, sid, svc), lower), []
+        pool, rest, groups = _Pool(list(plateau), (succ, facts, sid, svc), lower), [], succ.get(sid)
         while (item := pool.item(len(plateau) + len(rest))) is not None:
             rest.append(item)
         assert _listing(lambda: plateau + rest) == _listing(lambda: full)
+        assert succ.get(sid) is groups  # each branch's picks are put back in the index
 
 
 @settings(max_examples=200, deadline=None)
