@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Iterable, KeysView, Mapping
+from collections.abc import Iterable, Iterator, KeysView, Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import attrgetter
 
 from .errors import DuplicateId, LatencyUndefined, PeerUnknown
@@ -117,9 +116,10 @@ class Simulator:
       by construction.  ``measure_links`` does the same for every target
       one sender can see, in one call; the flood uses it.
 
-    Every action appends one record to the event trace, stamped with the
-    clock, so identical scenarios with identical seeds serialize to
-    byte-identical logs.
+    Every action writes the event trace, stamped with the clock: one record
+    per call, except that an ``announce`` batch is one entry that reads as
+    one record per service.  Identical scenarios with identical seeds
+    serialize to byte-identical logs.
     """
 
     def __init__(self, latency: LatencyModel | None = None, *, trace: bool = True):
@@ -133,21 +133,24 @@ class Simulator:
     # ------------------------------------------------------------------ registry
 
     def announce(self, *services: ServiceDescriptor) -> None:
-        """Register one or many peers, visible from now on; each descriptor is
-        only traced, in argument order.  Atomic: if an id repeats, in the call
-        or the registry, :class:`DuplicateId` names the first repeat in
-        argument order, as single calls would, and nothing changes."""
+        """Register one or many peers, visible from now on.  The batch is
+        traced as one entry holding the descriptors, which reads as one
+        ``announce`` record per service in argument order; an empty call
+        traces nothing.  Atomic: if an id repeats, in the call or the
+        registry, :class:`DuplicateId` names the first repeat in argument
+        order, as single calls would, and nothing changes."""
         live = self._live
         fresh = dict.fromkeys(map(_ID, services))
-        if len(fresh) != len(services) or not live.keys().isdisjoint(fresh):
+        # Against a keys view, isdisjoint walks the smaller side, not the batch.
+        if len(fresh) != len(services) or not live.keys().isdisjoint(fresh.keys()):
             seen = set()
             for sid in map(_ID, services):
                 if sid in live or sid in seen:
                     raise DuplicateId(f"service {sid!r} is already announced")
                 seen.add(sid)
         live.update(fresh)
-        if self._trace_enabled:
-            self._trace.extend(zip(repeat(self.clock), services))
+        if self._trace_enabled and services:
+            self._trace.append((self.clock, services))
 
     def withdraw(self, service_id: str) -> None:
         """Remove a peer; it disappears from every later view."""
@@ -258,7 +261,13 @@ class Simulator:
         )
 
     def trace_records(self) -> list[dict]:
-        return [rec if type(rec) is dict else _render(rec) for rec in self._trace]
+        records: list[dict] = []
+        for entry in self._trace:
+            if type(entry) is dict:
+                records.append(entry)
+            else:
+                records.extend(_render(entry))
+        return records
 
     def trace_jsonl(self) -> str:
         """The event trace as line-delimited JSON (one record per line)."""
@@ -266,15 +275,18 @@ class Simulator:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _render(entry: tuple) -> dict:
-    """The trace record of a compact entry.  ``announce`` and the link
+def _render(entry: tuple) -> Iterator[dict]:
+    """The trace records of a compact entry.  ``announce`` and the link
     measurements, the calls a large registry makes most, append
-    ``(t, service)`` and ``(t_sent, from, to, link_ms)``, and the record is
-    built when read."""
+    ``(t, services)`` per batch and ``(t_sent, from, to, link_ms)`` per
+    link, and the records are built when read: one per service of a batch,
+    in argument order."""
     if len(entry) == 2:
-        when, (sid, kind, qos, threshold) = entry
-        detail = {"type": kind, "qos_ms": qos, "threshold": threshold}
-        return {"t": when, "kind": "announce", "from": sid, "to": None, "detail": detail}
+        when, services = entry
+        for sid, kind, qos, threshold in services:
+            detail = {"type": kind, "qos_ms": qos, "threshold": threshold}
+            yield {"t": when, "kind": "announce", "from": sid, "to": None, "detail": detail}
+        return
     t_sent, from_id, to_id, link_ms = entry
     detail = {"t_sent": t_sent, "t_received": t_sent + link_ms, "link_ms": link_ms}
-    return {"t": t_sent, "kind": "measure", "from": from_id, "to": to_id, "detail": detail}
+    yield {"t": t_sent, "kind": "measure", "from": from_id, "to": to_id, "detail": detail}

@@ -231,7 +231,11 @@ def _parse_event(obj: Any, where: str) -> ScenarioEvent:
 
 def parse_scenario(document: str | dict) -> Scenario:
     """Parse a scenario document (JSON text or an already-decoded object);
-    unknown keys are rejected."""
+    unknown keys are rejected.
+
+    A text document's service entries are released as they are read, so
+    that a decoded entry and its descriptor are never both held for the
+    whole list; a decoded document is read and never modified."""
     if isinstance(document, str):
         try:
             obj = json.loads(document)
@@ -245,10 +249,14 @@ def parse_scenario(document: str | dict) -> Scenario:
     raw_services = obj["services"]
     if not isinstance(raw_services, list):
         raise ScenarioFormatError("services: expected a list")
+    if obj is document:  # a decoded document is the caller's: release from a copy
+        raw_services = list(raw_services)
     services: list[ServiceDescriptor] = []
     fields_of = itemgetter("id", "type", "qos_ms", "threshold")
     unchecked = ServiceDescriptor._unchecked
-    for entry in raw_services:
+    kinds: dict[str, str] = {}  # one str per type, shared by its descriptors
+    for index, entry in enumerate(raw_services):
+        raw_services[index] = None  # only entry holds it now, until the next is read
         # A plain entry of the four keys, of the types JSON decodes them to, is
         # checked here once, as the descriptor checks it: non-empty strings, a
         # threshold >= 1 and a finite qos >= 0.  Any other is checked key by key.
@@ -262,9 +270,9 @@ def parse_scenario(document: str | dict) -> Scenario:
                 if (type(sid) is str and sid and type(kind) is str and kind
                         and type(threshold) is int and threshold >= 1
                         and type(qos) is float and 0 <= qos < math.inf):
-                    services.append(unchecked((sid, kind, qos, threshold)))
+                    services.append(unchecked((sid, kinds.setdefault(kind, kind), qos, threshold)))
                     continue
-        services.append(_parse_service(entry, f"services[{len(services)}]"))
+        services.append(_parse_service(entry, f"services[{index}]"))
     live = set(map(itemgetter(0), services))
     if len(live) != len(services):
         raise ScenarioFormatError("services: duplicate ids")

@@ -273,6 +273,36 @@ def test_every_trace_record_is_stamped_with_the_clock():
     assert records[5]["detail"] == {"t": -1.0}
 
 
+def test_an_announce_batch_reads_as_one_record_per_service_at_its_clock():
+    net = Simulator(UniformLatency(1.0))
+    net.announce(ServiceDescriptor("A1", "tA", 1.0, 1), ServiceDescriptor("B1", "tB", 2.0, 1))
+    net.advance(1.0)
+    net.measure_link("A1", "B1")
+    net.advance(2.0)
+    batch = [ServiceDescriptor("B2", "tB", 3.0, 2), ServiceDescriptor("C1", "tC", 4.0, 1),
+             ServiceDescriptor("C0", "tC", 5.0, 3)]
+    net.announce(*batch)
+    before = net.trace_records()
+    net.advance(2.5)
+    net.announce()
+    assert net.trace_records() == before
+    net.advance(3.0)
+    net.withdraw("B2")
+    records = net.trace_records()
+    assert [(rec["t"], rec["kind"], rec["from"]) for rec in records] == [
+        (0.0, "announce", "A1"),
+        (0.0, "announce", "B1"),
+        (1.0, "measure", "A1"),
+        (2.0, "announce", "B2"),
+        (2.0, "announce", "C1"),
+        (2.0, "announce", "C0"),
+        (3.0, "withdraw", "B2"),
+    ]
+    assert [rec["detail"] for rec in records[3:6]] == [
+        {"type": s.type, "qos_ms": s.qos_nominal, "threshold": s.threshold} for s in batch
+    ]
+
+
 # ---------------------------------------------------------------------- trace
 
 

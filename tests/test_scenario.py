@@ -1,5 +1,9 @@
+import copy
+import gc
 import hashlib
 import json
+import tracemalloc
+from collections import OrderedDict
 
 import pytest
 
@@ -339,6 +343,62 @@ def test_nesting_too_deep_for_the_decoder_rejected():
 def test_not_json_rejected():
     with pytest.raises(ScenarioFormatError):
         parse_scenario("{nope")
+
+
+# ------------------------------------------------------------------- footprint
+
+
+def _crowded_document() -> dict:
+    """2,000 bystanders of one type beside a one-pair template."""
+    services = [
+        {"id": f"X{i}", "type": "tX", "qos_ms": 1.0 + i / 7, "threshold": 3} for i in range(2000)
+    ]
+    services += [
+        {"id": "A1", "type": "tA", "qos_ms": 1.0, "threshold": 1},
+        {"id": "B1", "type": "tB", "qos_ms": 2.0, "threshold": 1},
+    ]
+    return {
+        "services": services,
+        "template": {"body": [["tA", "tB"]], "constraints": [1]},
+        "links": {"kind": "uniform", "base_ms": 1.0},
+    }
+
+
+def _peak_bytes(call) -> int:
+    """The ``tracemalloc`` peak of ``call()``, with the collector off."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_parsing_a_text_document_peaks_at_its_decode():
+    # Each decoded entry is released once its descriptor exists, so entries
+    # and descriptors never pile up together (about 1.5 times the decode if
+    # they did).
+    text = json.dumps(_crowded_document())
+    assert _peak_bytes(lambda: parse_scenario(text)) <= 1.1 * _peak_bytes(lambda: json.loads(text))
+
+
+def test_a_decoded_document_is_not_modified():
+    document = _crowded_document()
+    document["services"].append(OrderedDict(id="C1", type="tC", qos_ms=1.0, threshold=1))
+    before = copy.deepcopy(document)
+    parsed = parse_scenario(document)
+    assert document == before
+    assert len(parsed.services) == 2003 and parsed.services[-1] == ("C1", "tC", 1.0, 1)
+
+
+def test_plain_entries_of_one_type_share_its_name():
+    services = parse_scenario(json.dumps(_crowded_document())).services
+    bystanders = [s for s in services if s.type == "tX"]
+    assert len(bystanders) == 2000
+    assert all(s.type is bystanders[0].type for s in bystanders)
 
 
 # ------------------------------------------------------------------ generators
