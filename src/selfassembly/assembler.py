@@ -10,8 +10,8 @@ Assembly proceeds in three stages:
    starting service it lists every subgraph in which each included node
    picks exactly the required number of its targets (all of them for an
    ALL constraint), sorted by worst-path time, each cost equal to
-   :func:`~selfassembly.model.worst_path_time` of it bit for bit.  The
-   search is one iterative walk over the template's types.
+   :func:`~selfassembly.model.worst_path_time` of it, bit for bit unless a
+   ``-0.0`` and a ``0.0`` tie.  The search is one iterative walk over types.
    :func:`assemble` lists each start's least-cost plateau first and counts
    lengths with the same walk.  Past the plateau the start's pool hands
    items out in rank order from one heap, listing one branch of the start's
@@ -41,7 +41,8 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product
-from operator import attrgetter
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from .errors import (
     CombinationBudgetExceeded,
@@ -83,19 +84,21 @@ def count_combinations(n: int, k: Constraint) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateSubgraph:
+class CandidateSubgraph(NamedTuple):
     """One structurally compliant subgraph for a start, with its cost.
 
     ``edges`` is kept as a sorted tuple (the tie-break key for equal
     costs); ``rank`` is the position after sorting all candidates of the
-    same start by ascending cost.
+    same start by ascending cost.  A named tuple, so it equals and orders
+    like the plain 4-tuple of its fields, as a service descriptor does.
     """
 
     start_id: str
     edges: tuple[tuple[str, str], ...]
     cost: float
     rank: int
+
+    _unchecked = classmethod(tuple.__new__)  # from a 4-tuple of fields, unchecked: no Python call
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -120,11 +123,13 @@ class AssemblyResult:
 @dataclass(frozen=True, slots=True)
 class _TemplateFacts:
     """What the stages read of a template, worked out once per assembly: the
-    starting type, the types in dependency order and each type's out pairs."""
+    starting type, the types in dependency order, their out pairs, and the
+    walk's levels: the types with pairs, in that order."""
 
     start_type: str
     order: list[str]
     specs: dict[str, list[tuple[str, Constraint]]]
+    levels: list[str]
 
 
 def _facts(template: ApplicationTemplate, *, check: bool = False) -> _TemplateFacts:
@@ -138,7 +143,7 @@ def _facts(template: ApplicationTemplate, *, check: bool = False) -> _TemplateFa
     specs: dict[str, list[tuple[str, Constraint]]] = {t: [] for t in order}
     for (from_type, to_type), constraint in zip(template.body, template.constraints):
         specs[from_type].append((to_type, constraint))  # body order within each type
-    return _TemplateFacts(template.starting_type(), order, specs)
+    return _TemplateFacts(template.starting_type(), order, specs, [t for t in order if specs[t]])
 
 
 def build_binding_graph(
@@ -217,8 +222,11 @@ def enumerate_candidates(
 
     Costs are computed per candidate bottom-up over its included nodes,
     sinks first, in the same order of additions as :func:`worst_path_time`,
-    so each equals ``worst_path_time(candidate.graph, ...)`` bit for bit
-    without building the graph.
+    so each equals ``worst_path_time(candidate.graph, ...)`` without
+    building the graph.  A binder's ``max`` keeps the first of equal terms
+    in pick order (pairs in body order, targets in id order), so the two
+    agree bit for bit where each binder has one pair; across two pairs, a
+    ``-0.0`` and a ``0.0`` term tied out of id order may flip the zero.
     """
     svc = service_map(services)
     if start_id not in graph.nodes:
@@ -272,8 +280,9 @@ def _least_costs(
     Bottom-up in reverse type order, a node's value is ``qos + max`` over
     its type pairs of the k-th smallest ``link + lower[target]`` (the
     largest for ALL, nothing for k=0), in the association of the candidate
-    costs.  Float ``+`` and ``max`` are monotone, so a start's value is its
-    cheapest candidate's cost bit for bit.
+    costs.  Float ``+`` and ``max`` are monotone, so a start's value equals
+    its cheapest candidate's cost as a float; its sign of zero may not (a
+    stable sort's k-th term), and no output reads it.
 
     A node is clean when the ``previous`` attempt valued it, with the same
     descriptor object and equal groups, and every target in them is clean:
@@ -339,14 +348,10 @@ def _headroom(qos: float, ms: float, limit: float, floor: float) -> float:
     usually the answer or next to it."""
     if limit == math.inf:
         return limit
-
-    def fits(bits: int) -> bool:
-        return qos + (ms + _F64.unpack(_I64.pack(bits))[0]) <= limit
-
     low, high = _I64.unpack(_F64.pack(floor + 0.0))[0], _INF_BITS  # + 0.0 maps -0.0 to 0.0
     probe, step = _I64.unpack(_F64.pack(max((limit - qos) - ms, floor) + 0.0))[0], 1
-    while high - low > 1:  # fits(low) and not fits(high)
-        if fits(probe):
+    while high - low > 1:  # low fits and high does not
+        if qos + (ms + _F64.unpack(_I64.pack(probe))[0]) <= limit:
             low, probe = probe, probe + step
         else:
             high, probe = probe, probe - step
@@ -398,7 +403,7 @@ def _branches(
     """
     if lower is not None and not lower[start_id] <= cutoff:
         return  # every candidate costs at least lower[start_id]
-    levels = [node_type for node_type in facts.order if facts.specs[node_type]]
+    levels = facts.levels
     last = len(levels) - 1
     included: dict[str, list[str]] = {node_type: [] for node_type in levels}
     included[levels[0]].append(start_id)
@@ -470,46 +475,56 @@ def _candidates(
     :func:`worst_path_time`, the sinks they pick at their qos.
     """
     raw: list[tuple[float, tuple[_Edge, ...]]] = []
+    specs, nothing = facts.specs, -math.inf  # the top of no terms
     for frames, pairs in _branches(succ_by_type, facts, start_id, svc, lower, cutoff):
         worth: dict[str, float] = {}
-        plan: list[tuple[str, float, tuple[tuple[float, str], ...]]] = []  # bottom-up
+        plan: list[tuple[str, float, list[_Pick]]] = []  # bottom-up
         above: list[_Edge] = []
         for frame in reversed(frames):
-            picks: dict[str, tuple[tuple[float, str], ...]] = {}
+            picks: dict[str, list[_Pick]] = {}  # each binder's, in pair order
             for (node, to_type, _, _), chosen in zip(frame.pairs, frame.assignment):
-                picks[node] = picks.get(node, ()) + tuple((ms, edge[1]) for edge, ms in chosen)
-                above += [edge for edge, _ in chosen]
-                if not facts.specs[to_type]:
-                    worth.update((edge[1], svc[edge[1]].qos_nominal) for edge, _ in chosen)
-            plan += [(node, svc[node].qos_nominal, own) for node, own in picks.items()]
+                picks.setdefault(node, []).extend(chosen)
+                above += map(itemgetter(0), chosen)
+                if not specs[to_type]:
+                    for (_, target), _ in chosen:
+                        worth[target] = svc[target].qos_nominal
+            for node, own in picks.items():
+                plan.append((node, svc[node].qos_nominal, own))
         # Each deepest binder's ways to pick, over its pairs in order: edges, largest term.
         options: dict[str, list[tuple[tuple[_Edge, ...], float]]] = {}
         for node, _, k, pool in pairs:
             k = len(pool) if isinstance(k, AllServices) else k
-            these = [((), -math.inf)]  # k=0 picks no target to price
+            these = [((), nothing)]  # k=0 picks no target to price
             if k:
-                terms = [ms + svc[edge[1]].qos_nominal for edge, ms in pool]
-                ends = [edge for edge, _ in pool]  # combinations keep the pool's order
+                terms = []
+                for (_, target), ms in pool:
+                    terms.append(ms + svc[target].qos_nominal)
+                ends = map(itemgetter(0), pool)  # combinations keep the pool's order
                 these = list(zip(combinations(ends, k), map(max, combinations(terms, k))))
             earlier = options.get(node)
-            options[node] = these if earlier is None else [
-                (edges + more, max(top, last)) for edges, top in earlier for more, last in these
+            options[node] = these if earlier is None else [  # as max: the first of equal terms
+                (edges + more, last if last > top else top) for edges, top in earlier for more, last in these
             ]
         choices = []
         for node, ways in options.items():
             qos = svc[node].qos_nominal
-            choices.append([(e, qos if top == -math.inf else qos + top) for e, top in ways])
+            choices.append([(e, qos if top == nothing else qos + top) for e, top in ways])
         for assignment in product(*choices):
             edges = above.copy()
             for node, (picked, value) in zip(options, assignment):
                 worth[node] = value
                 edges += picked
             for node, qos, own in plan:
-                worth[node] = qos + max([ms + worth[t] for ms, t in own]) if own else qos
+                top = nothing
+                for (_, target), ms in own:  # as max: the first of equal terms, in pick order
+                    term = ms + worth[target]
+                    top = term if term > top else top
+                worth[node] = qos if top == nothing else qos + top
             edges.sort()
             raw.append((worth[start_id], tuple(edges)))
     raw.sort()  # by cost, then edges: no two candidates share their edges
-    return [CandidateSubgraph(start_id, e, cost, rank) for rank, (cost, e) in enumerate(raw)]
+    make = CandidateSubgraph._unchecked
+    return [make((start_id, e, cost, rank)) for rank, (cost, e) in enumerate(raw)]
 
 
 def _count(succ_by_type: _Successors, facts: _TemplateFacts, start_id: str, svc: _Services) -> int:
@@ -572,7 +587,7 @@ class _Pool:
                         heappush(heap, (item.cost, 1, item.edges))
                     succ_by_type[start_id] = groups  # the walk cannot raise: lower[start_id] is not None
                 elif entry[0] > lower[start_id]:  # the plateau's items are handed out already
-                    items.append(CandidateSubgraph(start_id, entry[2], entry[0], len(items)))
+                    items.append(CandidateSubgraph._unchecked((start_id, entry[2], entry[0], len(items))))
         return items[index] if index < len(items) else None
 
     def length(self) -> int:

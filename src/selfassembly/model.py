@@ -350,7 +350,10 @@ def worst_path_time(
     The time of one path is the sum of every traversed node's nominal
     processing time (start and sink included) plus the measured transfer
     time of every traversed link; the result is the maximum over all
-    directed paths from ``start`` to a sink of the graph.
+    directed paths from ``start`` to a sink of the graph.  Each node takes
+    the ``max`` over its successors in target-id order, which keeps the
+    first of equal terms: where a ``-0.0`` and a ``0.0`` path term tie, the
+    smaller target id's sign of zero is kept, whatever the hash seed.
 
     Raises :class:`DisconnectedNode` if some node of the graph cannot be
     reached from ``start`` and :class:`MissingLinkQoS` if an edge was never
@@ -360,7 +363,7 @@ def worst_path_time(
         raise DisconnectedNode(f"start node {start!r} is not in the subgraph")
     svc = service_map(services)
     succ: dict[str, list[str]] = {}
-    for a, b in graph.edges:
+    for a, b in sorted(graph.edges):
         succ.setdefault(a, []).append(b)
 
     seen = {start}

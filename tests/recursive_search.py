@@ -52,7 +52,8 @@ def reference_least_costs(
     largest for ALL, nothing for k=0), in the association of the candidate
     costs.  Float ``+`` and ``max`` are monotone, so picking the k cheapest
     targets everywhere is optimal and a start's value equals its cheapest
-    candidate's cost bit for bit.  A node that could pick a target without
+    candidate's cost as a float (where a ``-0.0`` and a ``0.0`` term tie,
+    not always in its sign of zero).  A node that could pick a target without
     a value has none either: enumerating it raises
     :class:`InsufficientServices`.
     """

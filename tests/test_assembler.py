@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import dataclass
 from unittest import mock
 
 import pytest
@@ -30,7 +31,7 @@ from selfassembly import (
 from selfassembly import assembler, model
 from selfassembly.oracle import binomial_table, check_assembly, exhaustive_worst_path
 
-from conftest import make_net, seven_services, seven_template
+from conftest import make_net, seven_services, seven_template, signed_zero_ties
 
 
 # ---------------------------------------------------------------- combinations
@@ -203,6 +204,45 @@ def test_candidates_sorted_and_deterministic(example7):
     assert first == second
     costs = [c.cost for c in first]
     assert costs == sorted(costs)
+
+
+@dataclass(frozen=True, slots=True)
+class _DataclassCandidate:
+    """The candidate as a frozen dataclass, as it was before it became a
+    named tuple: the reference for ``repr`` and ``hash``."""
+
+    start_id: str
+    edges: tuple
+    cost: float
+    rank: int
+
+
+def test_a_candidate_is_a_named_tuple_with_the_dataclass_repr_and_hash():
+    fields = ("A1", (("A1", "B1"), ("B1", "C1")), -0.0, 3)
+    made = [CandidateSubgraph(*fields), CandidateSubgraph._unchecked(fields)]
+    old = _DataclassCandidate(*fields)
+    for candidate in made:
+        assert type(candidate) is CandidateSubgraph
+        assert repr(candidate) == repr(old).replace("_DataclassCandidate", "CandidateSubgraph")
+        assert hash(candidate) == hash(old) == hash(fields)
+        assert candidate == fields and not candidate < fields  # equals and orders as its tuple
+        assert candidate.nodes == {"A1", "B1", "C1"}
+        assert candidate.graph.edges == {("A1", "B1"), ("B1", "C1")}
+
+
+@pytest.mark.parametrize("case", ["binder", "pair_merge"])
+def test_signed_zero_ties_keep_the_first_term_in_pick_order(case):
+    services, template, latency = signed_zero_ties(case)
+    svc, facts, succ = service_map(services), assembler._facts(template), {}
+    graph, links = build_binding_graph(
+        services, template, make_net(services, latency), facts=facts, index=succ
+    )
+    lower, _ = assembler._least_costs(succ, facts, svc, graph.nodes)
+    full = enumerate_candidates(graph, links, template, "A1", svc)
+    plateau = assembler._candidates(succ, facts, "A1", svc, lower, lower["A1"])
+    chosen = assemble(services, template, make_net(services, latency)).chosen["A1"]
+    assert len(full) == 1
+    assert [c.cost.hex() for c in full + plateau + [chosen]] == ["-0x0.0p+0"] * 3
 
 
 # -------------------------------------------------------------------- selection

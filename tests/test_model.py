@@ -14,13 +14,17 @@ from selfassembly import (
     Role,
     ServiceDescriptor,
     UnknownServiceType,
+    assemble,
+    build_binding_graph,
     classify_roles,
+    enumerate_candidates,
+    service_map,
     validate_template,
     worst_path_time,
 )
 from selfassembly.oracle import exhaustive_worst_path
 
-from conftest import seven_services, seven_template
+from conftest import make_net, seven_services, seven_template, signed_zero_ties
 
 
 # ----------------------------------------------------------------- descriptors
@@ -296,6 +300,18 @@ def test_worst_path_disconnected_node():
     with pytest.raises(DisconnectedNode):
         worst_path_time(graph, "A1", svc, QoSMatrix())
 
+
+def test_worst_path_time_keeps_the_signed_zero_of_the_smaller_target_id():
+    # A1's path terms tie at -0.0 (via B1) and 0.0 (via B2).  Taken in
+    # target-id order, max keeps B1's -0.0 under every hash seed, as
+    # enumerate_candidates and assemble do.
+    services, template, latency = signed_zero_ties("binder")
+    graph, links = build_binding_graph(services, template, make_net(services, latency))
+    svc = service_map(services)
+    [candidate] = enumerate_candidates(graph, links, template, "A1", svc)
+    chosen = assemble(services, template, make_net(services, latency)).chosen["A1"]
+    reference = worst_path_time(candidate.graph, "A1", svc, links)
+    assert [candidate.cost.hex(), chosen.cost.hex(), reference.hex()] == ["-0x0.0p+0"] * 3
 
 def test_worst_path_monotone_in_node_qos():
     base = _qos_only_services()
