@@ -90,7 +90,9 @@ class EventKind(Enum):
 
 @dataclass(frozen=True)
 class ScenarioEvent:
-    """One timed change to the world; build via the factory methods."""
+    """One timed change to the world; build via the factory methods.  The one
+    check of its fields (``ValueError``): an appearance holds a descriptor, any
+    other id is a non-empty ``str``, ``new_ms`` a non-bool number ``>= 0``."""
 
     at: float
     kind: EventKind
@@ -101,14 +103,17 @@ class ScenarioEvent:
     new_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is EventKind.SERVICE_APPEARS and self.service is None:
-            raise ValueError("service_appears needs a descriptor")
-        if self.kind in (EventKind.SERVICE_DISAPPEARS, EventKind.INJECT_OUT_CONTRACT):
-            if not self.service_id:
-                raise ValueError(f"{self.kind.value} needs a service id")
-        if self.kind is EventKind.LINK_DEGRADES:
-            if not self.link_from or not self.link_to or self.new_ms is None:
-                raise ValueError("link_degrades needs from, to, and new_ms")
+        if self.kind is EventKind.SERVICE_APPEARS:
+            if not isinstance(self.service, ServiceDescriptor):
+                raise ValueError(f"service_appears needs a ServiceDescriptor, got {self.service!r}")
+            return
+        linked = self.kind is EventKind.LINK_DEGRADES
+        for sid in (self.link_from, self.link_to) if linked else (self.service_id,):
+            if not isinstance(sid, str) or not sid:
+                raise ValueError(f"{self.kind.value} needs non-empty string ids, got {sid!r}")
+        ms = self.new_ms
+        if linked and (not isinstance(ms, (int, float)) or isinstance(ms, bool) or not ms >= 0):
+            raise ValueError(f"link_degrades needs a number new_ms >= 0, got {ms!r}")
 
     @classmethod
     def appears(cls, at: float, service: ServiceDescriptor) -> "ScenarioEvent":
@@ -185,10 +190,8 @@ def _check_events(events: list[ScenarioEvent], clock: float, live: Container[str
                 raise ValueError(f"events[{idx}]: service {sid!r} is already live")
             changed[sid] = True
             continue
-        named = (event.service_id,)
-        if event.kind is EventKind.LINK_DEGRADES:
-            named = (event.link_from, event.link_to)
-        for sid in named:
+        linked = event.kind is EventKind.LINK_DEGRADES
+        for sid in (event.link_from, event.link_to) if linked else (event.service_id,):
             if not changed.get(sid, sid in live):
                 raise ValueError(f"events[{idx}]: service {sid!r} is not live")
         if event.kind is EventKind.SERVICE_DISAPPEARS:
@@ -219,7 +222,8 @@ def run_scenario(
     sorted by time and none may come before the clock.  Events that break
     this, or name an id not live on ``net``, among the initial services or
     after the events before them, raise ``ValueError`` before anything is
-    announced or recorded.
+    announced or recorded.  Each event's own fields were checked when it was
+    built (:class:`ScenarioEvent`), so the replay does not check them again.
     """
     events = list(events)
     initial = list(initial_services)
@@ -263,29 +267,24 @@ def run_scenario(
             net.advance(event.at)
         if event.kind is EventKind.SERVICE_APPEARS:
             descriptor = event.service
-            assert descriptor is not None
             net.announce(descriptor)
             if descriptor.type in types:
                 typed[descriptor.id] = descriptor
             attempt(f"service_appears:{descriptor.id}")
         elif event.kind is EventKind.SERVICE_DISAPPEARS:
             sid = event.service_id
-            assert sid is not None
             used = committed is not None and sid in committed.assembly.nodes
             net.withdraw(sid)
             typed.pop(sid, None)
             if used:
                 attempt(f"service_disappears:{sid}")
         elif event.kind is EventKind.LINK_DEGRADES:
-            assert event.link_from is not None and event.link_to is not None
-            assert event.new_ms is not None
             link = (event.link_from, event.link_to)
             net.degrade_link(*link, event.new_ms)
             if committed is not None and link in committed.assembly.edges:
                 attempt(f"link_degrades:{link[0]}->{link[1]}")
         elif event.kind is EventKind.INJECT_OUT_CONTRACT:
             sid = event.service_id
-            assert sid is not None
             net.log_event(
                 "out_contract",
                 sid,

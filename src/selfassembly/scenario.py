@@ -201,10 +201,12 @@ _EVENT_KEYS = {
 
 
 def _parse_event(obj: Any, where: str) -> ScenarioEvent:
+    """One event entry, named ``where`` in errors.  Only what names a JSON
+    field is checked here; :class:`ScenarioEvent` checks the rest."""
     if not isinstance(obj, dict):
         raise ScenarioFormatError(f"{where}: expected an object")
     kind = obj.get("kind")
-    if kind not in _EVENT_KEYS:
+    if not isinstance(kind, str) or kind not in _EVENT_KEYS:
         raise ScenarioFormatError(f"{where}.kind: unknown event kind {kind!r}")
     _check_keys(obj, _EVENT_KEYS[kind], set(), where)
     at = _number(obj["at_ms"], f"{where}.at_ms")
@@ -212,21 +214,16 @@ def _parse_event(obj: Any, where: str) -> ScenarioEvent:
         raise ScenarioFormatError(f"{where}.at_ms: expected a number, got nan")
     if at < 0:  # the simulator clock starts at 0 and never runs backwards
         raise ScenarioFormatError(f"{where}.at_ms: must be >= 0, got {at}")
-    if kind == "service_appears":
-        return ScenarioEvent.appears(at, _parse_service(obj["service"], f"{where}.service"))
-    if kind == "service_disappears":
-        if not isinstance(obj["id"], str):
-            raise ScenarioFormatError(f"{where}.id: expected a string")
-        return ScenarioEvent.disappears(at, obj["id"])
-    if kind == "link_degrades":
-        if not isinstance(obj["from"], str) or not isinstance(obj["to"], str):
-            raise ScenarioFormatError(f"{where}: from and to must be strings")
-        return ScenarioEvent.link_degrades(
-            at, obj["from"], obj["to"], _nonnegative(obj["new_ms"], f"{where}.new_ms")
-        )
-    if not isinstance(obj["id"], str):
-        raise ScenarioFormatError(f"{where}.id: expected a string")
-    return ScenarioEvent.inject_out_contract(at, obj["id"])
+    try:
+        if kind == "service_appears":
+            return ScenarioEvent.appears(at, _parse_service(obj["service"], f"{where}.service"))
+        if kind == "link_degrades":
+            return ScenarioEvent.link_degrades(
+                at, obj["from"], obj["to"], _nonnegative(obj["new_ms"], f"{where}.new_ms")
+            )
+        return ScenarioEvent(at, EventKind(kind), service_id=obj["id"])
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{where}: {exc}") from None
 
 
 def parse_scenario(document: str | dict) -> Scenario:
@@ -325,20 +322,14 @@ def _links_obj(links: LatencyModel) -> dict:
 
 
 def _event_obj(event: ScenarioEvent) -> dict:
+    obj = {"at_ms": event.at, "kind": event.kind.value}
     if event.kind is EventKind.SERVICE_APPEARS:
-        assert event.service is not None
-        return {"at_ms": event.at, "kind": event.kind.value, "service": _service_obj(event.service)}
-    if event.kind is EventKind.SERVICE_DISAPPEARS:
-        return {"at_ms": event.at, "kind": event.kind.value, "id": event.service_id}
-    if event.kind is EventKind.LINK_DEGRADES:
-        return {
-            "at_ms": event.at,
-            "kind": event.kind.value,
-            "from": event.link_from,
-            "to": event.link_to,
-            "new_ms": event.new_ms,
-        }
-    return {"at_ms": event.at, "kind": event.kind.value, "id": event.service_id}
+        obj["service"] = _service_obj(event.service)
+    elif event.kind is EventKind.LINK_DEGRADES:
+        obj.update({"from": event.link_from, "to": event.link_to, "new_ms": event.new_ms})
+    else:  # both id kinds
+        obj["id"] = event.service_id
+    return obj
 
 
 def scenario_to_obj(scenario: Scenario) -> dict:

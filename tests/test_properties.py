@@ -1,9 +1,15 @@
 """Property tests over randomly generated instances."""
+import contextlib
+import copy
+import io
+import json
 import math
+import os
 import random
 import re
+import tempfile
 from collections import Counter, deque
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, product
 from unittest import mock
 
@@ -52,6 +58,7 @@ from selfassembly import (
     worst_path_time,
 )
 from selfassembly import assembler, runtime
+from selfassembly.cli import main
 from selfassembly import scenario as scenario_module
 from selfassembly.assembler import (
     _candidates,
@@ -63,7 +70,14 @@ from selfassembly.assembler import (
     _Pool,
 )
 from selfassembly.model import AllServices
-from selfassembly.oracle import _subgraphs_from, exhaustive_worst_path
+from selfassembly.errors import SelfAssemblyError
+from selfassembly.oracle import (
+    SMALL_INSTANCE_BOUND,
+    _subgraphs_from,
+    check_assembly,
+    exhaustive_assemblies,
+    exhaustive_worst_path,
+)
 from selfassembly.runtime import EventKind, ScenarioEvent, TimelineEntry
 from selfassembly.scenario import Scenario
 
@@ -1549,6 +1563,80 @@ def test_a_rerun_raises_only_the_classes_its_timeline_records(world):
     assert set(raised) <= {Infeasible, InsufficientServices, NoStartingService, CombinationBudgetExceeded}
 
 
+ORACLE_COMBINATION_CAP = 500  # per attempt: the product of the starts' subgraph counts
+
+
+def _links_cover_the_template(world):
+    """Whether every pair of the world's ids that the template pairs has a
+    link: jittered links always do, a matrix only when it has no hole."""
+    services, template, events, _seed, _budget, latency = world
+    if latency.func is SeededLatency:
+        return True
+    table = latency.args[0]
+    types = {s.id: s.type for s in services}
+    types.update((e.service.id, e.service.type) for e in events if e.service is not None)
+    pairs = set(template.body)
+    return all((a, b) in table for a in types for b in types if (types[a], types[b]) in pairs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(churn_worlds().filter(_links_cover_the_template))
+def test_each_reassembly_agrees_with_the_exhaustive_oracle(world):
+    """Each timeline entry agrees with :func:`exhaustive_assemblies` over
+    the services its ``assemble`` was handed and the links its flood
+    measured.  A committed entry is one of the oracle's feasible
+    assemblies and passes ``check_assembly``, each chosen cost its worst
+    path; an ``Infeasible`` entry has no feasible assembly; and any other
+    entry the oracle could serve is ``InsufficientServices`` or
+    budget-exceeded.  Entries with more than ``SMALL_INSTANCE_BOUND``
+    services or ``ORACLE_COMBINATION_CAP`` combinations are skipped.  A
+    matrix with holes is left out: the oracle would pick targets over
+    pairs the flood never measured."""
+    services, template, events, _seed, budget, latency = world
+    real_assemble, real_flood = runtime.assemble, assembler.build_binding_graph
+    attempts = []  # per attempt: [pool, measured links, result or error class]
+
+    def flood(*args, **kwargs):
+        graph, links = real_flood(*args, **kwargs)
+        attempts[-1][1] = links
+        return graph, links
+
+    def recorded(pool, *args, **kwargs):
+        attempts.append([list(pool), QoSMatrix(), None])  # no flood without a start
+        try:
+            attempts[-1][2] = real_assemble(attempts[-1][0], *args, **kwargs)
+        except SelfAssemblyError as exc:
+            attempts[-1][2] = type(exc)
+            raise
+        return attempts[-1][2]
+
+    with mock.patch.object(runtime, "assemble", recorded), \
+            mock.patch.object(assembler, "build_binding_graph", flood):
+        timeline = run_scenario(services, template, events, Simulator(latency()), budget=budget)
+    assert len(attempts) == len(timeline)
+    for entry, (pool, links, outcome) in zip(timeline, attempts):
+        svc = service_map(pool)
+        starts = [sid for sid, d in svc.items() if d.type == template.starting_type()]
+        if len(pool) > SMALL_INSTANCE_BOUND or math.prod(
+            len(_subgraphs_from(sid, template, svc)) for sid in starts
+        ) > ORACLE_COMBINATION_CAP:
+            continue
+        report = exhaustive_assemblies(pool, template, links)
+        if entry.feasible:
+            assert entry.result is outcome
+            assert outcome.assembly in report.feasible_assemblies
+            assert check_assembly(outcome, pool, template) == []
+            for sid, candidate in outcome.chosen.items():
+                graph = AssemblyGraph.from_edges(candidate.edges, extra_nodes=(sid,))
+                assert math.isclose(candidate.cost, exhaustive_worst_path(graph, sid, svc, links))
+        elif outcome is Infeasible:
+            assert not report.feasible
+        elif report.feasible:
+            # The assembler fails a whole start when a node it could include
+            # is short of targets; the oracle picks around that node.
+            assert outcome in (InsufficientServices, CombinationBudgetExceeded)
+
+
 @st.composite
 def unchecked_events(draw):
     """Events on ids that are live, unknown, withdrawn or re-announced, at
@@ -1689,3 +1777,127 @@ def test_deferred_trace_matches_the_eager_trace(world, matrix, data):
         return timeline_jsonl(timeline), net.trace_jsonl(), net.trace_records()
 
     assert run(Simulator) == run(EagerTraceSimulator)
+
+
+# ------------------------------------------------------------ CLI input boundary
+
+
+MEDICAL_IDS = [f"A{i}" for i in range(1, 11)] + [f"B{i}" for i in range(1, 10)]
+BOUNDARY_VALUES = ["", None, True, False, -0.0, 10 ** 400, math.nan, math.inf, -math.inf,
+                   [], {}, "x", "ZZ"]
+EVENT_KINDS = [kind.value for kind in EventKind]
+
+
+@lru_cache(maxsize=None)
+def _medical_text(seed):
+    return serialize_scenario(generate_medical(seed))
+
+
+@st.composite
+def short_event_lists(draw):
+    """Up to three events on medical ids, in time order, not all of them live."""
+    events, at = [], 0.0
+    for index in range(draw(st.integers(0, 3))):
+        at += draw(st.sampled_from([0.0, 5.0]))
+        kind = draw(st.sampled_from(EVENT_KINDS))
+        event = {"at_ms": at, "kind": kind}
+        if kind == "service_appears":
+            event["service"] = {"id": f"N{index}", "type": draw(st.sampled_from(["tB", "tX"])),
+                                "qos_ms": 1.5, "threshold": 2}
+        elif kind == "link_degrades":
+            event.update({"from": draw(st.sampled_from(MEDICAL_IDS[:10])),
+                          "to": draw(st.sampled_from(MEDICAL_IDS[10:])), "new_ms": 4.0})
+        else:
+            event["id"] = draw(st.sampled_from(MEDICAL_IDS))
+        events.append(event)
+    return events
+
+
+def _locations(value, path=()):
+    """Every path into ``value``'s lists and dicts, ``()`` first."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _locations(item, path + (key,))
+
+
+def _mutate(document, draw):
+    """One mutation: a value under services, links or events becomes a
+    boundary value, matrix entries are dropped, or an event points at a
+    drawn id or kind.  A mutation that finds nothing to change is a no-op."""
+    what = draw(st.sampled_from(["value", "drop", "point"]))
+    if what == "value":
+        section = draw(st.sampled_from(["services", "links", "events"]))
+        path = (section,) + draw(st.sampled_from(list(_locations(document[section]))))
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(BOUNDARY_VALUES)))
+    elif what == "drop":
+        links = document["links"]
+        if isinstance(links, dict) and isinstance(links.get("entries"), list) and links["entries"]:
+            entries = links["entries"]
+            doomed = draw(st.sets(st.integers(0, len(entries) - 1), min_size=1, max_size=40))
+            links["entries"] = [row for index, row in enumerate(entries) if index not in doomed]
+    else:
+        events = document["events"]
+        event = draw(st.sampled_from(events)) if isinstance(events, list) and events else None
+        if isinstance(event, dict):
+            key = draw(st.sampled_from(["kind", "id", "from", "to"]))
+            values = EVENT_KINDS if key == "kind" else MEDICAL_IDS + ["C1", "D2", "ZZ"]
+            event[key] = draw(st.sampled_from(values))
+
+
+def _run_cli_in_process(command, path):
+    """``main``'s exit code and its stderr, with stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--scenario", path])
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), short_event_lists(), st.integers(1, 3), st.data())
+def test_a_mutated_document_never_crashes_the_cli(seed, events, n_mutations, data):
+    """``assemble`` and ``simulate`` meet a ``generate medical`` document
+    with a short event list and one to three mutations with an exit code of
+    0 to 4, at most one ``error:`` line and no exception.  The template is
+    left as generated: with constraints ``["ALL", 1, 1]`` every sensor
+    binds every gateway, and ``assemble`` lists least-cost plateaus of
+    millions of candidates per start until it runs out of memory."""
+    document = json.loads(_medical_text(seed))
+    document["events"] = events
+    for _ in range(n_mutations):
+        _mutate(document, data.draw)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "scenario.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        for command in ("assemble", "simulate"):
+            code, err = _run_cli_in_process(command, path)
+            assert code in range(5)
+            assert len([line for line in err.splitlines() if line.startswith("error:")]) <= 1, err
+
+
+@pytest.mark.parametrize("event", [
+    {"at_ms": 1.0, "kind": "service_disappears", "id": ""},
+    {"at_ms": 1.0, "kind": "inject_out_contract", "id": ""},
+    {"at_ms": 1.0, "kind": "link_degrades", "from": "", "to": "B1", "new_ms": 1.0},
+    {"at_ms": 1.0, "kind": [], "id": "A1"},
+    {"at_ms": 1.0, "kind": {}, "id": "A1"},
+], ids=["disappears_empty_id", "out_contract_empty_id", "empty_from", "kind_list", "kind_dict"])
+@pytest.mark.parametrize("command", ["assemble", "simulate"])
+def test_a_malformed_event_is_one_error_line(command, event, tmp_path):
+    """Each of these once escaped the CLI as a traceback."""
+    document = json.loads(_medical_text(0))
+    document["events"] = [event]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, err = _run_cli_in_process(command, str(path))
+    assert code == 1
+    assert err.startswith("error: events[0]") and err.count("\n") == 1, err

@@ -345,7 +345,52 @@ def test_timeline_log_shape(example7):
 
 
 def test_event_factory_validation():
-    with pytest.raises(ValueError):
-        ScenarioEvent.link_degrades(0.0, "", "B1", 1.0)
-    with pytest.raises(ValueError):
-        ScenarioEvent.disappears(0.0, "")
+    builders = [
+        lambda sid: ScenarioEvent.disappears(0.0, sid),
+        lambda sid: ScenarioEvent.inject_out_contract(0.0, sid),
+        lambda sid: ScenarioEvent.link_degrades(0.0, sid, "B1", 1.0),
+        lambda sid: ScenarioEvent.link_degrades(0.0, "A1", sid, 1.0),
+    ]
+    for build in builders:
+        for sid in (5, None, ""):
+            with pytest.raises(ValueError, match="needs non-empty string ids"):
+                build(sid)
+    for service in (tuple(B1), None):  # a plain 4-tuple is not a descriptor
+        with pytest.raises(ValueError, match="needs a ServiceDescriptor"):
+            ScenarioEvent.appears(0.0, service)
+    for new_ms in (math.nan, -1.0, True, None, "1.0"):
+        with pytest.raises(ValueError, match="new_ms >= 0"):
+            ScenarioEvent.link_degrades(0.0, "A1", "B1", new_ms)
+
+
+def test_a_nan_degradation_fails_before_the_replay_writes_anything(example7):
+    # Built unchecked, this event let the replay write four trace records and
+    # move the clock to 5.0 before degrade_link rejected the NaN.
+    services, template = example7
+    net = Simulator(UniformLatency(0.0))
+    with pytest.raises(ValueError, match="new_ms >= 0"):
+        run_scenario(services, template, [ScenarioEvent.link_degrades(5.0, "A1", "B1", math.nan)], net)
+    assert (net.trace_records(), net.clock) == ([], 0.0)
+
+
+def test_int_times_and_latencies_replay_as_their_floats(example7):
+    services, template = example7
+    relaxed = [ServiceDescriptor(s.id, s.type, s.qos_nominal, 10) for s in services]
+    used = sorted(assemble(relaxed, template, make_net(relaxed)).assembly.edges)[0]
+
+    def replay(number):
+        events = [
+            ScenarioEvent.link_degrades(number(10), *used, number(99)),
+            ScenarioEvent.appears(number(20), ServiceDescriptor("B4", "tB", 0.5, 3)),
+            ScenarioEvent.inject_out_contract(number(30), used[1]),
+            ScenarioEvent.disappears(number(40), "B4"),
+        ]
+        net = Simulator(UniformLatency(0.0))
+        timeline = run_scenario(relaxed, template, events, net)
+        return [entry.trigger for entry in timeline], timeline_jsonl(timeline), net.trace_jsonl()
+
+    triggers, timeline, trace = replay(int)
+    assert triggers[:3] == [
+        "initial", f"link_degrades:{used[0]}->{used[1]}", "service_appears:B4"
+    ]
+    assert (triggers, timeline, trace) == replay(float)
