@@ -35,7 +35,6 @@ keeps near-optimal in practice.
 from __future__ import annotations
 
 import math
-import struct
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -336,29 +335,13 @@ def _least_costs(
     return lower, clean
 
 
-_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
-_INF_BITS = _I64.unpack(_F64.pack(math.inf))[0]
-
-
-def _headroom(qos: float, ms: float, limit: float, floor: float) -> float:
-    """The largest float ``x`` with ``qos + (ms + x) <= limit``, given that
-    ``floor`` fits: the most a target may be worth under a binder that may
-    be worth ``limit``.  Non-negative floats order as their bit patterns
-    do, so this gallops over those from the rounded estimate, which is
-    usually the answer or next to it."""
-    if limit == math.inf:
-        return limit
-    low, high = _I64.unpack(_F64.pack(floor + 0.0))[0], _INF_BITS  # + 0.0 maps -0.0 to 0.0
-    probe, step = _I64.unpack(_F64.pack(max((limit - qos) - ms, floor) + 0.0))[0], 1
-    while high - low > 1:  # low fits and high does not
-        if qos + (ms + _F64.unpack(_I64.pack(probe))[0]) <= limit:
-            low, probe = probe, probe + step
-        else:
-            high, probe = probe, probe - step
-        step *= 2
-        if not low < probe < high:
-            probe = (low + high) // 2
-    return _F64.unpack(_I64.pack(low))[0]
+def _headroom(qos: float, ms: float, limit: float) -> float:
+    """A bound on each float ``x`` with ``qos + (ms + x) <= limit`` (``qos,
+    ms >= 0``): the most a target may be worth under a binder worth ``limit``.
+    With u = 2**-53 the largest such ``x`` is at most ``limit - qos - ms +
+    2.0001*u*limit``, and this sum errs by at most ``3*u*limit``; its
+    ``8*u*limit`` term covers both (Higham 2002, section 2.2)."""
+    return (limit - qos) - ms + limit * 2.0 ** -50
 
 
 class _Frame:
@@ -389,20 +372,20 @@ def _branches(
     in every way of ``product`` over their pools (pair major, binder
     minor), including each binder-type target once.  At the deepest level
     every target is a sink, so the walk yields the branch there: the frames
-    above at their current assignments, and the deepest pools (none if no
-    binder reached it).  :class:`InsufficientServices` is raised at the
-    first binder short of targets in that order.
+    above at their current assignments, and the deepest pools (a level no
+    binder reached has none: one empty assignment).  The first binder short
+    of targets in that order raises :class:`InsufficientServices`.
 
-    With ``lower`` of :func:`_least_costs`, only candidates of cost at most
-    ``cutoff`` are reached.  Each included binder has a headroom, the most
-    it may be worth with the start within the cutoff: the cutoff for the
-    start, the least :func:`_headroom` over its binders for a target (exact,
-    as float ``+`` and ``max`` are monotone).  A binder keeps a target only
-    if that pick, at the target's least cost, fits its headroom; an ALL
-    pair's always fit, as the binder's least cost includes them.
+    With ``lower`` of :func:`_least_costs`, every candidate of cost at most
+    ``cutoff`` is reached; for a ``cutoff`` of at least ``lower[start_id]``,
+    the others reached are at most a few ulps dearer.  Each included binder
+    has a headroom, a bound on what it may be worth with the start within
+    the cutoff: the cutoff for the start, the least :func:`_headroom` over
+    its binders for a target (float ``+`` and ``max`` are monotone).  A
+    binder keeps a target only if that pick, at the target's least cost,
+    fits its headroom; an ALL pair keeps all of its own, which then fit, as
+    the binder's least cost includes them.
     """
-    if lower is not None and not lower[start_id] <= cutoff:
-        return  # every candidate costs at least lower[start_id]
     levels = facts.levels
     last = len(levels) - 1
     included: dict[str, list[str]] = {node_type: [] for node_type in levels}
@@ -411,8 +394,6 @@ def _branches(
     frames: list[_Frame] = []
     level = 0
     while True:
-        while level < last and not included[levels[level]]:
-            level += 1
         pairs: list[_Pair] = []
         for to_type, constraint in facts.specs[levels[level]]:
             for node in included[levels[level]]:
@@ -447,9 +428,7 @@ def _branches(
                     previous = headroom.get(target)
                     if previous is None:
                         bucket.append(target)
-                    room = math.inf if lower is None else _headroom(
-                        svc[node].qos_nominal, ms, headroom[node], lower[target]
-                    )
+                    room = math.inf if lower is None else _headroom(svc[node].qos_nominal, ms, headroom[node])
                     if previous is None or room < previous:
                         frame.narrowed.append((target, previous))
                         headroom[target] = room
@@ -469,10 +448,11 @@ def _candidates(
 ) -> list[CandidateSubgraph]:
     """The candidate list behind :func:`enumerate_candidates`; given
     ``lower`` of :func:`_least_costs`, only its exact prefix of cost at
-    most ``cutoff``.  A pick at the deepest level is priced once per branch
-    of :func:`_branches`, as its link plus its sink's qos.  A candidate
-    then re-prices only the binders above, bottom-up in the association of
-    :func:`worst_path_time`, the sinks they pick at their qos.
+    most ``cutoff``, each walked cost tested against it once.  A pick at the
+    deepest level is priced once per branch of :func:`_branches`, as its
+    link plus its sink's qos.  A candidate then re-prices only the binders
+    above, bottom-up in the association of :func:`worst_path_time`, the
+    sinks they pick at their qos.
     """
     raw: list[tuple[float, tuple[_Edge, ...]]] = []
     specs, nothing = facts.specs, -math.inf  # the top of no terms
@@ -520,8 +500,9 @@ def _candidates(
                     term = ms + worth[target]
                     top = term if term > top else top
                 worth[node] = qos if top == nothing else qos + top
-            edges.sort()
-            raw.append((worth[start_id], tuple(edges)))
+            if worth[start_id] <= cutoff:  # the bounded walk may reach dearer ones
+                edges.sort()
+                raw.append((worth[start_id], tuple(edges)))
     raw.sort()  # by cost, then edges: no two candidates share their edges
     make = CandidateSubgraph._unchecked
     return [make((start_id, e, cost, rank)) for rank, (cost, e) in enumerate(raw)]

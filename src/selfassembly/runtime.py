@@ -92,7 +92,8 @@ class EventKind(Enum):
 class ScenarioEvent:
     """One timed change to the world; build via the factory methods.  The one
     check of its fields (``ValueError``): an appearance holds a descriptor, any
-    other id is a non-empty ``str``, ``new_ms`` a non-bool number ``>= 0``."""
+    other id is a non-empty ``str``, ``new_ms`` a non-bool number ``>= 0``, and
+    an int ``at`` or ``new_ms`` fits a float."""
 
     at: float
     kind: EventKind
@@ -103,6 +104,12 @@ class ScenarioEvent:
     new_ms: float | None = None
 
     def __post_init__(self) -> None:
+        try:
+            for value in (self.at, self.new_ms):
+                if isinstance(value, int):
+                    float(value)
+        except OverflowError:
+            raise ValueError(f"{self.kind.value} needs numbers a float can hold") from None
         if self.kind is EventKind.SERVICE_APPEARS:
             if not isinstance(self.service, ServiceDescriptor):
                 raise ValueError(f"service_appears needs a ServiceDescriptor, got {self.service!r}")

@@ -1,7 +1,8 @@
 """A straightforward recursive candidate search: one recursion per
 template type, a full re-pricing of every included node per candidate and
 a bisected plateau filter.  It is the reference that the iterative walker
-in ``selfassembly.assembler`` is tested against.
+in ``selfassembly.assembler`` is tested against, with the exact headroom
+that the walker's bound is tested against.
 
 These functions take their own index of the binding graph: targets grouped
 by type without link times, an edge-sharing map and the ``QoSMatrix``
@@ -11,6 +12,7 @@ templates they are given shallow.
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import combinations, product
 
@@ -21,6 +23,29 @@ from selfassembly.model import AllServices, AssemblyGraph, Constraint, ServiceDe
 
 _Edge = tuple[str, str]
 _Successors = Mapping[str, Mapping[str, Sequence[str]]]
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
+_INF_BITS = _I64.unpack(_F64.pack(math.inf))[0]
+
+
+def reference_headroom(qos: float, ms: float, limit: float, floor: float) -> float:
+    """The largest float ``x`` with ``qos + (ms + x) <= limit``, given that
+    ``floor`` fits: the most a target may be worth under a binder that may
+    be worth ``limit``.  Non-negative floats order as their bit patterns
+    do, so this gallops over those from the rounded estimate, which is
+    usually the answer or next to it."""
+    if limit == math.inf:
+        return limit
+    low, high = _I64.unpack(_F64.pack(floor + 0.0))[0], _INF_BITS  # + 0.0 maps -0.0 to 0.0
+    probe, step = _I64.unpack(_F64.pack(max((limit - qos) - ms, floor) + 0.0))[0], 1
+    while high - low > 1:  # low fits and high does not
+        if qos + (ms + _F64.unpack(_I64.pack(probe))[0]) <= limit:
+            low, probe = probe, probe + step
+        else:
+            high, probe = probe, probe - step
+        step *= 2
+        if not low < probe < high:
+            probe = (low + high) // 2
+    return _F64.unpack(_I64.pack(low))[0]
 
 
 def reference_index(

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -107,6 +108,17 @@ def test_binding_graph_rejects_invalid_template():
         build_binding_graph(services, bad, make_net(services))
 
 
+@pytest.mark.parametrize("bad_ms", [-1.0, math.nan])
+def test_the_flood_rejects_a_link_time_below_zero_or_nan(bad_ms):
+    class Broken:  # a duck-typed latency model: no MatrixLatency check runs
+        def sample(self, from_id, to_id):
+            return bad_ms
+
+    services = seven_services()
+    with pytest.raises(ValueError, match="link time must be >= 0"):
+        assemble(services, seven_template(), make_net(services, Broken()))
+
+
 # ------------------------------------------------------------------ candidates
 
 
@@ -180,6 +192,16 @@ def test_candidates_insufficient_targets(example7):
         enumerate_candidates(graph, links, template, "A1", service_map(shrunk))
     assert info.value.needed == 2
     assert info.value.available == 1
+
+
+def test_candidates_need_a_start_of_the_starting_type_in_the_graph(example7_net):
+    services, template, net = example7_net
+    graph, links = build_binding_graph(services, template, net)
+    svc = service_map(services)
+    with pytest.raises(ValueError, match="not a node of the binding graph"):
+        enumerate_candidates(graph, links, template, "Z9", svc)
+    with pytest.raises(ValueError, match="not of the starting type"):
+        enumerate_candidates(graph, links, template, "B1", svc)
 
 
 def test_candidates_sorted_and_deterministic(example7):

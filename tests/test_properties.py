@@ -61,6 +61,7 @@ from selfassembly import assembler, runtime
 from selfassembly.cli import main
 from selfassembly import scenario as scenario_module
 from selfassembly.assembler import (
+    _branches,
     _candidates,
     _count,
     _facts,
@@ -85,6 +86,7 @@ from conftest import make_net, seven_services, seven_template
 from recursive_search import (
     reference_candidates,
     reference_count,
+    reference_headroom,
     reference_index,
     reference_least_costs,
 )
@@ -1153,6 +1155,35 @@ def test_binders_whose_all_pairs_find_no_targets_are_worth_their_qos():
         assert candidate.cost.hex() == reference.hex()
 
 
+def test_a_level_no_binder_reaches_has_one_empty_assignment():
+    # No tB service exists, so A1's ALL pair picks nothing and the tB level,
+    # between tA and tD, has no binder: the walk passes it with one empty
+    # assignment and goes on to tD.
+    services = [ServiceDescriptor("A1", "tA", 0.1, 2), ServiceDescriptor("C1", "tC", 0.5, 2)]
+    services += [ServiceDescriptor(f"D{i}", "tD", 0.2 * i, 2) for i in (1, 2)]
+    services += [ServiceDescriptor(f"E{i}", "tE", 0.3 * i, 2) for i in (1, 2)]
+    template = ApplicationTemplate(
+        (("tA", "tB"), ("tB", "tC"), ("tA", "tD"), ("tD", "tE")), (ALL, 1, 1, 1)
+    )
+    table = {("A1", "D1"): 0.7, ("A1", "D2"): 0.1}
+    table.update({(d, e): 0.4 if e == "E1" else 0.3 for d in ("D1", "D2") for e in ("E1", "E2")})
+    graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
+    svc = service_map(services)
+    facts = _facts(template)
+    assert facts.levels == ["tA", "tB", "tD"]
+    full = enumerate_candidates(graph, links, template, "A1", svc)
+    old_succ, shared_edge = reference_index(graph, svc)
+    assert full == reference_candidates(old_succ, shared_edge, links, facts, "A1", svc)
+    assert len(full) == 4
+    for candidate in full:
+        assert candidate.cost.hex() == worst_path_time(candidate.graph, "A1", svc, links).hex()
+    succ = _index(links._entries.items(), svc)
+    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
+    assert _candidates(succ, facts, "A1", svc, lower, lower["A1"]) == full[:1]
+    result = assemble(services, template, make_net(services, MatrixLatency(table)))
+    assert result.chosen == {"A1": full[0]}
+
+
 def test_a_start_with_two_pairs_lists_its_edges_sorted():
     # The start is the only binder; its tB picks come first in pick order
     # but sort after its tC picks.
@@ -1191,6 +1222,35 @@ def test_a_node_picked_by_two_binders_keeps_the_smaller_headroom(tight):
     assert lower["A"] == 10.0
     assert plateau == [c for c in full if c.cost <= 10.0]
     assert (tight, "C1") in {edge for c in plateau for edge in c.edges}
+    # The listing drops what the walk reaches past the cutoff, so only the
+    # walk shows the headroom kept: with the larger one, C1 reaches D2 too.
+    assert _walked(succ, facts, "A", svc, lower, lower["A"]) == len(plateau)
+
+
+def _walked(succ, facts, start_id, svc, lower, cutoff):
+    """How many candidates the walk bounded by ``cutoff`` reaches."""
+    return sum(
+        math.prod(count_combinations(len(pool), k) for _, _, k, pool in pairs)
+        for _, pairs in _branches(succ, facts, start_id, svc, lower, cutoff)
+    )
+
+
+def test_a_candidate_an_ulp_past_the_cutoff_is_walked_but_not_listed():
+    # A's plateau costs 2.0 through C1, and C2 costs one ulp more.  B's
+    # headroom is a bound a few ulps above 1.0, so the walk reaches C2 and
+    # only the listing's cost test keeps it off the plateau.
+    services = [ServiceDescriptor(sid, f"t{sid[0]}", 0.0, 1) for sid in ("A", "B", "C1", "C2")]
+    template = ApplicationTemplate((("tA", "tB"), ("tB", "tC")), (1, 1))
+    table = {("A", "B"): 1.0, ("B", "C1"): 1.0, ("B", "C2"): 1.0 + 2.0 ** -51}
+    graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
+    svc = service_map(services)
+    facts = _facts(template)
+    succ = _index(links._entries.items(), svc)
+    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
+    full = _candidates(succ, facts, "A", svc)
+    assert [c.cost for c in full] == [2.0, math.nextafter(2.0, 3.0)]
+    assert _walked(succ, facts, "A", svc, lower, 2.0) == 2
+    assert _candidates(succ, facts, "A", svc, lower, 2.0) == full[:1]
 
 
 # Values whose sums round: tiny next to large, non-dyadic, zero and huge.
@@ -1203,17 +1263,15 @@ headroom_values = st.one_of(
 
 @settings(max_examples=500, deadline=None)
 @given(headroom_values, headroom_values, headroom_values, headroom_values)
-def test_headroom_is_the_largest_worth_that_fits(qos, ms, floor, extra):
+def test_headroom_bounds_the_largest_worth_that_fits(qos, ms, floor, extra):
     limit = qos + (ms + floor) + extra  # so that floor fits
     assume(limit < math.inf)
-
-    def fits(worth):
-        return qos + (ms + worth) <= limit
-
-    room = _headroom(qos, ms, limit, floor)
-    assert room >= floor and fits(room)
-    assert room == math.inf or not fits(math.nextafter(room, math.inf))
-    assert _headroom(qos, ms, math.inf, floor) == math.inf
+    exact = reference_headroom(qos, ms, limit, floor)
+    assert qos + (ms + exact) <= limit < qos + (ms + math.nextafter(exact, math.inf))
+    room = _headroom(qos, ms, limit)
+    assert room >= exact >= floor
+    assert room <= exact + limit * 2.0 ** -48  # a few ulps of limit at most
+    assert _headroom(qos, ms, math.inf) == math.inf
 
 
 # ------------------------------------------------- single-pass service parsing
