@@ -340,8 +340,9 @@ def _headroom(qos: float, ms: float, limit: float) -> float:
     ms >= 0``): the most a target may be worth under a binder worth ``limit``.
     With u = 2**-53 the largest such ``x`` is at most ``limit - qos - ms +
     2.0001*u*limit``, and this sum errs by at most ``3*u*limit``; its
-    ``8*u*limit`` term covers both (Higham 2002, section 2.2)."""
-    return (limit - qos) - ms + limit * 2.0 ** -50
+    ``8*u*limit`` term covers both (Higham 2002, section 2.2).  An infinite
+    ``limit`` is kept as is: with an infinite ``qos`` or ``ms`` the sum is NaN."""
+    return limit if limit == math.inf else (limit - qos) - ms + limit * 2.0 ** -50
 
 
 class _Frame:

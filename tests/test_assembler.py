@@ -414,6 +414,24 @@ def test_assemble_commits_the_cheapest_pair_of_thousands_without_listing_all_pai
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("qos, table", [
+    (math.inf, {("A", "B"): 0.0, ("B", "C"): 0.0}),
+    (1.0, {("A", "B"): math.inf, ("B", "C"): 0.0}),
+    (1.0, {("A", "B"): 0.0, ("B", "C"): math.inf}),
+], ids=["start-qos", "start-link", "deeper-link"])
+def test_a_start_of_infinite_least_cost_commits_its_only_candidate(qos, table):
+    # Descriptors, matrices and the flood accept inf, so a start may be
+    # worth inf; the headroom it passes down must then be inf, not NaN.
+    services = [ServiceDescriptor("A", "tA", qos, 1)]
+    services += [ServiceDescriptor(sid, f"t{sid}", 1.0, 1) for sid in ("B", "C")]
+    template = ApplicationTemplate((("tA", "tB"), ("tB", "tC")), (1, 1))
+    net = make_net(services, MatrixLatency(table))
+    graph, links = build_binding_graph(services, template, net)
+    only = CandidateSubgraph("A", (("A", "B"), ("B", "C")), math.inf, 0)
+    assert enumerate_candidates(graph, links, template, "A", service_map(services)) == [only]
+    assert assemble(services, template, net).chosen == {"A": only}
+
+
 def test_assemble_works_the_template_out_once(example7_net, monkeypatch):
     # One dependency sort to validate the template and one for the stages'
     # type order, not one per stage and per start.

@@ -1271,7 +1271,8 @@ def test_headroom_bounds_the_largest_worth_that_fits(qos, ms, floor, extra):
     room = _headroom(qos, ms, limit)
     assert room >= exact >= floor
     assert room <= exact + limit * 2.0 ** -48  # a few ulps of limit at most
-    assert _headroom(qos, ms, math.inf) == math.inf
+    for big in (qos, math.inf):  # a service's qos and a link's time may be inf
+        assert _headroom(big, ms, math.inf) == _headroom(qos, math.inf, math.inf) == math.inf
 
 
 # ------------------------------------------------- single-pass service parsing
