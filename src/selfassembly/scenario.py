@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Any
 
+import orjson
+
 from .errors import ScenarioFormatError
 from .model import (
     ALL,
@@ -230,23 +232,40 @@ def parse_scenario(document: str | dict) -> Scenario:
     """Parse a scenario document (JSON text or an already-decoded object);
     unknown keys are rejected.
 
+    Text is decoded with ``orjson``.  If ``orjson`` refuses it, or its
+    result fails a check, the text is decoded again with ``json`` and
+    parsed from that, so that every accepted value and every error is what
+    ``json`` gives: ``orjson`` refuses ``NaN``, ``Infinity``, numbers beyond
+    a double, lone-surrogate escapes and a BOM, words its own errors, and
+    reads an integer beyond 64 bits as a float.
+
     A text document's service entries are released as they are read, so
     that a decoded entry and its descriptor are never both held for the
     whole list; a decoded document is read and never modified."""
-    if isinstance(document, str):
-        try:
-            obj = json.loads(document)
-        except (ValueError, RecursionError) as exc:  # bad syntax, huge ints, deep nesting
-            raise ScenarioFormatError(f"not valid JSON: {exc}") from None
-    else:
-        obj = document
+    if not isinstance(document, str):
+        return _parse_decoded(document, owned=False)
+    try:
+        return _parse_decoded(orjson.loads(document), owned=True)
+    except (orjson.JSONDecodeError, ScenarioFormatError, RecursionError):
+        pass  # RecursionError: an error's repr of a nest deeper than json decodes
+    try:
+        obj = json.loads(document)
+    except (ValueError, RecursionError) as exc:  # bad syntax, huge ints, deep nesting
+        raise ScenarioFormatError(f"not valid JSON: {exc}") from None
+    return _parse_decoded(obj, owned=True)
+
+
+def _parse_decoded(obj: Any, *, owned: bool) -> Scenario:
+    """A decoded document, checked and parsed.  Its service entries are
+    released as they are read if it is ``owned``; a document the caller
+    holds is read from a copy of its service list."""
     if not isinstance(obj, dict):
         raise ScenarioFormatError("top level: expected an object")
     _check_keys(obj, {"services", "template", "links"}, {"events"}, "top level")
     raw_services = obj["services"]
     if not isinstance(raw_services, list):
         raise ScenarioFormatError("services: expected a list")
-    if obj is document:  # a decoded document is the caller's: release from a copy
+    if not owned:  # a decoded document is the caller's: release from a copy
         raw_services = list(raw_services)
     services: list[ServiceDescriptor] = []
     fields_of = itemgetter("id", "type", "qos_ms", "threshold")

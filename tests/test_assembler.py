@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+import signal
 import time
 from dataclasses import dataclass
 from unittest import mock
@@ -495,7 +497,29 @@ def _chain(n_types, *, double_at=None, seed=0):
     return services, template, MatrixLatency(table)
 
 
+@contextlib.contextmanager
+def _watchdog(seconds):
+    """Fail the body once ``seconds`` have passed, so that a search which
+    no longer ends fails the test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        # Without its traceback: one through the frame the signal interrupted
+        # can lack a line number, which pytest cannot print.
+        raise pytest.fail.Exception(f"still running after {seconds} s", pytrace=False) from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("n_types, double_at", [(5000, None), (3000, 1500)], ids=["k1", "one-k2"])
+@_watchdog(5.0)
 def test_a_deep_chain_assembles_in_linear_time(n_types, double_at):
     # The search used to recurse once per type and re-price every type above
     # each binder it filtered, so these raised RecursionError; 980 types took 0.8 s.

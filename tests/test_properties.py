@@ -1,6 +1,7 @@
 """Property tests over randomly generated instances."""
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -1401,6 +1402,138 @@ def test_single_pass_service_parsing_matches_the_checked_parser(entries, appeari
         return repr((scenario.services, scenario.events))
 
     assert _parsed(single_pass) == _parsed(reference)
+
+
+# ------------------------------------------------- decoding scenario text
+
+
+def reference_parse_text(text):
+    """``parse_scenario`` of text as it was: ``json.loads``, then the checks."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ScenarioFormatError(f"not valid JSON: {exc}") from None
+    return scenario_module._parse_decoded(obj, owned=True)
+
+
+@st.composite
+def generated_scenarios(draw):
+    """A small scenario from one of the generators, its links sometimes
+    uniform or seeded, with up to three events on its ids."""
+    seed = draw(st.integers(0, 2 ** 16))
+    maker = draw(st.sampled_from(["one_layer", "pyramidal", "medical", "random"]))
+    if maker == "one_layer":
+        scenario = scenario_module.generate_one_layer(
+            draw(st.integers(1, 12)), draw(st.sampled_from([1, 2, "half", "all"])), seed)
+    elif maker == "pyramidal":
+        scenario = scenario_module.generate_pyramidal(
+            draw(st.integers(2, 5)), draw(st.sampled_from([1, 2, "all"])), seed)
+    elif maker == "medical":
+        scenario = generate_medical(seed)
+    else:
+        services, template, links = generate_random_instance(seed)
+        scenario = Scenario(services, template, MatrixLatency(dict(links.items())))
+    links = draw(st.sampled_from(["matrix", "uniform", "seeded"]))
+    if links == "uniform":
+        scenario.links = UniformLatency(draw(link_or_qos))
+    elif links == "seeded":
+        scenario.links = SeededLatency(draw(link_or_qos), draw(link_or_qos),
+                                       draw(st.integers(0, 2 ** 64)))
+    ids = sorted(s.id for s in scenario.services)
+    at = 0.0
+    for index in range(draw(st.integers(0, 3))):
+        at += draw(link_or_qos)
+        kind = draw(st.sampled_from(EVENT_KINDS))
+        if kind == "service_appears":
+            event = ScenarioEvent.appears(at, ServiceDescriptor(f"N{index}", "tB", 1.5, 2))
+        elif kind == "link_degrades":
+            event = ScenarioEvent.link_degrades(
+                at, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), draw(link_or_qos))
+        else:
+            event = ScenarioEvent(at, EventKind(kind), service_id=draw(st.sampled_from(ids)))
+        scenario.events.append(event)
+    return scenario
+
+
+# A JSON number that is not part of a string.
+NUMBER = re.compile(r"(?<=[\s:\[,])-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?=[\s,\]}])")
+# Literals json reads and orjson refuses or reads otherwise, and the edges
+# around them: 64-bit ints, the largest ints a float holds, signed zeros.
+EDGE_LITERALS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400,
+                 str(2 ** 63), str(2 ** 64 - 1), str(2 ** 64), str(10 ** 20), str(-(2 ** 63) - 1),
+                 str(2 ** 1024 - 2 ** 970 - 1), str(2 ** 1024 - 2 ** 970),
+                 str(2 ** 1024 - 2 ** 970 + 1), "-0", "-0.0", "0", "1"]
+# Any JSON number: up to 25 digits either side of the point, and an exponent.
+float_literals = st.from_regex(r"\A-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,25})?([eE][+-]?[0-9]{1,3})?\Z")
+number_literals = st.one_of(st.sampled_from(EDGE_LITERALS), float_literals,
+                            st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+def _mutate_text(text, draw):
+    """One text-level mutation: a number becomes another literal or a nest
+    past 1024 levels, an id gains a lone-surrogate escape, a key appears
+    twice, or a BOM, a trailing comma or trailing text is added."""
+    what = draw(st.sampled_from(["number", "number", "nest", "surrogate", "duplicate", "bom",
+                                 "comma", "trailing"]))
+    if what in ("number", "nest"):
+        spots = list(NUMBER.finditer(text))
+        if not spots:
+            return text
+        spot = draw(st.sampled_from(spots))
+        depth = draw(st.sampled_from([1025, 3000]))
+        value = draw(number_literals) if what == "number" else "[" * depth + "]" * depth
+        return text[:spot.start()] + value + text[spot.end():]
+    if what == "surrogate":
+        sid = draw(st.sampled_from(sorted(set(re.findall(r'"[A-Z]\w*"', text)))))
+        escaped = sid[:-1] + '\\ud800"'
+        if draw(st.booleans()):  # every occurrence, so that links and events still match
+            return text.replace(sid, escaped)
+        return text.replace(sid, escaped, 1)
+    if what == "duplicate":
+        key = draw(st.sampled_from(list(re.finditer(r'"\w+": ', text))))
+        return text[:key.start()] + key.group() + draw(number_literals) + ", " + text[key.start():]
+    if what == "bom":
+        return "\ufeff" + text
+    if what == "comma":
+        value_end = draw(st.sampled_from(list(re.finditer(r'[^\[{\s](?=\s*[\]}])', text))))
+        return text[:value_end.end()] + "," + text[value_end.end():]
+    return text + draw(st.sampled_from(["x", "{}", "1", " ", "\n\n"]))
+
+
+def _float_bits(value):
+    """The bits of every float reachable from a parsed scenario, in order."""
+    if isinstance(value, float):
+        yield value.hex()
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _float_bits(item)
+    elif isinstance(value, dict):
+        for pair in value.items():
+            yield from _float_bits(pair)
+    elif isinstance(value, MatrixLatency):
+        yield from _float_bits(value.entries)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _float_bits(getattr(value, field.name))
+
+
+def _decoded(parse, text):
+    """What parsing ``text`` gives: the scenario's repr, a matrix's entries
+    and every float's bits, or the error's class and message."""
+    try:
+        scenario = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(scenario), repr(getattr(scenario.links, "entries", None)), list(_float_bits(scenario))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated_scenarios(), st.integers(0, 3), st.data())
+def test_parse_scenario_decodes_text_as_json_does(scenario, n_mutations, data):
+    text = serialize_scenario(scenario)
+    for _ in range(n_mutations):
+        text = _mutate_text(text, data.draw)
+    assert _decoded(parse_scenario, text) == _decoded(reference_parse_text, text)
 
 
 # ------------------------------------------------- template-typed live index

@@ -345,6 +345,50 @@ def test_not_json_rejected():
         parse_scenario("{nope")
 
 
+def _one_service_text(sid='"A1"', qos="1.5", threshold="1", tail=""):
+    """A document of one service, its fields given as JSON text."""
+    return (
+        f'{{"services": [{{"id": {sid}, "type": "tA", "qos_ms": {qos}, "threshold": {threshold}}}],'
+        f' "template": {{"body": [["tA", "tB"]], "constraints": [1]}},'
+        f' "links": {{"kind": "uniform", "base_ms": 1.0}}{tail}}}'
+    )
+
+
+# Texts that orjson refuses, or whose decode fails a check; each fails as
+# json's reading of it does.
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (_one_service_text(qos="NaN"), "services[0]: qos_nominal must be >= 0, got nan"),
+        (_one_service_text(qos="Infinity"), "services[0].qos_ms: must be finite, got inf"),
+        (_one_service_text(qos="1e400"), "services[0].qos_ms: must be finite, got inf"),
+        (_one_service_text(qos="1" + "0" * 400),
+         "services[0].qos_ms: integer too large for a float"),
+        (_one_service_text(tail=","), "not valid JSON: Expecting property name enclosed in"
+         " double quotes: line 1 column 178 (char 177)"),
+        # Decoded, this nest is too deep for the error naming it to print it.
+        (_one_service_text(qos="[" * 3000 + "]" * 3000), "not valid JSON: maximum recursion"
+         " depth exceeded while decoding a JSON array from a unicode string"),
+    ],
+    ids=["nan", "infinity", "1e400", "int-400-digits", "trailing-comma", "nested-3000"],
+)
+def test_a_text_orjson_refuses_fails_as_json_reads_it(text, error):
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(text)
+    assert str(info.value) == error
+
+
+def test_an_int_beyond_64_bits_parses_to_that_int():
+    # orjson reads it as the float 1e20, which fails the integer check.
+    (service,) = parse_scenario(_one_service_text(threshold="100000000000000000000")).services
+    assert type(service.threshold) is int and service.threshold == 10 ** 20
+
+
+def test_an_id_with_a_lone_surrogate_escape_is_accepted():
+    (service,) = parse_scenario(_one_service_text(sid='"A\\ud800"')).services
+    assert service.id == "A\ud800"
+
+
 # ------------------------------------------------------------------- footprint
 
 
