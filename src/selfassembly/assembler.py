@@ -17,8 +17,10 @@ Assembly proceeds in three stages:
    items out in rank order from one heap, listing one branch of the start's
    own picks at a time, only when the next item could come from it: the
    same walk, over the index with the start's groups set to those picks.
-   Given the record of the attempt before, it keeps the pool of each start
-   the change did not reach.
+   Each walk reads one attempt object: the template's pairs by type, the
+   descriptors, the flood's index and the least costs.  Given the record of
+   the attempt before, :func:`assemble` keeps the pool of each start the
+   change did not reach.
 3. :func:`select_assembly` walks combinations of one candidate per start
    (an odometer over the sorted lists, rightmost start varying fastest) and
    commits the first whose deduplicated union keeps every service's
@@ -60,7 +62,6 @@ from .model import (
     QoSMatrix,
     ServiceDescriptor,
     service_map,
-    validate_template,
     worst_path_time,  # the cost definition candidate costs reproduce
 )
 from .netsim import Simulator
@@ -119,38 +120,11 @@ class AssemblyResult:
     per_service_load: dict[str, int]
 
 
-@dataclass(frozen=True, slots=True)
-class _TemplateFacts:
-    """What the stages read of a template, worked out once per assembly: the
-    starting type, the types in dependency order, their out pairs, and the
-    walk's levels: the types with pairs, in that order."""
-
-    start_type: str
-    order: list[str]
-    specs: dict[str, list[tuple[str, Constraint]]]
-    levels: list[str]
-
-
-def _facts(template: ApplicationTemplate, *, check: bool = False) -> _TemplateFacts:
-    """The template's facts.  With ``check``, an invalid template raises
-    :class:`TemplateInvalid`; without, the template's own ``ValueError``."""
-    if check:
-        report = validate_template(template)
-        if not report.ok:
-            raise TemplateInvalid(report)
-    order = template.topological_types()
-    specs: dict[str, list[tuple[str, Constraint]]] = {t: [] for t in order}
-    for (from_type, to_type), constraint in zip(template.body, template.constraints):
-        specs[from_type].append((to_type, constraint))  # body order within each type
-    return _TemplateFacts(template.starting_type(), order, specs, [t for t in order if specs[t]])
-
-
 def build_binding_graph(
     services: Iterable[ServiceDescriptor],
     template: ApplicationTemplate,
     net: Simulator,
     *,
-    facts: _TemplateFacts | None = None,
     index: dict[str, dict[str, list[_Pick]]] | None = None,
 ) -> tuple[AssemblyGraph, QoSMatrix]:
     """Flood the template from the starting services and measure links.
@@ -163,19 +137,21 @@ def build_binding_graph(
     to the paired type's services with one :meth:`Simulator.measure_links`
     call, which skips the targets it cannot see, so the cost follows the
     template's services rather than the registry size.  Each measured
-    value is checked once, as :meth:`QoSMatrix.set` checks it.
-    :func:`assemble` passes the template's ``facts``, checked once, and a
-    dict ``index`` to fill: ``index[sender][to_type]`` lists the call's
-    ``(edge, link)`` picks by target id, if any, sharing the edge tuples.
+    value is checked once, as :meth:`QoSMatrix.set` checks it.  An
+    invalid template raises :class:`TemplateInvalid`.  :func:`assemble`
+    passes a dict ``index`` to fill: ``index[sender][to_type]`` lists the
+    call's ``(edge, link)`` picks by target id, if any, sharing the edge
+    tuples.
     """
-    if facts is None:
-        facts = _facts(template, check=True)
+    if not template._report.ok:
+        raise TemplateInvalid(template._report)
+    specs = template._specs
     ids_by_type: dict[str, list[str]] = {}
     for descriptor in sorted(service_map(services).values(), key=attrgetter("id")):
-        if descriptor.type in facts.specs:
+        if descriptor.type in specs:
             ids_by_type.setdefault(descriptor.type, []).append(descriptor.id)
 
-    start_type = facts.start_type
+    start_type = template.starting_type()
     starts = ids_by_type.get(start_type, [])
     if not starts:
         raise NoStartingService(f"no live service of starting type {start_type!r}")
@@ -185,7 +161,7 @@ def build_binding_graph(
     measured: dict[tuple[str, str], float] = {}  # one entry per edge
     while queue:
         sender, sender_type = queue.popleft()
-        for to_type, _constraint in facts.specs[sender_type]:
+        for to_type, _constraint in specs[sender_type]:
             picks = net.measure_links(sender, ids_by_type.get(to_type, ()))
             for i, (target, ms) in enumerate(picks):
                 ms = float(ms)
@@ -233,7 +209,7 @@ def enumerate_candidates(
     if svc[start_id].type != template.starting_type():
         raise ValueError(f"service {start_id!r} is not of the starting type")
     picks = [(e, links.get(*e) if e in links else _MissingLink(e)) for e in sorted(graph.edges)]
-    return _candidates(_index(picks, svc), _facts(template), start_id, svc)
+    return _candidates(_Attempt(template, svc, _index(picks, svc)), start_id)
 
 
 _Edge = tuple[str, str]
@@ -268,13 +244,26 @@ def _index(picks: Iterable[_Pick], svc: _Services) -> _Successors:
     return succ_by_type
 
 
-def _least_costs(
-    succ_by_type: _Successors, facts: _TemplateFacts, svc: _Services, nodes: Iterable[str],
-    previous: _Attempt | None = None,
-) -> tuple[dict[str, float | None], set[str]]:
-    """The least cost of a candidate rooted at each node, or ``None`` when
-    some node it must include lacks targets (listing it raises
-    :class:`InsufficientServices`), and the nodes that are clean.
+class _Attempt:
+    """One assembly attempt, as the walkers read it: the template's pairs
+    by type (``specs``) and its levels, the types with pairs in dependency
+    order, the starting type first; the descriptors by id (``svc``), the
+    ``index`` of each node's picks by target type, and the least costs
+    (``lower``), which :func:`_least_costs` sets."""
+
+    __slots__ = ("specs", "levels", "svc", "index", "lower")
+
+    def __init__(self, template: ApplicationTemplate, svc: _Services, index: _Successors) -> None:
+        self.specs, self.svc, self.index = template._specs, svc, index
+        self.levels = [t for t, pairs in self.specs.items() if pairs]
+        self.lower: dict[str, float | None] = {}
+
+
+def _least_costs(attempt: _Attempt, nodes: Iterable[str], previous: _Attempt | None = None) -> set[str]:
+    """Sets the attempt's ``lower``: the least cost of a candidate rooted at
+    each node, or ``None`` when some node it must include lacks targets
+    (listing it raises :class:`InsufficientServices`); returns the nodes
+    that are clean.
 
     Bottom-up in reverse type order, a node's value is ``qos + max`` over
     its type pairs of the k-th smallest ``link + lower[target]`` (the
@@ -287,8 +276,8 @@ def _least_costs(
     descriptor object and equal groups, and every target in them is clean:
     it keeps its previous value, as its candidates are the previous ones.
     """
-    old_svc, old_groups, old_lower, _ = previous or ({}, {}, {}, {})
-    lower: dict[str, float | None] = {}
+    succ_by_type, svc = attempt.index, attempt.svc
+    lower = attempt.lower = {}
     clean: set[str] = set()
 
     def least(node: str, specs: list[tuple[str, Constraint]]) -> float | None:
@@ -314,8 +303,8 @@ def _least_costs(
         return qos if worst is None else qos + worst
 
     def kept(node: str) -> bool:
-        groups = succ_by_type.get(node)
-        if old_svc.get(node) is not svc[node] or node not in old_lower or old_groups.get(node) != groups:
+        groups, old = succ_by_type.get(node), previous
+        if old.svc.get(node) is not svc[node] or node not in old.lower or old.index.get(node) != groups:
             return False
         return len(clean) == len(lower) or all(  # every node valued so far is clean, or its targets
             t in clean for g in (groups or {}).values() for (_, t), _ in g
@@ -324,15 +313,14 @@ def _least_costs(
     by_type: dict[str, list[str]] = {}
     for node in nodes:
         by_type.setdefault(svc[node].type, []).append(node)
-    for node_type in reversed(facts.order):
-        specs = facts.specs[node_type]
+    for node_type, specs in reversed(attempt.specs.items()):
         for node in by_type.get(node_type, ()):
             if previous and kept(node):
                 clean.add(node)
-                lower[node] = old_lower[node]
+                lower[node] = previous.lower[node]
             else:
                 lower[node] = least(node, specs) if specs else svc[node].qos_nominal
-    return lower, clean
+    return clean
 
 
 def _headroom(qos: float, ms: float, limit: float) -> float:
@@ -361,12 +349,7 @@ class _Frame:
 
 
 def _branches(
-    succ_by_type: _Successors,
-    facts: _TemplateFacts,
-    start_id: str,
-    svc: _Services,
-    lower: Mapping[str, float | None] | None = None,
-    cutoff: float = math.inf,
+    attempt: _Attempt, start_id: str, cutoff: float | None = None
 ) -> Iterator[tuple[list[_Frame], list[_Pair]]]:
     """The candidate search: one walk with an explicit stack over the types
     with pairs ("levels"), binders before targets.  A level's binders pick
@@ -377,8 +360,8 @@ def _branches(
     binder reached has none: one empty assignment).  The first binder short
     of targets in that order raises :class:`InsufficientServices`.
 
-    With ``lower`` of :func:`_least_costs`, every candidate of cost at most
-    ``cutoff`` is reached; for a ``cutoff`` of at least ``lower[start_id]``,
+    Given a ``cutoff``, every candidate of cost at most it is reached, by
+    the attempt's least costs; for a ``cutoff`` of at least the start's,
     the others reached are at most a few ulps dearer.  Each included binder
     has a headroom, a bound on what it may be worth with the start within
     the cutoff: the cutoff for the start, the least :func:`_headroom` over
@@ -387,16 +370,18 @@ def _branches(
     fits its headroom; an ALL pair keeps all of its own, which then fit, as
     the binder's least cost includes them.
     """
-    levels = facts.levels
+    succ_by_type, svc, specs, levels = attempt.index, attempt.svc, attempt.specs, attempt.levels
+    lower = None if cutoff is None else attempt.lower
     last = len(levels) - 1
     included: dict[str, list[str]] = {node_type: [] for node_type in levels}
     included[levels[0]].append(start_id)
-    headroom: dict[str, float | None] = {start_id: cutoff}  # None or absent: not included
+    # What each included binder may be worth; None or absent: not included.
+    headroom: dict[str, float | None] = {start_id: math.inf if lower is None else cutoff}
     frames: list[_Frame] = []
     level = 0
     while True:
         pairs: list[_Pair] = []
-        for to_type, constraint in facts.specs[levels[level]]:
+        for to_type, constraint in specs[levels[level]]:
             for node in included[levels[level]]:
                 pool = succ_by_type.get(node, {}).get(to_type, ())
                 if not isinstance(constraint, AllServices):
@@ -439,25 +424,19 @@ def _branches(
             return
 
 
-def _candidates(
-    succ_by_type: _Successors,
-    facts: _TemplateFacts,
-    start_id: str,
-    svc: _Services,
-    lower: Mapping[str, float | None] | None = None,
-    cutoff: float = math.inf,
-) -> list[CandidateSubgraph]:
-    """The candidate list behind :func:`enumerate_candidates`; given
-    ``lower`` of :func:`_least_costs`, only its exact prefix of cost at
-    most ``cutoff``, each walked cost tested against it once.  A pick at the
-    deepest level is priced once per branch of :func:`_branches`, as its
-    link plus its sink's qos.  A candidate then re-prices only the binders
-    above, bottom-up in the association of :func:`worst_path_time`, the
-    sinks they pick at their qos.
+def _candidates(attempt: _Attempt, start_id: str, cutoff: float | None = None) -> list[CandidateSubgraph]:
+    """The candidate list behind :func:`enumerate_candidates`; given a
+    ``cutoff``, which the walk bounds by the attempt's least costs, only its
+    exact prefix of cost at most ``cutoff``, each walked cost tested against
+    it once.  A pick at the deepest level is priced once per branch of
+    :func:`_branches`, as its link plus its sink's qos.  A candidate then
+    re-prices only the binders above, bottom-up in the association of
+    :func:`worst_path_time`, the sinks they pick at their qos.
     """
     raw: list[tuple[float, tuple[_Edge, ...]]] = []
-    specs, nothing = facts.specs, -math.inf  # the top of no terms
-    for frames, pairs in _branches(succ_by_type, facts, start_id, svc, lower, cutoff):
+    svc, specs, nothing = attempt.svc, attempt.specs, -math.inf  # the top of no terms
+    limit = math.inf if cutoff is None else cutoff
+    for frames, pairs in _branches(attempt, start_id, cutoff):
         worth: dict[str, float] = {}
         plan: list[tuple[str, float, list[_Pick]]] = []  # bottom-up
         above: list[_Edge] = []
@@ -501,7 +480,7 @@ def _candidates(
                     term = ms + worth[target]
                     top = term if term > top else top
                 worth[node] = qos if top == nothing else qos + top
-            if worth[start_id] <= cutoff:  # the bounded walk may reach dearer ones
+            if worth[start_id] <= limit:  # the bounded walk may reach dearer ones
                 edges.sort()
                 raw.append((worth[start_id], tuple(edges)))
     raw.sort()  # by cost, then edges: no two candidates share their edges
@@ -509,22 +488,22 @@ def _candidates(
     return [make((start_id, e, cost, rank)) for rank, (cost, e) in enumerate(raw)]
 
 
-def _count(succ_by_type: _Successors, facts: _TemplateFacts, start_id: str, svc: _Services) -> int:
+def _count(attempt: _Attempt, start_id: str) -> int:
     """The length of the unbounded :func:`_candidates` list, without
     listing it: each branch of :func:`_branches` counts the product of its
     deepest pool sizes, as each assignment there is one candidate."""
     return sum(
         math.prod(count_combinations(len(pool), k) for _, _, k, pool in pairs)
-        for _, pairs in _branches(succ_by_type, facts, start_id, svc)
+        for _, pairs in _branches(attempt, start_id)
     )
 
 
 class _Pool:
     """One start's candidates, as selection reads them: a plain sequence,
-    uncopied, or the least-cost plateau of a start's ``walk`` (the first
-    arguments of :func:`_candidates`), which counts its length once and
-    hands out the items past the plateau in rank order, listing only as far
-    as asked: Lawler's (1972) partition, one level deep.
+    uncopied, or the least-cost plateau of a start of an attempt, which
+    counts its length once and hands out the items past the plateau in rank
+    order, listing only as far as asked: Lawler's (1972) partition, one
+    level deep.
 
     A branch is one assignment of the start's picks; its least cost, in the
     association of :func:`_least_costs`, is exact.  At the first read past
@@ -536,26 +515,28 @@ class _Pool:
     branch of equal cost, so an item leaves, ranked by the items before it,
     only when no unlisted branch could hold one before it."""
 
-    __slots__ = ("_items", "_walk", "_lower", "_heap", "_length")
+    __slots__ = ("_items", "_attempt", "_start", "_heap", "_length")
 
-    def __init__(self, items: Sequence[CandidateSubgraph], walk: tuple = (), lower=None) -> None:
-        self._items, self._walk, self._lower, self._heap = items, walk, lower, None
-        self._length = None if walk else len(items)
+    def __init__(
+        self, items: Sequence[CandidateSubgraph], attempt: _Attempt | None = None, start_id: str = ""
+    ) -> None:
+        self._items, self._attempt, self._start, self._heap = items, attempt, start_id, None
+        self._length = None if attempt else len(items)
 
     def item(self, index: int) -> CandidateSubgraph | None:
         """The candidate of rank ``index``, or ``None`` past the end."""
-        items, heap, lower = self._items, self._heap, self._lower
-        if index >= len(items) and self._walk:
-            succ_by_type, facts, start_id, svc = self._walk
+        items, heap, attempt = self._items, self._heap, self._attempt
+        if index >= len(items) and attempt:
+            start_id, succ_by_type, specs, lower = self._start, attempt.index, attempt.specs, attempt.lower
             if heap is None:
                 heap = self._heap = []
-                qos, groups = svc[start_id].qos_nominal, succ_by_type.get(start_id, {})
-                types = [t for t, _ in facts.specs[facts.start_type]]
-                pairs = [(start_id, t, k, groups.get(t, ())) for t, k in facts.specs[facts.start_type]]
+                qos, groups = attempt.svc[start_id].qos_nominal, succ_by_type.get(start_id, {})
+                types = [t for t, _ in specs[attempt.levels[0]]]
+                pairs = [(start_id, t, k, groups.get(t, ())) for t, k in specs[attempt.levels[0]]]
                 for order, assignment in enumerate(_Frame(0, pairs).assignments):
                     terms = [ms + lower[target] for chosen in assignment for (_, target), ms in chosen]
                     cost = qos + max(terms) if terms else qos
-                    if any(chosen for t, chosen in zip(types, assignment) if facts.specs[t]):
+                    if any(chosen for t, chosen in zip(types, assignment) if specs[t]):
                         heap.append((cost, 0, order, dict(zip(types, assignment))))  # the start's picks
                     else:  # a branch of sinks only is its one candidate
                         edges = sorted(edge for chosen in assignment for edge, _ in chosen)
@@ -565,7 +546,7 @@ class _Pool:
                 entry = heappop(heap)
                 if not entry[1]:
                     groups, succ_by_type[start_id] = succ_by_type[start_id], entry[3]  # O(1), unlike a copy
-                    for item in _candidates(succ_by_type, facts, start_id, svc):
+                    for item in _candidates(attempt, start_id):
                         heappush(heap, (item.cost, 1, item.edges))
                     succ_by_type[start_id] = groups  # the walk cannot raise: lower[start_id] is not None
                 elif entry[0] > lower[start_id]:  # the plateau's items are handed out already
@@ -574,24 +555,23 @@ class _Pool:
 
     def length(self) -> int:
         if self._length is None:
-            self._length = _count(*self._walk)
+            self._length = _count(self._attempt, self._start)
         return self._length
 
 
-_Attempt = tuple[_Services, _Successors, Mapping[str, float | None], Mapping[str, _Pool]]
-
-
 class _Reuse:
-    """What one :func:`assemble` leaves to the next over the same template:
-    the template's checked facts, and the descriptors, index, least costs
-    and pools of the last attempt that listed its plateaus, replaced only
-    as a whole."""
+    """What one :func:`assemble` leaves to the next over the same template,
+    which is checked when the record is made: the last attempt that listed
+    its plateaus and, beside it, that attempt's pools, replaced only as a
+    whole.  A kept pool holds its own attempt; held in it, the pools would
+    keep every attempt before alive."""
 
-    __slots__ = ("template", "facts", "attempt")
+    __slots__ = ("template", "attempt", "pools")
 
     def __init__(self, template: ApplicationTemplate) -> None:
-        self.template, self.facts = template, _facts(template, check=True)
-        self.attempt: _Attempt | None = None
+        if not template._report.ok:
+            raise TemplateInvalid(template._report)
+        self.template, self.attempt, self.pools = template, None, {}
 
 
 def select_assembly(
@@ -713,10 +693,11 @@ def assemble(
     """Run the full pipeline: flood and measure, enumerate per start,
     commit the first feasible combination.
 
-    The template is checked once, the flood indexes the binding graph as
-    it measures it, and every stage shares both.  Each start's list
-    is lazy (see the module docstring); for a start without candidates
-    the unbounded search raises its :class:`InsufficientServices`.
+    One attempt object carries the template's pairs, the descriptors, the
+    flood's index of the binding graph and the least costs to every stage.
+    Each start's list is lazy (see the module docstring); for a start
+    without candidates the unbounded search raises its
+    :class:`InsufficientServices`.
 
     ``reuse`` is the record of an earlier call over the same template,
     which this one replaces; without one, or for another template, a fresh
@@ -725,22 +706,19 @@ def assemble(
     """
     if reuse is None or reuse.template is not template:
         reuse = _Reuse(template)  # reported before a duplicate id, as by the flood
-    facts = reuse.facts
     svc = service_map(services)
-    succ_by_type: dict[str, dict[str, list[_Pick]]] = {}
-    graph, links = build_binding_graph(svc, template, net, facts=facts, index=succ_by_type)
-    start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == facts.start_type)
+    attempt = _Attempt(template, svc, {})
+    graph, links = build_binding_graph(svc, template, net, index=attempt.index)
+    start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == attempt.levels[0])
     # A zero link turns reuse off: -0.0 == 0.0, yet a sum may keep the sign.
-    previous = reuse.attempt if all(links._entries.values()) else None
-    lower, clean = _least_costs(succ_by_type, facts, svc, graph.nodes, previous)
-    per_start: dict[str, _Pool | list[CandidateSubgraph]] = {}
+    clean = _least_costs(attempt, graph.nodes, reuse.attempt if all(links._entries.values()) else None)
+    lower, pools = attempt.lower, {}
     for sid in start_ids:
-        walk = (succ_by_type, facts, sid, svc)
         if sid in clean:
-            per_start[sid] = previous[3][sid]
+            pools[sid] = reuse.pools[sid]
         elif lower[sid] is None:
-            per_start[sid] = _candidates(*walk)
+            pools[sid] = _candidates(attempt, sid)
         else:
-            per_start[sid] = _Pool(_candidates(*walk, lower, lower[sid]), walk, lower)
-    reuse.attempt = (svc, succ_by_type, lower, per_start)
-    return select_assembly(per_start, svc, budget=budget)
+            pools[sid] = _Pool(_candidates(attempt, sid, lower[sid]), attempt, sid)
+    reuse.attempt, reuse.pools = attempt, pools
+    return select_assembly(pools, svc, budget=budget)

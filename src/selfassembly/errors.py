@@ -6,6 +6,14 @@ class SelfAssemblyError(Exception):
     """Base class for every error raised by this package."""
 
 
+def _shown(value: object) -> str:
+    """``repr(value)``, or its type's name where that recurses too deep."""
+    try:
+        return repr(value)
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deep to show"
+
+
 class UnknownServiceType(SelfAssemblyError):
     """A service's type does not appear in the application template."""
 

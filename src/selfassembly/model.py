@@ -9,7 +9,8 @@ processing plus link transfer along the most expensive start-to-sink path)
 is the quantity the assembler minimizes when ranking candidates.
 
 Everything in this module is a pure value or a pure function; values are
-safe to share across threads.
+safe to share across threads.  A template caches what it derives for the
+assembler, its validation report and its pairs by type, on first use.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import NamedTuple
 
@@ -146,6 +148,20 @@ class ApplicationTemplate:
         for a, b in self.body:
             succ.setdefault(a, []).append(b)
         return _topological(self.types(), succ)
+
+    @cached_property
+    def _report(self) -> TemplateReport:
+        """:func:`validate_template` of this template, worked out once."""
+        return validate_template(self)
+
+    @cached_property
+    def _specs(self) -> dict[str, list[tuple[str, Constraint]]]:
+        """Each type's ``(to_type, constraint)`` pairs in body order, the types in
+        dependency order; worked out once (a cycle raises ``ValueError``)."""
+        specs: dict[str, list[tuple[str, Constraint]]] = {t: [] for t in self.topological_types()}
+        for (from_type, to_type), constraint in zip(self.body, self.constraints):
+            specs[from_type].append((to_type, constraint))
+        return specs
 
 
 @dataclass(frozen=True)

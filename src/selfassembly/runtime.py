@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Container, Iterable
 
 from .assembler import DEFAULT_COMBINATION_BUDGET, AssemblyResult, _Reuse, assemble
-from .errors import CombinationBudgetExceeded, Infeasible, InsufficientServices, NoStartingService
+from .errors import CombinationBudgetExceeded, Infeasible, InsufficientServices, NoStartingService, _shown
 from .model import ApplicationTemplate, ServiceDescriptor, service_map
 from .netsim import Simulator
 
@@ -112,15 +112,15 @@ class ScenarioEvent:
             raise ValueError(f"{self.kind.value} needs numbers a float can hold") from None
         if self.kind is EventKind.SERVICE_APPEARS:
             if not isinstance(self.service, ServiceDescriptor):
-                raise ValueError(f"service_appears needs a ServiceDescriptor, got {self.service!r}")
+                raise ValueError(f"service_appears needs a ServiceDescriptor, got {_shown(self.service)}")
             return
         linked = self.kind is EventKind.LINK_DEGRADES
         for sid in (self.link_from, self.link_to) if linked else (self.service_id,):
             if not isinstance(sid, str) or not sid:
-                raise ValueError(f"{self.kind.value} needs non-empty string ids, got {sid!r}")
+                raise ValueError(f"{self.kind.value} needs non-empty string ids, got {_shown(sid)}")
         ms = self.new_ms
         if linked and (not isinstance(ms, (int, float)) or isinstance(ms, bool) or not ms >= 0):
-            raise ValueError(f"link_degrades needs a number new_ms >= 0, got {ms!r}")
+            raise ValueError(f"link_degrades needs a number new_ms >= 0, got {_shown(ms)}")
 
     @classmethod
     def appears(cls, at: float, service: ServiceDescriptor) -> "ScenarioEvent":
@@ -131,16 +131,8 @@ class ScenarioEvent:
         return cls(at, EventKind.SERVICE_DISAPPEARS, service_id=service_id)
 
     @classmethod
-    def link_degrades(
-        cls, at: float, link_from: str, link_to: str, new_ms: float
-    ) -> "ScenarioEvent":
-        return cls(
-            at,
-            EventKind.LINK_DEGRADES,
-            link_from=link_from,
-            link_to=link_to,
-            new_ms=new_ms,
-        )
+    def link_degrades(cls, at: float, link_from: str, link_to: str, new_ms: float) -> "ScenarioEvent":
+        return cls(at, EventKind.LINK_DEGRADES, link_from=link_from, link_to=link_to, new_ms=new_ms)
 
     @classmethod
     def inject_out_contract(cls, at: float, service_id: str) -> "ScenarioEvent":
@@ -255,15 +247,11 @@ def run_scenario(
         at = net.clock
         pool = [d for sid, d in typed.items() if sid != exclude]
         try:
-            result = assemble(pool, template, net, budget=budget, reuse=reuse)
-            committed = result
-            entry = TimelineEntry(at, trigger, result, None, result.combinations_tested)
-        except Infeasible as exc:
-            committed = None
-            entry = TimelineEntry(at, trigger, None, str(exc), exc.combinations_tested)
-        except (InsufficientServices, NoStartingService, CombinationBudgetExceeded) as exc:
-            committed = None
-            entry = TimelineEntry(at, trigger, None, str(exc), 0)
+            committed = assemble(pool, template, net, budget=budget, reuse=reuse)
+            entry = TimelineEntry(at, trigger, committed, None, committed.combinations_tested)
+        except (Infeasible, InsufficientServices, NoStartingService, CombinationBudgetExceeded) as exc:
+            committed = None  # only Infeasible counts the combinations it tested
+            entry = TimelineEntry(at, trigger, None, str(exc), getattr(exc, "combinations_tested", 0))
         timeline.append(entry)
         net.log_event("reassembly", None, None, trigger=trigger, feasible=entry.feasible)
 

@@ -16,7 +16,7 @@ from typing import Any
 
 import orjson
 
-from .errors import ScenarioFormatError
+from .errors import ScenarioFormatError, _shown
 from .model import (
     ALL,
     AllServices,
@@ -60,7 +60,7 @@ def _number(value: Any, where: str, key: str = "") -> float:
     """``value`` as a float other than ±inf (NaN passes); ``key`` names the
     field of ±inf or of an int too large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
+        raise ScenarioFormatError(f"{where}: expected a number, got {_shown(value)}")
     try:
         number = float(value)
     except OverflowError:
@@ -101,7 +101,7 @@ def _parse_constraint(value: Any, where: str) -> Constraint:
         return ALL
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ScenarioFormatError(
-            f"{where}: constraint must be a positive integer or \"ALL\", got {value!r}"
+            f"{where}: constraint must be a positive integer or \"ALL\", got {_shown(value)}"
         )
     return value
 
@@ -175,7 +175,7 @@ def _parse_links(obj: Any) -> LatencyModel:
         )
         return SeededLatency(base_ms, jitter_ms, obj["seed"])
     raise ScenarioFormatError(
-        f"{where}.kind: expected \"uniform\", \"matrix\" or \"seeded\", got {kind!r}"
+        f"{where}.kind: expected \"uniform\", \"matrix\" or \"seeded\", got {_shown(kind)}"
     )
 
 
@@ -209,7 +209,7 @@ def _parse_event(obj: Any, where: str) -> ScenarioEvent:
         raise ScenarioFormatError(f"{where}: expected an object")
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in _EVENT_KEYS:
-        raise ScenarioFormatError(f"{where}.kind: unknown event kind {kind!r}")
+        raise ScenarioFormatError(f"{where}.kind: unknown event kind {_shown(kind)}")
     _check_keys(obj, _EVENT_KEYS[kind], set(), where)
     at = _number(obj["at_ms"], f"{where}.at_ms")
     if math.isnan(at):  # named by its index here; the order check names only its time
@@ -246,8 +246,8 @@ def parse_scenario(document: str | dict) -> Scenario:
         return _parse_decoded(document, owned=False)
     try:
         return _parse_decoded(orjson.loads(document), owned=True)
-    except (orjson.JSONDecodeError, ScenarioFormatError, RecursionError):
-        pass  # RecursionError: an error's repr of a nest deeper than json decodes
+    except (orjson.JSONDecodeError, ScenarioFormatError):
+        pass
     try:
         obj = json.loads(document)
     except (ValueError, RecursionError) as exc:  # bad syntax, huge ints, deep nesting

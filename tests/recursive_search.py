@@ -17,12 +17,12 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import combinations, product
 
 from selfassembly import CandidateSubgraph, InsufficientServices, QoSMatrix, count_combinations
-from selfassembly.assembler import _TemplateFacts
 from selfassembly.model import AllServices, AssemblyGraph, Constraint, ServiceDescriptor
 
 
 _Edge = tuple[str, str]
 _Successors = Mapping[str, Mapping[str, Sequence[str]]]
+_Specs = Mapping[str, Sequence[tuple[str, Constraint]]]  # a template's pairs by type, in dependency order
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
 _INF_BITS = _I64.unpack(_F64.pack(math.inf))[0]
 
@@ -65,7 +65,7 @@ def reference_index(
 def reference_least_costs(
     succ_by_type: _Successors,
     links: QoSMatrix,
-    facts: _TemplateFacts,
+    specs_by_type: _Specs,
     svc: Mapping[str, ServiceDescriptor],
     nodes: Iterable[str],
 ) -> dict[str, float | None]:
@@ -110,8 +110,8 @@ def reference_least_costs(
     by_type: dict[str, list[str]] = {}
     for node in nodes:
         by_type.setdefault(svc[node].type, []).append(node)
-    for node_type in reversed(facts.order):
-        specs = facts.specs[node_type]
+    for node_type in reversed(list(specs_by_type)):
+        specs = specs_by_type[node_type]
         for node in by_type.get(node_type, ()):
             lower[node] = least(node, specs) if specs else svc[node].qos_nominal
     return lower
@@ -121,7 +121,7 @@ def reference_candidates(
     succ_by_type: _Successors,
     shared_edge: Mapping[_Edge, _Edge],
     links: QoSMatrix,
-    facts: _TemplateFacts,
+    specs_by_type: _Specs,
     start_id: str,
     svc: Mapping[str, ServiceDescriptor],
     lower: Mapping[str, float | None] | None = None,
@@ -141,7 +141,7 @@ def reference_candidates(
     as the binder's least cost already includes every one of them), so
     every candidate the search completes is within the cutoff.
     """
-    type_order = facts.order
+    type_order = list(specs_by_type)
     reverse_order = type_order[::-1]
     lookup = links.get
 
@@ -211,7 +211,7 @@ def reference_candidates(
             return
         binder_type = type_order[position]
         binders = included[binder_type]
-        specs = facts.specs[binder_type]
+        specs = specs_by_type[binder_type]
         if not binders or not specs:
             expand(position + 1)
             return
@@ -268,7 +268,7 @@ def reference_candidates(
 
 def reference_count(
     succ_by_type: _Successors,
-    facts: _TemplateFacts,
+    specs_by_type: _Specs,
     start_id: str,
     svc: Mapping[str, ServiceDescriptor],
 ) -> int:
@@ -279,8 +279,8 @@ def reference_count(
     with pairs, each assignment of picks is one candidate, so the count
     there is the product of the pool sizes.
     """
-    type_order = facts.order
-    last = max((i for i, t in enumerate(type_order) if facts.specs[t]), default=-1)
+    type_order = list(specs_by_type)
+    last = max((i for i, t in enumerate(type_order) if specs_by_type[t]), default=-1)
     included: dict[str, list[str]] = {t: [] for t in type_order}
     included[svc[start_id].type].append(start_id)
     included_set = {start_id}
@@ -292,7 +292,7 @@ def reference_count(
         if not binders:
             return count(position + 1)
         pairs = []  # (target type, constraint, available targets) per binder
-        for to_type, constraint in facts.specs[type_order[position]]:
+        for to_type, constraint in specs_by_type[type_order[position]]:
             for node in binders:
                 available = succ_by_type.get(node, {}).get(to_type, [])
                 if not isinstance(constraint, AllServices) and len(available) < constraint:

@@ -20,6 +20,7 @@ from selfassembly import (
     MatrixLatency,
     NoStartingService,
     QoSMatrix,
+    ScenarioEvent,
     ServiceDescriptor,
     TemplateInvalid,
     assemble,
@@ -28,6 +29,7 @@ from selfassembly import (
     count_combinations,
     enumerate_candidates,
     generate_one_layer,
+    run_scenario,
     select_assembly,
     service_map,
 )
@@ -257,13 +259,12 @@ def test_a_candidate_is_a_named_tuple_with_the_dataclass_repr_and_hash():
 @pytest.mark.parametrize("case", ["binder", "pair_merge"])
 def test_signed_zero_ties_keep_the_first_term_in_pick_order(case):
     services, template, latency = signed_zero_ties(case)
-    svc, facts, succ = service_map(services), assembler._facts(template), {}
-    graph, links = build_binding_graph(
-        services, template, make_net(services, latency), facts=facts, index=succ
-    )
-    lower, _ = assembler._least_costs(succ, facts, svc, graph.nodes)
+    svc = service_map(services)
+    attempt = assembler._Attempt(template, svc, {})
+    graph, links = build_binding_graph(services, template, make_net(services, latency), index=attempt.index)
+    assembler._least_costs(attempt, graph.nodes)
     full = enumerate_candidates(graph, links, template, "A1", svc)
-    plateau = assembler._candidates(succ, facts, "A1", svc, lower, lower["A1"])
+    plateau = assembler._candidates(attempt, "A1", attempt.lower["A1"])
     chosen = assemble(services, template, make_net(services, latency)).chosen["A1"]
     assert len(full) == 1
     assert [c.cost.hex() for c in full + plateau + [chosen]] == ["-0x0.0p+0"] * 3
@@ -436,12 +437,21 @@ def test_a_start_of_infinite_least_cost_commits_its_only_candidate(qos, table):
 
 def test_assemble_works_the_template_out_once(example7_net, monkeypatch):
     # One dependency sort to validate the template and one for the stages'
-    # type order, not one per stage and per start.
+    # type order, not one per stage and per start.  The template keeps both,
+    # so a whole run with re-assemblies sorts twice in total too.
     services, template, net = example7_net
     real = model._topological
     sorts = []
     monkeypatch.setattr(model, "_topological", lambda *args: sorts.append(1) or real(*args))
     assemble(services, template, net)
+    assert len(sorts) == 2
+    sorts.clear()
+    events = [
+        ScenarioEvent.appears(1.0, ServiceDescriptor("B4", "tB", 2.0, 2)),
+        ScenarioEvent.appears(2.0, ServiceDescriptor("C2", "tC", 5.0, 3)),
+    ]
+    timeline = run_scenario(seven_services(), seven_template(), events, make_net(seven_services()))
+    assert [entry.trigger for entry in timeline] == ["initial", "service_appears:B4", "service_appears:C2"]
     assert len(sorts) == 2
 
 

@@ -392,7 +392,7 @@ def test_verify_reports_items_handed_out_past_a_plateau_out_of_rank_order(monkey
 
     def swapped(pool, index):
         end = plateau_ends.setdefault(pool, len(pool._items))  # selection reads item 0 first
-        if pool._walk and index in (end, end + 1) and real(pool, end + 1) is not None:
+        if pool._attempt and index in (end, end + 1) and real(pool, end + 1) is not None:
             index = 2 * end + 1 - index
         return real(pool, index)
 

@@ -15,7 +15,7 @@ from itertools import combinations, product
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfassembly import (
@@ -62,10 +62,10 @@ from selfassembly import assembler, runtime
 from selfassembly.cli import main
 from selfassembly import scenario as scenario_module
 from selfassembly.assembler import (
+    _Attempt,
     _branches,
     _candidates,
     _count,
-    _facts,
     _headroom,
     _index,
     _least_costs,
@@ -83,7 +83,7 @@ from selfassembly.oracle import (
 from selfassembly.runtime import EventKind, ScenarioEvent, TimelineEntry
 from selfassembly.scenario import Scenario
 
-from conftest import make_net, seven_services, seven_template
+from conftest import make_net, seven_services, seven_template, signed_zero_ties
 from recursive_search import (
     reference_candidates,
     reference_count,
@@ -445,9 +445,9 @@ def test_assemble_indexes_the_flood_table_as_the_reference_regroups_the_graph(wo
         floods.append((build_binding_graph(*args, **kwargs), kwargs["index"]))
         return floods[-1][0]
 
-    def least_costs(succ_by_type, *args, **kwargs):
-        used.append(succ_by_type)
-        return _least_costs(succ_by_type, *args, **kwargs)
+    def least_costs(attempt, *args, **kwargs):
+        used.append(attempt.index)
+        return _least_costs(attempt, *args, **kwargs)
 
     with mock.patch.object(assembler, "build_binding_graph", flood), \
             mock.patch.object(assembler, "_least_costs", least_costs):
@@ -681,6 +681,16 @@ def contended_instances(draw, values=link_or_qos, second_k=(ALL, 1)):
     return services, ApplicationTemplate(body, constraints), table
 
 
+def _flood(services, template, net):
+    """The flood's graph and links, and an attempt over its index.  The flood
+    reads no constraint, so it runs on the template with each one set to 1,
+    which passes the flood's check also where ``template`` has a k=0 pair."""
+    attempt = _Attempt(template, service_map(services), {})
+    checked = ApplicationTemplate(template.body, (1,) * len(template.body))
+    graph, links = build_binding_graph(services, checked, net, index=attempt.index)
+    return graph, links, attempt
+
+
 def _full_lists(services, template, graph, links):
     """Each start's full candidate list, or the exception enumerating it raised."""
     svc = service_map(services)
@@ -693,6 +703,13 @@ def _full_lists(services, template, graph, links):
     return out
 
 
+def _signed_zero_binder():
+    """The "binder" signed-zero instance: ``lower["A1"]`` is ``0.0``, the only
+    candidate costs ``-0.0``."""
+    services, template, latency = signed_zero_ties("binder")
+    return services, template, latency.entries
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(
@@ -700,23 +717,25 @@ def _full_lists(services, template, graph, links):
     ),
     st.data(),
 )
+@example(_signed_zero_binder(), None)
 def test_least_cost_plateaus_are_exact_prefixes_of_the_full_lists(instance, data):
     services, template, table = instance
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
-    succ = _index(links._entries.items(), svc)
-    facts = _facts(template)
-    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
+    attempt = _Attempt(template, svc, _index(links._entries.items(), svc))
+    _least_costs(attempt, graph.nodes)
+    lower = attempt.lower
     for sid, full in _full_lists(services, template, graph, links).items():
         if isinstance(full, InsufficientServices):
             assert lower[sid] is None
             continue
         assert lower[sid] is not None
-        assert lower[sid].hex() == full[0].cost.hex()
-        for cutoff in (lower[sid], data.draw(st.sampled_from(full)).cost):
-            assert _candidates(succ, facts, sid, svc, lower, cutoff) == [
-                c for c in full if c.cost <= cutoff
-            ]
+        assert lower[sid] == full[0].cost  # by value: a -0.0 and a 0.0 may tie
+        drawn = full[-1] if data is None else data.draw(st.sampled_from(full))  # None: the explicit example
+        for cutoff in (lower[sid], drawn.cost):
+            assert _listing(lambda: _candidates(attempt, sid, cutoff)) == _listing(
+                lambda: [c for c in full if c.cost <= cutoff]
+            )
 
 
 def _assembly(run):
@@ -780,8 +799,8 @@ def _branch_spy(calls):
     the spy keeps the start's groups it read.  An unbounded call lists a
     branch only if the start's groups are another object holding one
     assignment of the plateau's pools: k picks of a pool, or all of an ALL
-    pool; whether ``lower`` is given does not matter.  Any other unbounded
-    call, also over a copy of the start's groups, is a full listing."""
+    pool.  Any other unbounded call, also over a copy of the start's
+    groups, is a full listing."""
     real = assembler._candidates
     plateau_groups = {}
 
@@ -792,17 +811,17 @@ def _branch_spy(calls):
             for t, k in specs
         )
 
-    def spy(succ, facts, start_id, svc, lower=None, cutoff=math.inf):
-        groups = succ.get(start_id)
-        if cutoff < math.inf:
+    def spy(attempt, start_id, cutoff=None):
+        groups = attempt.index.get(start_id)
+        if cutoff is not None:
             plateau_groups[start_id] = groups
-            return real(succ, facts, start_id, svc, lower, cutoff)
+            return real(attempt, start_id, cutoff)
         plateau = plateau_groups.get(start_id, groups)
-        specs = facts.specs[facts.start_type]
+        specs = attempt.specs[attempt.levels[0]]
         branch = groups is not plateau and one_assignment(groups or {}, plateau or {}, specs)
         if not branch:
             calls.append((start_id, None, None))
-        listed = real(succ, facts, start_id, svc, lower, cutoff)
+        listed = real(attempt, start_id, cutoff)
         if branch:
             picks = tuple((t, tuple(edge for edge, _ in chosen)) for t, chosen in groups.items())
             calls.append((start_id, picks, len(listed)))
@@ -853,11 +872,11 @@ def test_counted_length_equals_the_full_list_length(instance):
     graph, links = build_binding_graph(services, template, make_net(services, latency))
     full = _full_lists(services, template, graph, links)
     svc = service_map(services)
-    succ = _index(links._entries.items(), svc)
+    attempt = _Attempt(template, svc, _index(links._entries.items(), svc))
     short = {sid: pool for sid, pool in full.items() if isinstance(pool, InsufficientServices)}
     for sid, exc in short.items():
         with pytest.raises(InsufficientServices, match=f"^{re.escape(str(exc))}$"):
-            _count(succ, _facts(template), sid, svc)
+            _count(attempt, sid)
     if short:
         return  # assemble raises before selection
     calls = []
@@ -926,15 +945,14 @@ def test_items_past_the_plateau_continue_the_full_list(instance):
     template has, and with ``-0.0`` values on the plateau; reading them
     leaves the index as it was."""
     services, template, table = instance
-    svc, facts, succ = service_map(services), _facts(template), {}
-    net = make_net(services, MatrixLatency(table))
-    graph, links = build_binding_graph(services, template, net, facts=facts, index=succ)
-    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
+    graph, links, attempt = _flood(services, template, make_net(services, MatrixLatency(table)))
+    _least_costs(attempt, graph.nodes)
+    succ, lower = attempt.index, attempt.lower
     for sid, full in _full_lists(services, template, graph, links).items():
         if isinstance(full, InsufficientServices):
             continue
-        plateau = _candidates(succ, facts, sid, svc, lower, lower[sid])
-        pool, rest, groups = _Pool(list(plateau), (succ, facts, sid, svc), lower), [], succ.get(sid)
+        plateau = _candidates(attempt, sid, lower[sid])
+        pool, rest, groups = _Pool(list(plateau), attempt, sid), [], succ.get(sid)
         while (item := pool.item(len(plateau) + len(rest))) is not None:
             rest.append(item)
         assert _listing(lambda: plateau + rest) == _listing(lambda: full)
@@ -958,19 +976,18 @@ def test_branches_of_the_start_picks_partition_the_full_list(instance):
     start's type is the deepest level, as in a one-layer template, and with
     a k=0 pair."""
     services, template, table = instance
-    svc, facts, succ = service_map(services), _facts(template), {}
-    net = make_net(services, MatrixLatency(table))
-    graph, links = build_binding_graph(services, template, net, facts=facts, index=succ)
+    graph, links, attempt = _flood(services, template, make_net(services, MatrixLatency(table)))
+    svc, succ, start_pairs = attempt.svc, attempt.index, attempt.specs[attempt.levels[0]]
     for sid, full in _full_lists(services, template, graph, links).items():
         if isinstance(full, InsufficientServices):
             continue
-        pools = [(succ.get(sid, {}).get(t, ()), k) for t, k in facts.specs[facts.start_type]]
-        types = [t for t, _ in facts.specs[facts.start_type]]
+        pools = [(succ.get(sid, {}).get(t, ()), k) for t, k in start_pairs]
+        types = [t for t, _ in start_pairs]
         listed = []
         for first in product(*(
             (tuple(pool),) if isinstance(k, AllServices) else combinations(pool, k) for pool, k in pools
         )):
-            listed += _candidates({**succ, sid: dict(zip(types, first))}, facts, sid, svc)
+            listed += _candidates(_Attempt(template, svc, {**succ, sid: dict(zip(types, first))}), sid)
         listed.sort(key=lambda c: (c.cost, c.edges))
         assert [(c.cost.hex(), c.edges) for c in listed] == [(c.cost.hex(), c.edges) for c in full]
 
@@ -1013,23 +1030,23 @@ def test_walker_matches_the_recursive_search(instance, data):
     services, template, table = instance
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
-    facts = _facts(template)
-    succ = _index(links._entries.items(), svc)
-    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
+    attempt = _Attempt(template, svc, _index(links._entries.items(), svc))
+    _least_costs(attempt, graph.nodes)
+    lower = attempt.lower
     old_succ, shared_edge = reference_index(graph, svc)
-    old_lower = reference_least_costs(old_succ, links, facts, svc, graph.nodes)
+    old_lower = reference_least_costs(old_succ, links, attempt.specs, svc, graph.nodes)
     assert {node: _bits(value) for node, value in lower.items()} == {
         node: _bits(value) for node, value in old_lower.items()
     }
 
     def reference(sid, *bound):
-        return reference_candidates(old_succ, shared_edge, links, facts, sid, svc, *bound)
+        return reference_candidates(old_succ, shared_edge, links, attempt.specs, sid, svc, *bound)
 
-    for sid in sorted(s.id for s in services if s.type == facts.start_type):
-        full = _listing(lambda: _candidates(succ, facts, sid, svc))
+    for sid in sorted(s.id for s in services if s.type == attempt.levels[0]):
+        full = _listing(lambda: _candidates(attempt, sid))
         assert full == _listing(lambda: reference(sid))
-        assert _counting(lambda: _count(succ, facts, sid, svc)) == _counting(
-            lambda: reference_count(old_succ, facts, sid, svc)
+        assert _counting(lambda: _count(attempt, sid)) == _counting(
+            lambda: reference_count(old_succ, attempt.specs, sid, svc)
         )
         if lower[sid] is None:
             assert isinstance(full, tuple)  # InsufficientServices
@@ -1038,7 +1055,7 @@ def test_walker_matches_the_recursive_search(instance, data):
         for cutoff in (
             lower[sid], drawn, math.nextafter(drawn, math.inf), math.nextafter(drawn, -math.inf)
         ):
-            bounded = _listing(lambda: _candidates(succ, facts, sid, svc, lower, cutoff))
+            bounded = _listing(lambda: _candidates(attempt, sid, cutoff))
             assert bounded == [item for item in full if float.fromhex(item[0]) <= cutoff]
             if cutoff >= lower[sid]:  # the recursive search assumed this
                 assert bounded == _listing(lambda: reference(sid, lower, cutoff))
@@ -1065,14 +1082,13 @@ def test_a_missing_link_raises_only_where_the_recursive_search_priced_it(instanc
     dropped = data.draw(st.sampled_from(sorted(graph.edges)))
     links = _without(links, dropped)
     svc = service_map(services)
-    facts = _facts(template)
     old_succ, shared_edge = reference_index(graph, svc)
     errors = (InsufficientServices, MissingLinkQoS)
-    for sid in sorted(s.id for s in services if s.type == facts.start_type):
+    for sid in sorted(s.id for s in services if s.type == template.starting_type()):
         assert _listing(
             lambda: enumerate_candidates(graph, links, template, sid, svc), errors
         ) == _listing(
-            lambda: reference_candidates(old_succ, shared_edge, links, facts, sid, svc), errors
+            lambda: reference_candidates(old_succ, shared_edge, links, template._specs, sid, svc), errors
         )
 
 
@@ -1115,20 +1131,19 @@ def test_walker_prices_a_sink_that_a_binder_above_the_deepest_level_picks():
     )}
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
-    facts = _facts(template)
-    succ = _index(links._entries.items(), svc)
-    full = _candidates(succ, facts, "A", svc)
-    assert len(full) == 8 == _count(succ, facts, "A", svc)
+    attempt = _Attempt(template, svc, _index(links._entries.items(), svc))
+    full = _candidates(attempt, "A")
+    assert len(full) == 8 == _count(attempt, "A")
     old_succ, shared_edge = reference_index(graph, svc)
     assert _listing(lambda: full) == _listing(
-        lambda: reference_candidates(old_succ, shared_edge, links, facts, "A", svc)
+        lambda: reference_candidates(old_succ, shared_edge, links, attempt.specs, "A", svc)
     )
     for candidate in full:
         reference = worst_path_time(candidate.graph, "A", svc, links)
         assert candidate.cost.hex() == reference.hex()
-    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
+    _least_costs(attempt, graph.nodes)
     for candidate in full:
-        assert _candidates(succ, facts, "A", svc, lower, candidate.cost) == [
+        assert _candidates(attempt, "A", candidate.cost) == [
             c for c in full if c.cost <= candidate.cost
         ]
 
@@ -1170,17 +1185,16 @@ def test_a_level_no_binder_reaches_has_one_empty_assignment():
     table.update({(d, e): 0.4 if e == "E1" else 0.3 for d in ("D1", "D2") for e in ("E1", "E2")})
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
-    facts = _facts(template)
-    assert facts.levels == ["tA", "tB", "tD"]
+    attempt = _Attempt(template, svc, _index(links._entries.items(), svc))
+    assert attempt.levels == ["tA", "tB", "tD"]
     full = enumerate_candidates(graph, links, template, "A1", svc)
     old_succ, shared_edge = reference_index(graph, svc)
-    assert full == reference_candidates(old_succ, shared_edge, links, facts, "A1", svc)
+    assert full == reference_candidates(old_succ, shared_edge, links, attempt.specs, "A1", svc)
     assert len(full) == 4
     for candidate in full:
         assert candidate.cost.hex() == worst_path_time(candidate.graph, "A1", svc, links).hex()
-    succ = _index(links._entries.items(), svc)
-    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
-    assert _candidates(succ, facts, "A1", svc, lower, lower["A1"]) == full[:1]
+    _least_costs(attempt, graph.nodes)
+    assert _candidates(attempt, "A1", attempt.lower["A1"]) == full[:1]
     result = assemble(services, template, make_net(services, MatrixLatency(table)))
     assert result.chosen == {"A1": full[0]}
 
@@ -1215,24 +1229,24 @@ def test_a_node_picked_by_two_binders_keeps_the_smaller_headroom(tight):
     table.update({(c, d): 3.0 if d == "D2" else 0.0 for c in ("C1", "C2") for d in ("D1", "D2")})
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
-    facts = _facts(template)
-    succ = _index(links._entries.items(), svc)
-    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
-    full = _candidates(succ, facts, "A", svc)
-    plateau = _candidates(succ, facts, "A", svc, lower, lower["A"])
+    attempt = _Attempt(template, svc, _index(links._entries.items(), svc))
+    _least_costs(attempt, graph.nodes)
+    lower = attempt.lower
+    full = _candidates(attempt, "A")
+    plateau = _candidates(attempt, "A", lower["A"])
     assert lower["A"] == 10.0
     assert plateau == [c for c in full if c.cost <= 10.0]
     assert (tight, "C1") in {edge for c in plateau for edge in c.edges}
     # The listing drops what the walk reaches past the cutoff, so only the
     # walk shows the headroom kept: with the larger one, C1 reaches D2 too.
-    assert _walked(succ, facts, "A", svc, lower, lower["A"]) == len(plateau)
+    assert _walked(attempt, "A", lower["A"]) == len(plateau)
 
 
-def _walked(succ, facts, start_id, svc, lower, cutoff):
+def _walked(attempt, start_id, cutoff):
     """How many candidates the walk bounded by ``cutoff`` reaches."""
     return sum(
         math.prod(count_combinations(len(pool), k) for _, _, k, pool in pairs)
-        for _, pairs in _branches(succ, facts, start_id, svc, lower, cutoff)
+        for _, pairs in _branches(attempt, start_id, cutoff)
     )
 
 
@@ -1245,13 +1259,12 @@ def test_a_candidate_an_ulp_past_the_cutoff_is_walked_but_not_listed():
     table = {("A", "B"): 1.0, ("B", "C1"): 1.0, ("B", "C2"): 1.0 + 2.0 ** -51}
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
-    facts = _facts(template)
-    succ = _index(links._entries.items(), svc)
-    lower, _ = _least_costs(succ, facts, svc, graph.nodes)
-    full = _candidates(succ, facts, "A", svc)
+    attempt = _Attempt(template, svc, _index(links._entries.items(), svc))
+    _least_costs(attempt, graph.nodes)
+    full = _candidates(attempt, "A")
     assert [c.cost for c in full] == [2.0, math.nextafter(2.0, 3.0)]
-    assert _walked(succ, facts, "A", svc, lower, 2.0) == 2
-    assert _candidates(succ, facts, "A", svc, lower, 2.0) == full[:1]
+    assert _walked(attempt, "A", 2.0) == 2
+    assert _candidates(attempt, "A", 2.0) == full[:1]
 
 
 # Values whose sums round: tiny next to large, non-dyadic, zero and huge.

@@ -289,9 +289,9 @@ def test_a_rerun_lists_only_the_plateaus_the_event_reached(monkeypatch):
     listings = []
     real_candidates, real_assemble = assembler._candidates, runtime.assemble
 
-    def candidates(succ, facts, start_id, svc, lower=None, cutoff=math.inf):
-        listings[-1] += cutoff != math.inf
-        return real_candidates(succ, facts, start_id, svc, lower, cutoff)
+    def candidates(attempt, start_id, cutoff=None):
+        listings[-1] += cutoff is not None
+        return real_candidates(attempt, start_id, cutoff)
 
     def attempt(*args, **options):
         listings.append(0)

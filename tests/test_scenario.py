@@ -378,6 +378,32 @@ def test_a_text_orjson_refuses_fails_as_json_reads_it(text, error):
     assert str(info.value) == error
 
 
+_DEEP_SITES = {  # where a decoded document gets the nested value
+    "number": lambda document, deep: document["services"][0].update(qos_ms=deep),
+    "constraint": lambda document, deep: document["template"]["constraints"].__setitem__(0, deep),
+    "links-kind": lambda document, deep: document["links"].update(kind=deep),
+    "event-kind": lambda document, deep: document.update(events=[{"at_ms": 1.0, "kind": deep}]),
+    "event-id": lambda document, deep: document.update(
+        events=[{"at_ms": 1.0, "kind": "service_disappears", "id": deep}]
+    ),
+}
+
+
+@pytest.mark.parametrize("site", [*_DEEP_SITES, "event-new-ms"])
+def test_a_value_nested_deeper_than_repr_recurses_is_named_by_its_type(site):
+    deep = []
+    for _ in range(100_000):  # deeper than any interpreter's repr recursion limit
+        deep = [deep]
+    if site == "event-new-ms":  # a document's new_ms fails as a number first
+        with pytest.raises(ValueError, match="got a list nested too deep to show$"):
+            ScenarioEvent.link_degrades(1.0, "A1", "B1", deep)
+        return
+    document = json.loads(serialize_scenario(generate_medical(0)))
+    _DEEP_SITES[site](document, deep)
+    with pytest.raises(ScenarioFormatError, match="a list nested too deep to show$"):
+        parse_scenario(document)
+
+
 def test_an_int_beyond_64_bits_parses_to_that_int():
     # orjson reads it as the float 1e20, which fails the integer check.
     (service,) = parse_scenario(_one_service_text(threshold="100000000000000000000")).services
