@@ -125,7 +125,7 @@ def build_binding_graph(
     template: ApplicationTemplate,
     net: Simulator,
     *,
-    index: dict[str, dict[str, list[_Pick]]] | None = None,
+    attempt: _Attempt | None = None,
 ) -> tuple[AssemblyGraph, QoSMatrix]:
     """Flood the template from the starting services and measure links.
 
@@ -133,48 +133,54 @@ def build_binding_graph(
     each contacted service measures the link from its sender and floods
     onward for its own type pairs.  The result contains one directed edge
     per allowed binding and one link measurement per edge.  Only services
-    of template types are considered, and each sender measures its links
-    to the paired type's services with one :meth:`Simulator.measure_links`
-    call, which skips the targets it cannot see, so the cost follows the
-    template's services rather than the registry size.  Each measured
-    value is checked once, as :meth:`QoSMatrix.set` checks it.  An
+    of template types are considered, grouped by type in id order once;
+    each sender measures its links to a paired type's services with one
+    :meth:`Simulator.measure_links` call, which skips the targets it cannot
+    see, so the cost follows the template's services, not the registry
+    size; a sink is not queued.  Each value is checked once, as
+    :meth:`QoSMatrix.set` checks it, and converted only if not a float.  An
     invalid template raises :class:`TemplateInvalid`.  :func:`assemble`
-    passes a dict ``index`` to fill: ``index[sender][to_type]`` lists the
-    call's ``(edge, link)`` picks by target id, if any, sharing the edge
-    tuples.
+    passes its ``attempt`` to fill: ``attempt.index[sender][to_type]``, the
+    call's ``(edge, link)`` picks by target id, if any, sharing the graph's
+    edge tuples, and ``attempt.ids[type]``, the reached ids in id order.
     """
     if not template._report.ok:
         raise TemplateInvalid(template._report)
     specs = template._specs
-    ids_by_type: dict[str, list[str]] = {}
-    for descriptor in sorted(service_map(services).values(), key=attrgetter("id")):
-        if descriptor.type in specs:
-            ids_by_type.setdefault(descriptor.type, []).append(descriptor.id)
+    svc = service_map(services)
+    ids_by_type: dict[str, list[str]] = {t: [] for t in specs}
+    for sid in sorted(svc):
+        group = ids_by_type.get(svc[sid].type)
+        if group is not None:
+            group.append(sid)
 
     start_type = template.starting_type()
-    starts = ids_by_type.get(start_type, [])
+    starts = ids_by_type[start_type]
     if not starts:
         raise NoStartingService(f"no live service of starting type {start_type!r}")
 
     reached = set(starts)
     queue = deque((sid, start_type) for sid in starts)
-    measured: dict[tuple[str, str], float] = {}  # one entry per edge
+    measured: dict[_Edge, float] = {}  # one entry per edge
     while queue:
         sender, sender_type = queue.popleft()
         for to_type, _constraint in specs[sender_type]:
-            picks = net.measure_links(sender, ids_by_type.get(to_type, ()))
-            for i, (target, ms) in enumerate(picks):
-                ms = float(ms)
+            picks = net.measure_links(sender, ids_by_type[to_type])
+            for i, ((_, target), ms) in enumerate(picks):
+                if type(ms) is not float:
+                    ms = float(ms)
+                    picks[i] = (picks[i][0], ms)  # the call's own list is the group: no second list
                 if not ms >= 0:  # also rejects NaN
                     raise ValueError(f"link time must be >= 0, got {ms}")
-                edge = (sender, target)
-                measured[edge] = ms
-                picks[i] = (edge, ms)  # the call's own list becomes the group: no second list
                 if target not in reached:
                     reached.add(target)
-                    queue.append((target, to_type))
-            if picks and index is not None:
-                index.setdefault(sender, {})[to_type] = picks
+                    if specs[to_type]:  # a sink has nothing to flood
+                        queue.append((target, to_type))
+            measured.update(picks)
+            if picks and attempt is not None:
+                attempt.index.setdefault(sender, {})[to_type] = picks
+    if attempt is not None:
+        attempt.ids = {t: [sid for sid in ids if sid in reached] for t, ids in ids_by_type.items()}
     return AssemblyGraph._unchecked(frozenset(reached), frozenset(measured)), QoSMatrix._unchecked(measured)
 
 
@@ -247,30 +253,31 @@ def _index(picks: Iterable[_Pick], svc: _Services) -> _Successors:
 class _Attempt:
     """One assembly attempt, as the walkers read it: the template's pairs
     by type (``specs``) and its levels, the types with pairs in dependency
-    order, the starting type first; the descriptors by id (``svc``), the
-    ``index`` of each node's picks by target type, and the least costs
-    (``lower``), which :func:`_least_costs` sets."""
+    order, the starting type first; the descriptors by id (``svc``); the
+    flood's ``index`` of each node's picks by target type and its reached
+    ``ids`` of each type in id order; and :func:`_least_costs`' ``lower``."""
 
-    __slots__ = ("specs", "levels", "svc", "index", "lower")
+    __slots__ = ("specs", "levels", "svc", "index", "ids", "lower")
 
     def __init__(self, template: ApplicationTemplate, svc: _Services, index: _Successors) -> None:
-        self.specs, self.svc, self.index = template._specs, svc, index
+        self.specs, self.svc, self.index, self.ids = template._specs, svc, index, {}
         self.levels = [t for t, pairs in self.specs.items() if pairs]
         self.lower: dict[str, float | None] = {}
 
 
-def _least_costs(attempt: _Attempt, nodes: Iterable[str], previous: _Attempt | None = None) -> set[str]:
+def _least_costs(attempt: _Attempt, previous: _Attempt | None = None) -> set[str]:
     """Sets the attempt's ``lower``: the least cost of a candidate rooted at
-    each node, or ``None`` when some node it must include lacks targets
-    (listing it raises :class:`InsufficientServices`); returns the nodes
-    that are clean.
+    each node of its ``ids``, or ``None`` when some node it must include
+    lacks targets (listing it raises :class:`InsufficientServices`);
+    returns the nodes that are clean.
 
     Bottom-up in reverse type order, a node's value is ``qos + max`` over
     its type pairs of the k-th smallest ``link + lower[target]`` (the
     largest for ALL, nothing for k=0), in the association of the candidate
-    costs.  Float ``+`` and ``max`` are monotone, so a start's value equals
-    its cheapest candidate's cost as a float; its sign of zero may not (a
-    stable sort's k-th term), and no output reads it.
+    costs; a sink's is its qos, set for its whole type at once.  Float
+    ``+`` and ``max`` are monotone, so a start's value equals its cheapest
+    candidate's cost as a float; its sign of zero may not (a stable sort's
+    k-th term), and no output reads it.
 
     A node is clean when the ``previous`` attempt valued it, with the same
     descriptor object and equal groups, and every target in them is clean:
@@ -310,16 +317,19 @@ def _least_costs(attempt: _Attempt, nodes: Iterable[str], previous: _Attempt | N
             t in clean for g in (groups or {}).values() for (_, t), _ in g
         )
 
-    by_type: dict[str, list[str]] = {}
-    for node in nodes:
-        by_type.setdefault(svc[node].type, []).append(node)
     for node_type, specs in reversed(attempt.specs.items()):
-        for node in by_type.get(node_type, ()):
+        nodes = attempt.ids[node_type]
+        if not specs:  # sinks: valued at their qos, and kept by the descriptor alone
+            lower.update(zip(nodes, map(attrgetter("qos_nominal"), map(svc.__getitem__, nodes))))
+            if previous:
+                clean.update(n for n in nodes if n in previous.lower and previous.svc.get(n) is svc[n])
+            continue
+        for node in nodes:
             if previous and kept(node):
                 clean.add(node)
                 lower[node] = previous.lower[node]
             else:
-                lower[node] = least(node, specs) if specs else svc[node].qos_nominal
+                lower[node] = least(node, specs)
     return clean
 
 
@@ -694,7 +704,7 @@ def assemble(
     commit the first feasible combination.
 
     One attempt object carries the template's pairs, the descriptors, the
-    flood's index of the binding graph and the least costs to every stage.
+    flood's index and reached ids, and the least costs to every stage.
     Each start's list is lazy (see the module docstring); for a start
     without candidates the unbounded search raises its
     :class:`InsufficientServices`.
@@ -708,12 +718,11 @@ def assemble(
         reuse = _Reuse(template)  # reported before a duplicate id, as by the flood
     svc = service_map(services)
     attempt = _Attempt(template, svc, {})
-    graph, links = build_binding_graph(svc, template, net, index=attempt.index)
-    start_ids = sorted(sid for sid in graph.nodes if svc[sid].type == attempt.levels[0])
+    links = build_binding_graph(svc, template, net, attempt=attempt)[1]
     # A zero link turns reuse off: -0.0 == 0.0, yet a sum may keep the sign.
-    clean = _least_costs(attempt, graph.nodes, reuse.attempt if all(links._entries.values()) else None)
+    clean = _least_costs(attempt, reuse.attempt if all(links._entries.values()) else None)
     lower, pools = attempt.lower, {}
-    for sid in start_ids:
+    for sid in attempt.ids[attempt.levels[0]]:
         if sid in clean:
             pools[sid] = reuse.pools[sid]
         elif lower[sid] is None:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import DisconnectedNode, MissingLinkQoS, UnknownServiceType
@@ -344,14 +345,19 @@ class QoSMatrix:
 def service_map(
     services: Mapping[str, ServiceDescriptor] | Iterable[ServiceDescriptor],
 ) -> Mapping[str, ServiceDescriptor]:
-    """Index descriptors by id, rejecting duplicate ids."""
+    """Index descriptors by id, rejecting duplicate ids.  A mapping is
+    returned as is, and a list or tuple is read without a copy."""
     if isinstance(services, Mapping):
         return services
-    out: dict[str, ServiceDescriptor] = {}
-    for svc in services:
-        if svc.id in out:
-            raise ValueError(f"duplicate service id {svc.id!r}")
-        out[svc.id] = svc
+    if not isinstance(services, (list, tuple)):
+        services = list(services)
+    out = dict(zip(map(attrgetter("id"), services), services))
+    if len(out) != len(services):  # name the first repeated id
+        seen: set[str] = set()
+        for svc in services:
+            if svc.id in seen:
+                raise ValueError(f"duplicate service id {svc.id!r}")
+            seen.add(svc.id)
     return out
 
 

@@ -114,7 +114,8 @@ class Simulator:
     * ``measure_link`` stamps a message across a link and returns the
       receive/send timestamp difference, which equals the modeled latency
       by construction.  ``measure_links`` does the same for every target
-      one sender can see, in one call; the flood uses it.
+      one sender can see, in one call, and returns each as the pick the
+      flood indexes: the ``(from_id, to_id)`` edge and its time.
 
     Every action writes the event trace, stamped with the clock: one record
     per call, except that an ``announce`` batch is one entry that reads as
@@ -198,9 +199,11 @@ class Simulator:
             self._trace.append((self.clock, from_id, to_id, link_ms))
         return link_ms
 
-    def measure_links(self, from_id: str, to_ids: Iterable[str]) -> list[tuple[str, float]]:
-        """``(to_id, link_ms)`` for each live target other than the sender,
-        in the order given, each measured as :meth:`measure_link` does.
+    def measure_links(self, from_id: str, to_ids: Iterable[str]) -> list[tuple[tuple[str, str], float]]:
+        """``((from_id, to_id), link_ms)`` for each live target other than
+        the sender, in the order given, each measured as :meth:`measure_link`
+        does and not converted.  The edge is the tuple the override lookup
+        was keyed by; the flood keeps it as its edge.
 
         A target that is not live is skipped unmeasured.  A target whose
         link the latency model cannot price (:class:`LatencyUndefined`) is
@@ -218,7 +221,8 @@ class Simulator:
         for to_id in to_ids:
             if to_id not in live or to_id == from_id:
                 continue
-            link_ms = override((from_id, to_id))
+            edge = (from_id, to_id)
+            link_ms = override(edge)
             if link_ms is None:
                 try:
                     link_ms = sample(from_id, to_id)
@@ -227,7 +231,7 @@ class Simulator:
                     continue
             if trace is not None:
                 trace.append((now, from_id, to_id, link_ms))
-            measured.append((to_id, link_ms))
+            measured.append((edge, link_ms))
         return measured
 
     # ------------------------------------------------------------------ clock

@@ -23,6 +23,7 @@ from selfassembly import (
     ScenarioEvent,
     ServiceDescriptor,
     TemplateInvalid,
+    UniformLatency,
     assemble,
     build_binding_graph,
     build_simulator,
@@ -110,6 +111,37 @@ def test_binding_graph_rejects_invalid_template():
     bad = ApplicationTemplate((("tA", "tB"), ("tB", "tA")), (1, 1))
     with pytest.raises(TemplateInvalid):
         build_binding_graph(services, bad, make_net(services))
+
+
+class _IntLinks:
+    """A duck-typed latency model: every link takes the int 2."""
+
+    def sample(self, from_id, to_id):
+        return 2
+
+
+@pytest.mark.parametrize("latency, ms", [(UniformLatency(1), 1.0), (_IntLinks(), 2.0)], ids=["uniform", "duck"])
+def test_an_int_link_time_is_a_float_in_the_index_the_matrix_and_each_cost(latency, ms):
+    """The flood converts an int link time: the index, the matrix and every
+    cost hold a float, also over int qos values; the trace keeps the value
+    the model gave."""
+    services = [s._replace(qos_nominal=int(s.qos_nominal)) for s in seven_services()]
+    template, svc = seven_template(), service_map(services)
+    attempt = assembler._Attempt(template, svc, {})
+    net = make_net(services, latency)
+    graph, links = build_binding_graph(services, template, net, attempt=attempt)
+    picked = [v for groups in attempt.index.values() for picks in groups.values() for _, v in picks]
+    assert len(picked) == len(links._entries) == len(graph.edges) == 12
+    assert [(type(v), v) for v in picked + list(links._entries.values())] == [(float, ms)] * 24
+    traced = [r["detail"]["link_ms"] for r in net.trace_records() if r["kind"] == "measure"]
+    assert [(type(v), v) for v in traced] == [(type(latency.sample("A1", "B1")), ms)] * 12
+    # The cheapest candidate of each start picks B1 and B2: 1 + max(ms + 2 + ms + 5, ms + 3 + ms + 5).
+    least = 2 * ms + 9
+    costs = [c.cost for sid in ("A1", "A2", "A3") for c in enumerate_candidates(graph, links, template, sid, svc)]
+    chosen = assemble(services, template, make_net(services, latency)).chosen
+    costs += [c.cost for c in chosen.values()]
+    assert {type(c) for c in costs} == {float}
+    assert min(costs) == least and sorted(c.cost for c in chosen.values())[0] == least
 
 
 @pytest.mark.parametrize("bad_ms", [-1.0, math.nan])
@@ -261,8 +293,8 @@ def test_signed_zero_ties_keep_the_first_term_in_pick_order(case):
     services, template, latency = signed_zero_ties(case)
     svc = service_map(services)
     attempt = assembler._Attempt(template, svc, {})
-    graph, links = build_binding_graph(services, template, make_net(services, latency), index=attempt.index)
-    assembler._least_costs(attempt, graph.nodes)
+    graph, links = build_binding_graph(services, template, make_net(services, latency), attempt=attempt)
+    assembler._least_costs(attempt)
     full = enumerate_candidates(graph, links, template, "A1", svc)
     plateau = assembler._candidates(attempt, "A1", attempt.lower["A1"])
     chosen = assemble(services, template, make_net(services, latency)).chosen["A1"]

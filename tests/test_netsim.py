@@ -125,7 +125,7 @@ def test_measure_links_skips_a_link_the_model_cannot_price():
     net.degrade_link("A1", "B2", 2.0)  # an override prices a hole
     before = len(net.trace_records())
     assert net.measure_links("A1", ["B1", "C1", "B2", "B3"]) == [
-        ("B1", 3.0), ("B2", 2.0), ("B3", 1.0)
+        (("A1", "B1"), 3.0), (("A1", "B2"), 2.0), (("A1", "B3"), 1.0)
     ]
     assert [(r["kind"], r["from"], r["to"]) for r in net.trace_records()[before:]] == [
         ("measure", "A1", "B1"), ("unmeasurable", "A1", "C1"),
@@ -235,7 +235,7 @@ def test_a_peer_is_visible_from_its_announce():
     net.announce(ServiceDescriptor("B1", "tB", 1.0, 1))
     assert net.visible_peers("A1") == {"B1"}
     assert net.visible_peers("B1") == {"A1"}
-    assert net.measure_links("A1", ["B1"]) == [("B1", 0.0)]
+    assert net.measure_links("A1", ["B1"]) == [(("A1", "B1"), 0.0)]
     assert [(rec["t"], rec["kind"]) for rec in net.trace_records()] == [
         (0.0, "announce"), (10.0, "announce"), (10.0, "measure")
     ]
@@ -245,7 +245,7 @@ def test_can_see_withdrawn_and_unknown_targets():
     net = make_net(seven_services())
     net.withdraw("B3")
     assert "B3" not in net.visible_peers("A1")
-    assert net.measure_links("A1", ["B3", "ghost", "B1"]) == [("B1", 0.0)]
+    assert net.measure_links("A1", ["B3", "ghost", "B1"]) == [(("A1", "B1"), 0.0)]
 
 
 def test_every_trace_record_is_stamped_with_the_clock():

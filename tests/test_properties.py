@@ -48,6 +48,8 @@ from selfassembly import (
     count_combinations,
     enumerate_candidates,
     generate_medical,
+    generate_one_layer,
+    generate_pyramidal,
     generate_random_instance,
     parse_scenario,
     run_scenario,
@@ -432,17 +434,30 @@ def test_point_query_flood_matches_the_view_scan(world):
     assert _outcome(build_binding_graph, world) == _outcome(reference_flood, world)
 
 
+def _reached_out_of_id_order():
+    """A world whose flood reaches tC1 before tC0: tA0 cannot price its link
+    to tC0, which only tA1 reaches."""
+    services = [ServiceDescriptor(sid, sid[:2], 1.0, 1) for sid in ("tA0", "tA1", "tC0", "tC1")]
+    template = ApplicationTemplate((("tA", "tB"), ("tB", "tC"), ("tA", "tC")), (1, 1, ALL))
+    table = {("tA0", "tC1"): 0.0, ("tA1", "tC0"): 0.0, ("tA1", "tC1"): 0.0}
+    rounds = dict.fromkeys((s.id for s in services), 0)
+    return services, template, rounds, [0.0, 0.0], None, partial(MatrixLatency, table), []
+
+
 @settings(max_examples=200, deadline=None)
 @given(flood_worlds())
+@example(_reached_out_of_id_order())
 def test_assemble_indexes_the_flood_table_as_the_reference_regroups_the_graph(world):
     """The groups the flood hands ``assemble``, which its stages use, hold
     per sender and target type the reference index's targets in order,
-    each with its ``links.get`` time and the graph's own edge."""
+    each with its ``links.get`` time and the graph's own edge.  Its starts
+    are the graph's, in id order; its ids by type and the least costs over
+    them are those of the view scan's graph, the costs bit for bit."""
     services, template = world[0], world[1]
     floods, used = [], []
 
     def flood(*args, **kwargs):
-        floods.append((build_binding_graph(*args, **kwargs), kwargs["index"]))
+        floods.append((build_binding_graph(*args, **kwargs), kwargs["attempt"]))
         return floods[-1][0]
 
     def least_costs(attempt, *args, **kwargs):
@@ -457,9 +472,10 @@ def test_assemble_indexes_the_flood_table_as_the_reference_regroups_the_graph(wo
             pass
     if not floods:
         return  # the flood raised before anything was indexed
-    ((graph, links), index), = floods
+    ((graph, links), attempt), = floods
+    index, svc = attempt.index, service_map(services)
     assert used == [index] and used[0] is index
-    old_succ, shared_edge = reference_index(graph, service_map(services))
+    old_succ, shared_edge = reference_index(graph, svc)
     assert index == {
         a: {t: [(shared_edge[(a, b)], links.get(a, b)) for b in targets] for t, targets in groups.items()}
         for a, groups in old_succ.items()
@@ -468,6 +484,16 @@ def test_assemble_indexes_the_flood_table_as_the_reference_regroups_the_graph(wo
         edge is shared_edge[edge]
         for groups in index.values() for picks in groups.values() for edge, _ in picks
     )
+    start_type = attempt.levels[0]
+    assert attempt.ids[start_type] == sorted(sid for sid in graph.nodes if svc[sid].type == start_type)
+    # Against the view scan's flood, which no change to the flood's own queue can reach.
+    ref_graph, ref_links = reference_flood(services, template, _flood_net(world))
+    assert attempt.ids == {t: sorted(n for n in ref_graph.nodes if svc[n].type == t) for t in template._specs}
+    ref_succ, _ = reference_index(ref_graph, svc)
+    reference = reference_least_costs(ref_succ, ref_links, template._specs, svc, ref_graph.nodes)
+    assert {n: v if v is None else v.hex() for n, v in attempt.lower.items()} == {
+        n: v if v is None else v.hex() for n, v in reference.items()
+    }
 
 
 def test_flood_from_a_sender_that_is_not_live_raises():
@@ -687,8 +713,16 @@ def _flood(services, template, net):
     which passes the flood's check also where ``template`` has a k=0 pair."""
     attempt = _Attempt(template, service_map(services), {})
     checked = ApplicationTemplate(template.body, (1,) * len(template.body))
-    graph, links = build_binding_graph(services, checked, net, index=attempt.index)
+    graph, links = build_binding_graph(services, checked, net, attempt=attempt)
     return graph, links, attempt
+
+
+def _least_costs_over(attempt, nodes):
+    """``_least_costs`` over ``nodes``, grouped by type in id order as the
+    flood groups the ``ids`` it reaches, for an attempt over an index the
+    flood did not fill."""
+    attempt.ids = {t: sorted(n for n in nodes if attempt.svc[n].type == t) for t in attempt.specs}
+    return _least_costs(attempt)
 
 
 def _full_lists(services, template, graph, links):
@@ -723,7 +757,7 @@ def test_least_cost_plateaus_are_exact_prefixes_of_the_full_lists(instance, data
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
     attempt = _Attempt(template, svc, _index(links._entries.items(), svc))
-    _least_costs(attempt, graph.nodes)
+    _least_costs_over(attempt, graph.nodes)
     lower = attempt.lower
     for sid, full in _full_lists(services, template, graph, links).items():
         if isinstance(full, InsufficientServices):
@@ -946,7 +980,7 @@ def test_items_past_the_plateau_continue_the_full_list(instance):
     leaves the index as it was."""
     services, template, table = instance
     graph, links, attempt = _flood(services, template, make_net(services, MatrixLatency(table)))
-    _least_costs(attempt, graph.nodes)
+    _least_costs(attempt)
     succ, lower = attempt.index, attempt.lower
     for sid, full in _full_lists(services, template, graph, links).items():
         if isinstance(full, InsufficientServices):
@@ -1031,7 +1065,7 @@ def test_walker_matches_the_recursive_search(instance, data):
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
     attempt = _Attempt(template, svc, _index(links._entries.items(), svc))
-    _least_costs(attempt, graph.nodes)
+    _least_costs_over(attempt, graph.nodes)
     lower = attempt.lower
     old_succ, shared_edge = reference_index(graph, svc)
     old_lower = reference_least_costs(old_succ, links, attempt.specs, svc, graph.nodes)
@@ -1141,7 +1175,7 @@ def test_walker_prices_a_sink_that_a_binder_above_the_deepest_level_picks():
     for candidate in full:
         reference = worst_path_time(candidate.graph, "A", svc, links)
         assert candidate.cost.hex() == reference.hex()
-    _least_costs(attempt, graph.nodes)
+    _least_costs_over(attempt, graph.nodes)
     for candidate in full:
         assert _candidates(attempt, "A", candidate.cost) == [
             c for c in full if c.cost <= candidate.cost
@@ -1193,7 +1227,7 @@ def test_a_level_no_binder_reaches_has_one_empty_assignment():
     assert len(full) == 4
     for candidate in full:
         assert candidate.cost.hex() == worst_path_time(candidate.graph, "A1", svc, links).hex()
-    _least_costs(attempt, graph.nodes)
+    _least_costs_over(attempt, graph.nodes)
     assert _candidates(attempt, "A1", attempt.lower["A1"]) == full[:1]
     result = assemble(services, template, make_net(services, MatrixLatency(table)))
     assert result.chosen == {"A1": full[0]}
@@ -1230,7 +1264,7 @@ def test_a_node_picked_by_two_binders_keeps_the_smaller_headroom(tight):
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
     attempt = _Attempt(template, svc, _index(links._entries.items(), svc))
-    _least_costs(attempt, graph.nodes)
+    _least_costs_over(attempt, graph.nodes)
     lower = attempt.lower
     full = _candidates(attempt, "A")
     plateau = _candidates(attempt, "A", lower["A"])
@@ -1260,7 +1294,7 @@ def test_a_candidate_an_ulp_past_the_cutoff_is_walked_but_not_listed():
     graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
     svc = service_map(services)
     attempt = _Attempt(template, svc, _index(links._entries.items(), svc))
-    _least_costs(attempt, graph.nodes)
+    _least_costs_over(attempt, graph.nodes)
     full = _candidates(attempt, "A")
     assert [c.cost for c in full] == [2.0, math.nextafter(2.0, 3.0)]
     assert _walked(attempt, "A", 2.0) == 2
@@ -1957,7 +1991,7 @@ class EagerTraceSimulator(Simulator):
                 t_received=t_sent + link_ms,
                 link_ms=link_ms,
             )
-            measured.append((to_id, link_ms))
+            measured.append(((from_id, to_id), link_ms))
         return measured
 
 
@@ -1987,7 +2021,6 @@ def test_deferred_trace_matches_the_eager_trace(world, matrix, data):
 # ------------------------------------------------------------ CLI input boundary
 
 
-MEDICAL_IDS = [f"A{i}" for i in range(1, 11)] + [f"B{i}" for i in range(1, 10)]
 BOUNDARY_VALUES = ["", None, True, False, -0.0, 10 ** 400, math.nan, math.inf, -math.inf,
                    [], {}, "x", "ZZ"]
 EVENT_KINDS = [kind.value for kind in EventKind]
@@ -1998,22 +2031,47 @@ def _medical_text(seed):
     return serialize_scenario(generate_medical(seed))
 
 
+@lru_cache(maxsize=None)
+def _generated_text(layout, size, k, seed):
+    """The text of a ``generate`` document: ``one-layer`` over ``size``
+    targets, ``pyramidal`` of top width ``size``, or ``medical``."""
+    if layout == "one-layer":
+        return serialize_scenario(generate_one_layer(size, k, seed))
+    if layout == "pyramidal":
+        return serialize_scenario(generate_pyramidal(size, k, seed))
+    return _medical_text(seed)
+
+
 @st.composite
-def short_event_lists(draw):
-    """Up to three events on medical ids, in time order, not all of them live."""
+def generated_documents(draw):
+    """A decoded ``generate medical`` document, or a small ``one-layer``
+    (n <= 30) or ``pyramidal`` (top width <= 4) one."""
+    layout = draw(st.sampled_from(["medical", "one-layer", "pyramidal"]))
+    size = k = None
+    if layout != "medical":
+        size = draw(st.integers(1, 30) if layout == "one-layer" else st.integers(2, 4))
+        k = draw(st.sampled_from([1, 2, "half", "all"]))
+    return json.loads(_generated_text(layout, size, k, draw(st.integers(0, 3))))
+
+
+@st.composite
+def short_event_lists(draw, binders, targets, target_type):
+    """Up to three events on a document's ids, in time order, not all of
+    them live: links from ``binders`` to ``targets``, services appearing
+    of ``target_type`` or of a type outside the template."""
     events, at = [], 0.0
     for index in range(draw(st.integers(0, 3))):
         at += draw(st.sampled_from([0.0, 5.0]))
         kind = draw(st.sampled_from(EVENT_KINDS))
         event = {"at_ms": at, "kind": kind}
         if kind == "service_appears":
-            event["service"] = {"id": f"N{index}", "type": draw(st.sampled_from(["tB", "tX"])),
+            event["service"] = {"id": f"N{index}", "type": draw(st.sampled_from([target_type, "tX"])),
                                 "qos_ms": 1.5, "threshold": 2}
         elif kind == "link_degrades":
-            event.update({"from": draw(st.sampled_from(MEDICAL_IDS[:10])),
-                          "to": draw(st.sampled_from(MEDICAL_IDS[10:])), "new_ms": 4.0})
+            event.update({"from": draw(st.sampled_from(binders)),
+                          "to": draw(st.sampled_from(targets)), "new_ms": 4.0})
         else:
-            event["id"] = draw(st.sampled_from(MEDICAL_IDS))
+            event["id"] = draw(st.sampled_from(binders + targets))
         events.append(event)
     return events
 
@@ -2031,10 +2089,11 @@ def _locations(value, path=()):
         yield from _locations(item, path + (key,))
 
 
-def _mutate(document, draw):
+def _mutate(document, draw, ids):
     """One mutation: a value under services, links or events becomes a
-    boundary value, matrix entries are dropped, or an event points at a
-    drawn id or kind.  A mutation that finds nothing to change is a no-op."""
+    boundary value, matrix entries are dropped, or an event points at one
+    of ``ids`` or a drawn kind.  A mutation that finds nothing to change is
+    a no-op."""
     what = draw(st.sampled_from(["value", "drop", "point"]))
     if what == "value":
         section = draw(st.sampled_from(["services", "links", "events"]))
@@ -2054,7 +2113,7 @@ def _mutate(document, draw):
         event = draw(st.sampled_from(events)) if isinstance(events, list) and events else None
         if isinstance(event, dict):
             key = draw(st.sampled_from(["kind", "id", "from", "to"]))
-            values = EVENT_KINDS if key == "kind" else MEDICAL_IDS + ["C1", "D2", "ZZ"]
+            values = EVENT_KINDS if key == "kind" else ids
             event[key] = draw(st.sampled_from(values))
 
 
@@ -2067,18 +2126,22 @@ def _run_cli_in_process(command, path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 3), short_event_lists(), st.integers(1, 3), st.data())
-def test_a_mutated_document_never_crashes_the_cli(seed, events, n_mutations, data):
-    """``assemble`` and ``simulate`` meet a ``generate medical`` document
-    with a short event list and one to three mutations with an exit code of
-    0 to 4, at most one ``error:`` line and no exception.  The template is
-    left as generated: with constraints ``["ALL", 1, 1]`` every sensor
-    binds every gateway, and ``assemble`` lists least-cost plateaus of
-    millions of candidates per start until it runs out of memory."""
-    document = json.loads(_medical_text(seed))
-    document["events"] = events
+@given(generated_documents(), st.integers(1, 3), st.data())
+def test_a_mutated_document_never_crashes_the_cli(document, n_mutations, data):
+    """``assemble`` and ``simulate`` meet a generated document with a short
+    event list over its own ids and one to three mutations with an exit
+    code of 0 to 4, at most one ``error:`` line and no exception.  The
+    template is left as generated: with constraints ``["ALL", 1, 1]`` every
+    medical sensor binds every gateway, and ``assemble`` lists least-cost
+    plateaus of millions of candidates per start until it runs out of
+    memory."""
+    ids: dict[str, list[str]] = {}
+    for service in document["services"]:
+        ids.setdefault(service["type"], []).append(service["id"])
+    (binder_type, target_type), *_ = document["template"]["body"]
+    document["events"] = data.draw(short_event_lists(ids[binder_type], ids[target_type], target_type))
     for _ in range(n_mutations):
-        _mutate(document, data.draw)
+        _mutate(document, data.draw, [sid for group in ids.values() for sid in group] + ["ZZ"])
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "scenario.json")
         with open(path, "w", encoding="utf-8") as handle:
