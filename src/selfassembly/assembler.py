@@ -12,9 +12,9 @@ Assembly proceeds in three stages:
    ALL constraint), sorted by worst-path time, each cost equal to
    :func:`~selfassembly.model.worst_path_time` of it, bit for bit unless a
    ``-0.0`` and a ``0.0`` tie.  The search is one iterative walk over types.
-   :func:`assemble` lists each start's least-cost plateau first and counts
-   lengths with the same walk.  Past the plateau the start's pool hands
-   items out in rank order from one heap, listing one branch of the start's
+   A start's pool lists its least-cost plateau at its first read and counts
+   its length with the same walk.  Past the plateau the pool hands items
+   out in rank order from one heap, listing one branch of the start's
    own picks at a time, only when the next item could come from it: the
    same walk, over the index with the start's groups set to those picks.
    Each walk reads one attempt object: the template's pairs by type, the
@@ -27,8 +27,8 @@ Assembly proceeds in three stages:
    distinct inbound bindings within its threshold.  Loads are updated per
    placed candidate, and a prefix of starts that already overloads a
    service is skipped with every combination below it, which still counts
-   as tested.  Selection reads each start's pool only by ``item(i)`` and
-   ``length()``, and wraps plain lists and tuples without a copy.
+   as tested.  Selection reads a pool by ``item(i)`` only once the odometer
+   reaches it, and by ``length()``; it wraps plain lists and tuples uncopied.
 
 The search is exhaustive but capped: it settles for the first feasible
 combination rather than a globally optimal one, which the ascending sort
@@ -154,7 +154,7 @@ def build_binding_graph(
         if group is not None:
             group.append(sid)
 
-    start_type = template.starting_type()
+    start_type = next(iter(specs))  # dependency order puts the one starting type first
     starts = ids_by_type[start_type]
     if not starts:
         raise NoStartingService(f"no live service of starting type {start_type!r}")
@@ -223,6 +223,8 @@ _Services = Mapping[str, ServiceDescriptor]
 _Pick = tuple[_Edge, float]  # an edge of the binding graph and its link time
 _Successors = Mapping[str, Mapping[str, Sequence[_Pick]]]
 _Pair = tuple[str, str, Constraint, Sequence[_Pick]]  # binder, target type, constraint, pool
+_NO_GROUPS: Mapping[str, Sequence[_Pick]] = {}  # a node without picks; never written
+_edge_of = itemgetter(0)  # a pick's edge
 
 
 class _MissingLink:
@@ -288,7 +290,7 @@ def _least_costs(attempt: _Attempt, previous: _Attempt | None = None) -> set[str
     clean: set[str] = set()
 
     def least(node: str, specs: list[tuple[str, Constraint]]) -> float | None:
-        groups = succ_by_type.get(node, {})
+        groups = succ_by_type.get(node, _NO_GROUPS)
         worst: float | None = None  # the largest term over the pairs
         for to_type, constraint in specs:
             available = groups.get(to_type, ())
@@ -314,7 +316,7 @@ def _least_costs(attempt: _Attempt, previous: _Attempt | None = None) -> set[str
         if old.svc.get(node) is not svc[node] or node not in old.lower or old.index.get(node) != groups:
             return False
         return len(clean) == len(lower) or all(  # every node valued so far is clean, or its targets
-            t in clean for g in (groups or {}).values() for (_, t), _ in g
+            t in clean for g in (groups or _NO_GROUPS).values() for (_, t), _ in g
         )
 
     for node_type, specs in reversed(attempt.specs.items()):
@@ -393,7 +395,7 @@ def _branches(
         pairs: list[_Pair] = []
         for to_type, constraint in specs[levels[level]]:
             for node in included[levels[level]]:
-                pool = succ_by_type.get(node, {}).get(to_type, ())
+                pool = succ_by_type.get(node, _NO_GROUPS).get(to_type, ())
                 if not isinstance(constraint, AllServices):
                     if len(pool) < constraint:
                         raise InsufficientServices(to_type, constraint, len(pool))
@@ -454,7 +456,7 @@ def _candidates(attempt: _Attempt, start_id: str, cutoff: float | None = None) -
             picks: dict[str, list[_Pick]] = {}  # each binder's, in pair order
             for (node, to_type, _, _), chosen in zip(frame.pairs, frame.assignment):
                 picks.setdefault(node, []).extend(chosen)
-                above += map(itemgetter(0), chosen)
+                above += map(_edge_of, chosen)
                 if not specs[to_type]:
                     for (_, target), _ in chosen:
                         worth[target] = svc[target].qos_nominal
@@ -469,7 +471,7 @@ def _candidates(attempt: _Attempt, start_id: str, cutoff: float | None = None) -
                 terms = []
                 for (_, target), ms in pool:
                     terms.append(ms + svc[target].qos_nominal)
-                ends = map(itemgetter(0), pool)  # combinations keep the pool's order
+                ends = map(_edge_of, pool)  # combinations keep the pool's order
                 these = list(zip(combinations(ends, k), map(max, combinations(terms, k))))
             earlier = options.get(node)
             options[node] = these if earlier is None else [  # as max: the first of equal terms
@@ -501,19 +503,19 @@ def _candidates(attempt: _Attempt, start_id: str, cutoff: float | None = None) -
 def _count(attempt: _Attempt, start_id: str) -> int:
     """The length of the unbounded :func:`_candidates` list, without
     listing it: each branch of :func:`_branches` counts the product of its
-    deepest pool sizes, as each assignment there is one candidate."""
+    deepest pools' ways to pick, as each assignment there is one candidate."""
     return sum(
-        math.prod(count_combinations(len(pool), k) for _, _, k, pool in pairs)
+        math.prod(1 if isinstance(k, AllServices) else math.comb(len(pool), k) for _, _, k, pool in pairs)
         for _, pairs in _branches(attempt, start_id)
     )
 
 
 class _Pool:
     """One start's candidates, as selection reads them: a plain sequence,
-    uncopied, or the least-cost plateau of a start of an attempt, which
-    counts its length once and hands out the items past the plateau in rank
-    order, listing only as far as asked: Lawler's (1972) partition, one
-    level deep.
+    uncopied, or a start of an attempt, whose least-cost plateau is listed
+    at the first read unless given; it counts its length once and hands out
+    the items past the plateau in rank order, listing only as far as asked:
+    Lawler's (1972) partition, one level deep.
 
     A branch is one assignment of the start's picks; its least cost, in the
     association of :func:`_least_costs`, is exact.  At the first read past
@@ -528,7 +530,7 @@ class _Pool:
     __slots__ = ("_items", "_attempt", "_start", "_heap", "_length")
 
     def __init__(
-        self, items: Sequence[CandidateSubgraph], attempt: _Attempt | None = None, start_id: str = ""
+        self, items: Sequence[CandidateSubgraph] | None, attempt: _Attempt | None = None, start_id: str = ""
     ) -> None:
         self._items, self._attempt, self._start, self._heap = items, attempt, start_id, None
         self._length = None if attempt else len(items)
@@ -536,11 +538,13 @@ class _Pool:
     def item(self, index: int) -> CandidateSubgraph | None:
         """The candidate of rank ``index``, or ``None`` past the end."""
         items, heap, attempt = self._items, self._heap, self._attempt
+        if items is None:
+            items = self._items = _candidates(attempt, self._start, attempt.lower[self._start])
         if index >= len(items) and attempt:
             start_id, succ_by_type, specs, lower = self._start, attempt.index, attempt.specs, attempt.lower
             if heap is None:
                 heap = self._heap = []
-                qos, groups = attempt.svc[start_id].qos_nominal, succ_by_type.get(start_id, {})
+                qos, groups = attempt.svc[start_id].qos_nominal, succ_by_type.get(start_id, _NO_GROUPS)
                 types = [t for t, _ in specs[attempt.levels[0]]]
                 pairs = [(start_id, t, k, groups.get(t, ())) for t, k in specs[attempt.levels[0]]]
                 for order, assignment in enumerate(_Frame(0, pairs).assignments):
@@ -608,7 +612,9 @@ def select_assembly(
     count and the point where the budget runs out are therefore exactly
     those of testing every combination one by one.  Each list is read as
     a :class:`_Pool`: asked for its ``length()`` only when a subtree below
-    it is skipped, and for an ``item(i)`` only when the odometer reaches it.
+    it is skipped (their product once per position), and for an ``item(i)``
+    only when the odometer reaches it, so an empty pool of an attempt raises
+    ``ValueError`` there, an empty plain sequence up front.
 
     Raises :class:`Infeasible` after exhausting every combination and
     :class:`CombinationBudgetExceeded` if ``budget`` combinations were
@@ -619,7 +625,7 @@ def select_assembly(
     start_ids = sorted(per_start)
     pools = [p if isinstance(p, _Pool) else _Pool(p) for p in map(per_start.get, start_ids)]
     for sid, pool in zip(start_ids, pools):
-        if pool.item(0) is None:
+        if not pool._attempt and pool.item(0) is None:
             raise ValueError(f"start {sid!r} has an empty candidate list")
 
     svc = service_map(services)
@@ -657,10 +663,12 @@ def select_assembly(
                 loads[target] = load - 1
 
     chosen = [0] * len(pools)
-    position = 0
-    tested = 0
+    below: list[int | None] = [None] * len(pools)  # combinations under each position
+    position = tested = 0
     candidate = pools[0].item(0)
     while True:
+        if candidate is None:  # a first read of an attempt's pool: plain lists were checked
+            raise ValueError(f"start {start_ids[position]!r} has an empty candidate list")
         place(candidate)
         if not overloaded and position < last:
             position += 1
@@ -669,7 +677,9 @@ def select_assembly(
             continue
         # A full feasible combination, or a prefix none of whose
         # combinations can be feasible: count them all as tested.
-        size = math.prod(pool.length() for pool in pools[position + 1:])
+        size = below[position]
+        if size is None:
+            size = below[position] = math.prod(pool.length() for pool in pools[position + 1:])
         if tested + size > budget:
             raise CombinationBudgetExceeded(budget)
         tested += size
@@ -686,10 +696,10 @@ def select_assembly(
         chosen[position] += 1
 
     union_edges = frozenset(edge for edge, held in holders.items() if held)
-    nodes = set(start_ids).union(*union_edges)
+    nodes = frozenset(start_ids).union(*union_edges)  # every endpoint: no edge to check
     combo = {sid: pool.item(index) for sid, pool, index in zip(start_ids, pools, chosen)}
     per_load = {node: loads.get(node, 0) for node in sorted(nodes)}
-    return AssemblyResult(AssemblyGraph(frozenset(nodes), union_edges), combo, tested, per_load)
+    return AssemblyResult(AssemblyGraph._unchecked(nodes, union_edges), combo, tested, per_load)
 
 
 def assemble(
@@ -705,9 +715,9 @@ def assemble(
 
     One attempt object carries the template's pairs, the descriptors, the
     flood's index and reached ids, and the least costs to every stage.
-    Each start's list is lazy (see the module docstring); for a start
-    without candidates the unbounded search raises its
-    :class:`InsufficientServices`.
+    Each start's pool is unlisted until selection reads it (see the module
+    docstring); for a start without candidates the unbounded search raises
+    its :class:`InsufficientServices` here, the first in id order.
 
     ``reuse`` is the record of an earlier call over the same template,
     which this one replaces; without one, or for another template, a fresh
@@ -726,8 +736,8 @@ def assemble(
         if sid in clean:
             pools[sid] = reuse.pools[sid]
         elif lower[sid] is None:
-            pools[sid] = _candidates(attempt, sid)
+            pools[sid] = _candidates(attempt, sid)  # raises InsufficientServices
         else:
-            pools[sid] = _Pool(_candidates(attempt, sid, lower[sid]), attempt, sid)
+            pools[sid] = _Pool(None, attempt, sid)  # listed at its first read
     reuse.attempt, reuse.pools = attempt, pools
     return select_assembly(pools, svc, budget=budget)

@@ -158,7 +158,8 @@ class ApplicationTemplate:
     @cached_property
     def _specs(self) -> dict[str, list[tuple[str, Constraint]]]:
         """Each type's ``(to_type, constraint)`` pairs in body order, the types in
-        dependency order; worked out once (a cycle raises ``ValueError``)."""
+        dependency order; worked out once, by :func:`validate_template` too (a
+        cycle raises ``ValueError``)."""
         specs: dict[str, list[tuple[str, Constraint]]] = {t: [] for t in self.topological_types()}
         for (from_type, to_type), constraint in zip(self.body, self.constraints):
             specs[from_type].append((to_type, constraint))
@@ -209,7 +210,7 @@ def validate_template(template: ApplicationTemplate) -> TemplateReport:
         elif len(starts) > 1:
             violations.append("multiple starting types: " + ", ".join(starts))
         try:
-            template.topological_types()
+            template._specs  # the one dependency sort, kept for the stages
         except ValueError:
             violations.append("type graph contains a cycle")
 

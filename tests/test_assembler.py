@@ -401,6 +401,13 @@ def test_select_requires_candidates():
     for empty in ([], ()):
         with pytest.raises(ValueError):
             select_assembly({"A1": empty}, seven_services())
+    # A pool of an attempt is read only when the odometer reaches it, and
+    # one without an item 0 raises there: A1 has no picks in this index.
+    services = seven_services()
+    attempt = assembler._Attempt(seven_template(), service_map(services), {})
+    attempt.lower = {"A1": 0.0}
+    with pytest.raises(ValueError, match="^start 'A1' has an empty candidate list$"):
+        select_assembly({"A1": assembler._Pool([], attempt, "A1")}, services)
 
 
 # -------------------------------------------------------------------- assemble
@@ -468,15 +475,15 @@ def test_a_start_of_infinite_least_cost_commits_its_only_candidate(qos, table):
 
 
 def test_assemble_works_the_template_out_once(example7_net, monkeypatch):
-    # One dependency sort to validate the template and one for the stages'
-    # type order, not one per stage and per start.  The template keeps both,
-    # so a whole run with re-assemblies sorts twice in total too.
+    # One dependency sort, which validates the template and gives the stages
+    # their type order, not one per stage and per start.  The template keeps
+    # it, so a whole run with re-assemblies sorts once in total too.
     services, template, net = example7_net
     real = model._topological
     sorts = []
     monkeypatch.setattr(model, "_topological", lambda *args: sorts.append(1) or real(*args))
     assemble(services, template, net)
-    assert len(sorts) == 2
+    assert len(sorts) == 1
     sorts.clear()
     events = [
         ScenarioEvent.appears(1.0, ServiceDescriptor("B4", "tB", 2.0, 2)),
@@ -484,7 +491,7 @@ def test_assemble_works_the_template_out_once(example7_net, monkeypatch):
     ]
     timeline = run_scenario(seven_services(), seven_template(), events, make_net(seven_services()))
     assert [entry.trigger for entry in timeline] == ["initial", "service_appears:B4", "service_appears:C2"]
-    assert len(sorts) == 2
+    assert len(sorts) == 1
 
 
 def test_enumerate_candidates_on_its_own_still_rejects_a_cyclic_template(example7_net):

@@ -391,7 +391,10 @@ def test_verify_reports_items_handed_out_past_a_plateau_out_of_rank_order(monkey
     plateau_ends = {}
 
     def swapped(pool, index):
-        end = plateau_ends.setdefault(pool, len(pool._items))  # selection reads item 0 first
+        if pool not in plateau_ends:  # selection reads item 0 first, which lists the plateau
+            real(pool, 0)
+            plateau_ends[pool] = len(pool._items)
+        end = plateau_ends[pool]
         if pool._attempt and index in (end, end + 1) and real(pool, end + 1) is not None:
             index = 2 * end + 1 - index
         return real(pool, index)

@@ -819,22 +819,27 @@ def test_lazy_assemble_matches_selection_over_full_lists(instance, data):
     def lazy():
         return assemble(services, template, make_net(services, latency), budget=budget)
 
-    assert _exactly(_assembly(lazy)) == _exactly(_assembly(eager))
+    plateaus, reads = [], []
+    with mock.patch.object(assembler, "_candidates", _branch_spy([], plateaus)), _reads_recorded(reads):
+        outcome = _assembly(lazy)
+    assert _exactly(outcome) == _exactly(_assembly(eager))
+    assert sorted(plateaus) == sorted(set(reads))  # no start listed that selection never read
 
 
 # ------------------------------------------------- counted list lengths
 
 
-def _branch_spy(calls):
+def _branch_spy(calls, plateaus=None):
     """``_candidates`` that records each branch listed past a plateau: its start,
     the start's picks that make it (their edges per type), and how many
     candidates it built; and the start of every other unbounded search, with
-    ``None`` for both, before it runs.  A bounded call lists a plateau, and
-    the spy keeps the start's groups it read.  An unbounded call lists a
-    branch only if the start's groups are another object holding one
-    assignment of the plateau's pools: k picks of a pool, or all of an ALL
-    pool.  Any other unbounded call, also over a copy of the start's
-    groups, is a full listing."""
+    ``None`` for both, before it runs.  A bounded call lists a plateau: the
+    spy keeps the start's groups it read, and appends the start to
+    ``plateaus`` if given.  An unbounded call lists a branch only if the
+    start's groups are another object holding one assignment of the
+    plateau's pools: k picks of a pool, or all of an ALL pool.  Any other
+    unbounded call, also over a copy of the start's groups, is a full
+    listing."""
     real = assembler._candidates
     plateau_groups = {}
 
@@ -849,6 +854,8 @@ def _branch_spy(calls):
         groups = attempt.index.get(start_id)
         if cutoff is not None:
             plateau_groups[start_id] = groups
+            if plateaus is not None:
+                plateaus.append(start_id)
             return real(attempt, start_id, cutoff)
         plateau = plateau_groups.get(start_id, groups)
         specs = attempt.specs[attempt.levels[0]]
@@ -862,6 +869,20 @@ def _branch_spy(calls):
         return listed
 
     return spy
+
+
+@contextlib.contextmanager
+def _reads_recorded(reads):
+    """Appends to ``reads`` the start of a pool of an attempt at each read of it."""
+    real = _Pool.item
+
+    def item(pool, index):
+        if pool._attempt:
+            reads.append(pool._start)
+        return real(pool, index)
+
+    with mock.patch.object(_Pool, "item", item):
+        yield
 
 
 def _listed_in_full(calls):
@@ -959,6 +980,90 @@ def test_pruning_counts_later_starts_without_listing_them():
         _branches_listed(calls, "A2", len(full["A2"]))
         assert lazy == _assembly(lambda: reference_select(full, services, budget))
         assert lazy == _assembly(lambda: select_assembly(full, services, budget=budget))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_a_plateau_is_listed_only_when_the_odometer_reads_its_start(k):
+    # Five starts, each with four candidates (a gateway, then a C) and a
+    # plateau of one.  A1 and A{k} prefer B1, whose threshold is 1, so A{k}'s
+    # plateau overloads it and the odometer skips the combinations of the
+    # starts after A{k}, twice, before A{k} moves to B2; the others prefer
+    # B2.  One budget less than those skips runs out before any start after
+    # A{k} is read; with them, every start is read, and the commit is the
+    # combination after them.
+    starts = [f"A{i}" for i in range(1, 6)]
+    services = [ServiceDescriptor(sid, "tA", 1.0, 1) for sid in starts]
+    services += [ServiceDescriptor("B1", "tB", 1.0, 1), ServiceDescriptor("B2", "tB", 1.0, 5)]
+    services += [ServiceDescriptor(sid, "tC", 1.0, 4) for sid in ("C1", "C2")]
+    template = ApplicationTemplate((("tA", "tB"), ("tB", "tC")), (1, 1))
+    table = {(b, "C1"): 1.0 for b in ("B1", "B2")}
+    table.update({(b, "C2"): 2.0 for b in ("B1", "B2")})
+    for sid in starts:
+        near, far = ("B1", "B2") if sid in ("A1", f"A{k}") else ("B2", "B1")
+        table[(sid, near)], table[(sid, far)] = 1.0, 5.0
+    latency = MatrixLatency(table)
+    graph, links = build_binding_graph(services, template, make_net(services, latency))
+    full = _full_lists(services, template, graph, links)
+    assert [len(pool) for pool in full.values()] == [4] * 5
+    skipped = 2 * 4 ** (5 - k)
+    for budget, read in (
+        (skipped - 1, starts[:k]),  # runs out at A{k}'s second skip
+        (skipped, starts),  # runs out at the commit
+        (skipped + 1, starts),  # just enough
+        (DEFAULT_COMBINATION_BUDGET, starts),
+    ):
+        calls, plateaus, reads = [], [], []
+        with mock.patch.object(assembler, "_candidates", _branch_spy(calls, plateaus)), _reads_recorded(reads):
+            lazy = _assembly(
+                lambda: assemble(services, template, make_net(services, latency), budget=budget)
+            )
+        assert sorted(plateaus) == sorted(set(reads)) == read  # each listed once, when first read
+        assert not _listed_in_full(calls)
+        assert {start for start, _, _ in calls} == {f"A{k}"}  # only A{k} reads past its plateau
+        _branches_listed(calls, f"A{k}", len(full[f"A{k}"]))
+        assert lazy == _assembly(lambda: reference_select(full, services, budget))
+        assert lazy == _assembly(lambda: select_assembly(full, services, budget=budget))
+
+
+# Two starts short of targets by different counts, over a link table with
+# holes: A1 sees one of the two B it needs, A2 none.  A1's error is the one
+# raised, in whatever order the services come.
+SHORT_STARTS = (
+    [ServiceDescriptor(sid, "tA", 1.0, 1) for sid in ("A1", "A2")]
+    + [ServiceDescriptor(sid, "tB", 1.0, 2) for sid in ("B1", "B2")],
+    ApplicationTemplate((("tA", "tB"),), (2,)),
+    {("A1", "B1"): 1.0},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        dag_instances(),
+        dag_instances(tie_prone),
+        contended_instances(),
+        contended_instances(tie_prone),
+        layered_random_instances(),
+        st.just(SHORT_STARTS),
+    ),
+    st.data(),
+)
+def test_a_permutation_of_services_changes_no_outcome(instance, data):
+    """ROADMAP item 14's first relation: the order in which services are
+    given, and so announced and flooded, changes neither the result nor the
+    exception, its message and count, at any budget."""
+    services, template, table = instance
+    latency = MatrixLatency(table)
+    graph, links = build_binding_graph(services, template, make_net(services, latency))
+    lists = _full_lists(services, template, graph, links)
+    failed = any(isinstance(exc, InsufficientServices) for exc in lists.values())
+    budget = data.draw(budgets(0 if failed else math.prod(len(pool) for pool in lists.values())))
+    permuted = data.draw(st.permutations(services))
+
+    def outcome(given):
+        return _exactly(_assembly(lambda: assemble(given, template, make_net(given, latency), budget=budget)))
+
+    assert outcome(permuted) == outcome(services)
 
 
 @settings(max_examples=300, deadline=None)
