@@ -282,8 +282,10 @@ def _least_costs(attempt: _Attempt, previous: _Attempt | None = None) -> set[str
     k-th term), and no output reads it.
 
     A node is clean when the ``previous`` attempt valued it, with the same
-    descriptor object and equal groups, and every target in them is clean:
-    it keeps its previous value, as its candidates are the previous ones.
+    descriptor object and equal groups, and every link in them is non-zero
+    to a clean target: it keeps its previous value, as its candidates are
+    the previous ones.  Float ``==`` is bit equality but at ``-0.0 == 0.0``,
+    whose sum may keep either sign, so a zero link prices its node again.
     """
     succ_by_type, svc = attempt.index, attempt.svc
     lower = attempt.lower = {}
@@ -315,9 +317,7 @@ def _least_costs(attempt: _Attempt, previous: _Attempt | None = None) -> set[str
         groups, old = succ_by_type.get(node), previous
         if old.svc.get(node) is not svc[node] or node not in old.lower or old.index.get(node) != groups:
             return False
-        return len(clean) == len(lower) or all(  # every node valued so far is clean, or its targets
-            t in clean for g in (groups or _NO_GROUPS).values() for (_, t), _ in g
-        )
+        return all(ms and t in clean for g in (groups or _NO_GROUPS).values() for (_, t), ms in g)
 
     for node_type, specs in reversed(attempt.specs.items()):
         nodes = attempt.ids[node_type]
@@ -575,10 +575,10 @@ class _Pool:
 
 class _Reuse:
     """What one :func:`assemble` leaves to the next over the same template,
-    which is checked when the record is made: the last attempt that listed
-    its plateaus and, beside it, that attempt's pools, replaced only as a
-    whole.  A kept pool holds its own attempt; held in it, the pools would
-    keep every attempt before alive."""
+    which is checked when the record is made: the last attempt whose starts
+    all had candidates and, beside it, that attempt's pools, replaced only
+    as a whole.  A kept pool holds its own attempt; held in it, the pools
+    would keep every attempt before alive."""
 
     __slots__ = ("template", "attempt", "pools")
 
@@ -633,7 +633,6 @@ def select_assembly(
 
     holders: dict[tuple[str, str], int] = {}  # chosen candidates holding each edge
     loads: dict[str, int] = {}  # distinct inbound edges per node
-    thresholds: dict[str, int] = {}  # read when a node first gets load
     overloaded = 0  # nodes whose load exceeds their threshold
 
     def place(candidate: CandidateSubgraph) -> None:
@@ -645,9 +644,7 @@ def select_assembly(
                 target = edge[1]
                 load = loads.get(target, 0) + 1
                 loads[target] = load
-                if target not in thresholds:
-                    thresholds[target] = svc[target].threshold
-                if load == thresholds[target] + 1:
+                if load == svc[target].threshold + 1:
                     overloaded += 1
 
     def remove(candidate: CandidateSubgraph) -> None:
@@ -658,7 +655,7 @@ def select_assembly(
             if not held:
                 target = edge[1]
                 load = loads[target]
-                if load == thresholds[target] + 1:
+                if load == svc[target].threshold + 1:
                     overloaded -= 1
                 loads[target] = load - 1
 
@@ -722,15 +719,15 @@ def assemble(
     ``reuse`` is the record of an earlier call over the same template,
     which this one replaces; without one, or for another template, a fresh
     one checks the template.  A start :func:`_least_costs` finds clean
-    keeps its pool from that call; the flood and selection always run.
+    keeps its pool from that call; the flood and selection always run.  The
+    flood fills the attempt, and its returned graph and matrix are dropped.
     """
     if reuse is None or reuse.template is not template:
         reuse = _Reuse(template)  # reported before a duplicate id, as by the flood
     svc = service_map(services)
     attempt = _Attempt(template, svc, {})
-    links = build_binding_graph(svc, template, net, attempt=attempt)[1]
-    # A zero link turns reuse off: -0.0 == 0.0, yet a sum may keep the sign.
-    clean = _least_costs(attempt, reuse.attempt if all(links._entries.values()) else None)
+    build_binding_graph(svc, template, net, attempt=attempt)
+    clean = _least_costs(attempt, reuse.attempt)
     lower, pools = attempt.lower, {}
     for sid in attempt.ids[attempt.levels[0]]:
         if sid in clean:

@@ -254,10 +254,12 @@ link_or_qos = st.one_of(
 
 
 @st.composite
-def dag_instances(draw, values=link_or_qos):
+def dag_instances(draw, values=link_or_qos, holes=False):
     """A random DAG template (branches, diamonds, ALL pairs) over small
-    layers of services, with a full link table between paired types.
-    Constraints may exceed the available targets."""
+    layers of services, with a full link table between paired types, or
+    with ``holes`` one with drawn entries left out, so that two starts can
+    fall short of targets by different counts.  Constraints may exceed the
+    available targets."""
     n_types = draw(st.integers(min_value=2, max_value=5))
     types = [f"t{i}" for i in range(n_types)]
     widths = [draw(st.integers(min_value=1, max_value=2))]
@@ -289,7 +291,9 @@ def dag_instances(draw, values=link_or_qos):
         for i in range(width)
     ]
     ids = {t: [s.id for s in services if s.type == t] for t in types}
-    table = {(x, y): draw(values) for a, b in body for x in ids[a] for y in ids[b]}
+    table = {
+        (x, y): draw(values) for a, b in body for x in ids[a] for y in ids[b] if not holes or draw(st.booleans())
+    }
     return services, ApplicationTemplate(tuple(body), tuple(constraints)), table
 
 
@@ -747,7 +751,11 @@ def _signed_zero_binder():
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(
-        dag_instances(), dag_instances(tie_prone), wide_instances(), wide_instances(link_or_qos)
+        dag_instances(),
+        dag_instances(tie_prone),
+        dag_instances(holes=True),
+        wide_instances(),
+        wide_instances(link_or_qos),
     ),
     st.data(),
 )
@@ -794,6 +802,7 @@ def _exactly(outcome):
     st.one_of(
         dag_instances(),
         dag_instances(tie_prone),
+        dag_instances(holes=True),
         wide_instances(),
         wide_instances(link_or_qos),
         contended_instances(),
@@ -920,7 +929,7 @@ def layered_random_instances(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(dag_instances(), dag_instances(tie_prone), layered_random_instances()))
+@given(st.one_of(dag_instances(), dag_instances(tie_prone), dag_instances(holes=True), layered_random_instances()))
 def test_counted_length_equals_the_full_list_length(instance):
     services, template, table = instance
     latency = MatrixLatency(table)
@@ -1025,9 +1034,20 @@ def test_a_plateau_is_listed_only_when_the_odometer_reads_its_start(k):
         assert lazy == _assembly(lambda: select_assembly(full, services, budget=budget))
 
 
+def _drawn_budget(instance, data):
+    """A budget drawn around the number of combinations of the instance's
+    full lists, or around 0 when a start falls short of targets."""
+    services, template, table = instance
+    graph, links = build_binding_graph(services, template, make_net(services, MatrixLatency(table)))
+    lists = _full_lists(services, template, graph, links)
+    failed = any(isinstance(exc, InsufficientServices) for exc in lists.values())
+    return data.draw(budgets(0 if failed else math.prod(len(pool) for pool in lists.values())))
+
+
 # Two starts short of targets by different counts, over a link table with
 # holes: A1 sees one of the two B it needs, A2 none.  A1's error is the one
-# raised, in whatever order the services come.
+# raised, in whatever order the services come.  ``dag_instances(holes=True)``
+# draws such pairs too; this one is a fixed draw.
 SHORT_STARTS = (
     [ServiceDescriptor(sid, "tA", 1.0, 1) for sid in ("A1", "A2")]
     + [ServiceDescriptor(sid, "tB", 1.0, 2) for sid in ("B1", "B2")],
@@ -1041,6 +1061,7 @@ SHORT_STARTS = (
     st.one_of(
         dag_instances(),
         dag_instances(tie_prone),
+        dag_instances(holes=True),
         contended_instances(),
         contended_instances(tie_prone),
         layered_random_instances(),
@@ -1054,16 +1075,48 @@ def test_a_permutation_of_services_changes_no_outcome(instance, data):
     exception, its message and count, at any budget."""
     services, template, table = instance
     latency = MatrixLatency(table)
-    graph, links = build_binding_graph(services, template, make_net(services, latency))
-    lists = _full_lists(services, template, graph, links)
-    failed = any(isinstance(exc, InsufficientServices) for exc in lists.values())
-    budget = data.draw(budgets(0 if failed else math.prod(len(pool) for pool in lists.values())))
+    budget = _drawn_budget(instance, data)
     permuted = data.draw(st.permutations(services))
 
     def outcome(given):
         return _exactly(_assembly(lambda: assemble(given, template, make_net(given, latency), budget=budget)))
 
     assert outcome(permuted) == outcome(services)
+
+
+def _renamed(outcome, name):
+    """An outcome of :func:`_assembly` with every id ``i`` as ``name[i]``."""
+    if not isinstance(outcome, AssemblyResult):
+        return outcome  # no exception of an assembly names a service
+
+    def edges(pairs):
+        return tuple((name[a], name[b]) for a, b in pairs)
+
+    assembly = outcome.assembly
+    graph = AssemblyGraph(frozenset(map(name.get, assembly.nodes)), frozenset(edges(assembly.edges)))
+    chosen = {name[sid]: c._replace(start_id=name[sid], edges=edges(c.edges)) for sid, c in outcome.chosen.items()}
+    load = {name[node]: count for node, count in outcome.per_service_load.items()}
+    return AssemblyResult(graph, chosen, outcome.combinations_tested, load)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dag_instances(tie_prone), contended_instances()), st.data())
+def test_an_order_preserving_renaming_of_ids_renames_the_outcome(instance, data):
+    """ROADMAP item 14's second relation: ids that sort as before give the
+    same edges under the new names, the same ranks, cost bits and
+    ``combinations_tested``, or the same exception, at any budget."""
+    services, template, table = instance
+    budget = _drawn_budget(instance, data)
+    ids = sorted(s.id for s in services)
+    fresh = st.lists(st.text("0aZ~", min_size=1, max_size=4), min_size=len(ids), max_size=len(ids), unique=True)
+    name = dict(zip(ids, sorted(data.draw(fresh))))
+
+    def outcome(given, links):
+        return _assembly(lambda: assemble(given, template, make_net(given, MatrixLatency(links)), budget=budget))
+
+    renamed_table = {(name[a], name[b]): ms for (a, b), ms in table.items()}
+    renamed = outcome([s._replace(id=name[s.id]) for s in services], renamed_table)
+    assert _exactly(renamed) == _exactly(_renamed(outcome(services, table), name))
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,6 +8,7 @@ from selfassembly import (
     ContractCause,
     ContractNotification,
     ContractStatus,
+    MatrixLatency,
     ScenarioEvent,
     ServiceDescriptor,
     Simulator,
@@ -273,19 +274,9 @@ def test_events_are_checked_against_the_ids_net_already_holds(example7):
 # ------------------------------------------------------------ reuse on churn
 
 
-def test_a_rerun_lists_only_the_plateaus_the_event_reached(monkeypatch):
-    """A re-run lists the least-cost plateau of each start whose reachable
-    subgraph changed since the attempt before, and of no other."""
-    scenario = generate_medical(0)
-    services, template = scenario.services, scenario.template
-    first = assemble(services, template, make_net(services, UniformLatency(1.0)))
-    gateway = next(b for a, b in first.chosen["A1"].edges if a == "A1")
-    events = [
-        ScenarioEvent.appears(10.0, ServiceDescriptor("X1", "tX", 1.0, 1)),
-        ScenarioEvent.disappears(20.0, "A2"),
-        ScenarioEvent.link_degrades(30.0, "A1", gateway, 50.0),
-        ScenarioEvent.appears(40.0, ServiceDescriptor("B10", "tB", 1.0, 10)),
-    ]
+def _plateaus_listed(monkeypatch):
+    """A list that gets, per ``runtime.assemble`` call, the number of
+    plateaus listed from its start until the next call."""
     listings = []
     real_candidates, real_assemble = assembler._candidates, runtime.assemble
 
@@ -299,6 +290,23 @@ def test_a_rerun_lists_only_the_plateaus_the_event_reached(monkeypatch):
 
     monkeypatch.setattr(assembler, "_candidates", candidates)
     monkeypatch.setattr(runtime, "assemble", attempt)
+    return listings
+
+
+def test_a_rerun_lists_only_the_plateaus_the_event_reached(monkeypatch):
+    """A re-run lists the least-cost plateau of each start whose reachable
+    subgraph changed since the attempt before, and of no other."""
+    scenario = generate_medical(0)
+    services, template = scenario.services, scenario.template
+    first = assemble(services, template, make_net(services, UniformLatency(1.0)))
+    gateway = next(b for a, b in first.chosen["A1"].edges if a == "A1")
+    events = [
+        ScenarioEvent.appears(10.0, ServiceDescriptor("X1", "tX", 1.0, 1)),
+        ScenarioEvent.disappears(20.0, "A2"),
+        ScenarioEvent.link_degrades(30.0, "A1", gateway, 50.0),
+        ScenarioEvent.appears(40.0, ServiceDescriptor("B10", "tB", 1.0, 10)),
+    ]
+    listings = _plateaus_listed(monkeypatch)
     timeline = run_scenario(services, template, events, Simulator(UniformLatency(1.0)))
     assert [entry.trigger for entry in timeline] == [
         "initial", "service_appears:X1", "service_disappears:A2",
@@ -324,6 +332,32 @@ def test_a_link_degraded_to_negative_zero_is_priced_again():
     assert costs(timeline[0].result) == {"A1": (0.0).hex()}
     fresh = assemble(services, template, net)
     assert costs(timeline[1].result) == costs(fresh) == {"A1": (-0.0).hex()}
+
+
+def test_a_zero_link_reprices_only_the_starts_that_reach_it(monkeypatch):
+    """A1 reaches C1 over the zero link B1->C1, A2 only over B2 and a link
+    of 1.0.  After A1's own link degrades, A1 is priced again and A2 keeps
+    its pool; each result is what a fresh ``assemble`` gives, bit for bit."""
+    services = [
+        ServiceDescriptor(sid, f"t{sid[0]}", 1.0, 2) for sid in ("A1", "A2", "B1", "B2", "C1")
+    ]
+    template = ApplicationTemplate((("tA", "tB"), ("tB", "tC")), (1, 1))
+    table = {("A1", "B1"): 1.0, ("A2", "B2"): 1.0, ("B1", "C1"): 0.0, ("B2", "C1"): 1.0}
+    events = [ScenarioEvent.link_degrades(1.0, "A1", "B1", 2.0)]
+    net = Simulator(MatrixLatency(table))
+    listings = _plateaus_listed(monkeypatch)
+    timeline = run_scenario(services, template, events, net)
+    assert [entry.trigger for entry in timeline] == ["initial", "link_degrades:A1->B1"]
+    assert listings == [2, 1]
+    monkeypatch.undo()
+
+    def chosen(result):
+        return {sid: (c.edges, c.rank, c.cost.hex()) for sid, c in result.chosen.items()}
+
+    before = assemble(services, template, make_net(services, MatrixLatency(table)))
+    assert [chosen(entry.result) for entry in timeline] == [
+        chosen(before), chosen(assemble(services, template, net))
+    ]
 
 
 def test_timeline_log_shape(example7):
