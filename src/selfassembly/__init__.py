@@ -26,6 +26,7 @@ from .errors import (
     InsufficientServices,
     LatencyUndefined,
     MissingLinkQoS,
+    NoAssembly,
     NoStartingService,
     PeerUnknown,
     ScenarioFormatError,

@@ -4,8 +4,8 @@
 :func:`~selfassembly.runtime.run_scenario`; the CLI has no pipeline of its own.
 
 Exit codes, from the :data:`EXIT_CODES` table that only :func:`main` applies:
-0 success, 1 parse/usage/I/O error, 2 infeasible, 3 combination budget
-exceeded, 4 oracle mismatch.
+0 success, 1 parse/usage/I/O error, 2 any ``NoAssembly`` or an invalid template,
+3 combination budget exceeded, 4 oracle mismatch.
 """
 from __future__ import annotations
 
@@ -21,15 +21,7 @@ from .assembler import (
     enumerate_candidates,
     select_assembly,
 )
-from .errors import (
-    CombinationBudgetExceeded,
-    Infeasible,
-    InsufficientServices,
-    NoStartingService,
-    ScenarioFormatError,
-    SelfAssemblyError,
-    TemplateInvalid,
-)
+from .errors import CombinationBudgetExceeded, NoAssembly, ScenarioFormatError, SelfAssemblyError, TemplateInvalid
 from .export import assembly_to_dot, assembly_to_json
 from .model import QoSMatrix, service_map
 from .netsim import MatrixLatency
@@ -54,9 +46,7 @@ EXIT_MISMATCH = 4
 
 EXIT_CODES: dict[type[BaseException], int] = {
     CombinationBudgetExceeded: EXIT_BUDGET,
-    Infeasible: EXIT_INFEASIBLE,
-    InsufficientServices: EXIT_INFEASIBLE,
-    NoStartingService: EXIT_INFEASIBLE,
+    NoAssembly: EXIT_INFEASIBLE,
     TemplateInvalid: EXIT_INFEASIBLE,
     SelfAssemblyError: EXIT_PARSE,  # LatencyUndefined too
     OSError: EXIT_PARSE,
@@ -184,7 +174,7 @@ def _outcome(run, services, template, net) -> tuple[AssemblyResult | None, tuple
     and count."""
     try:
         result = run(services, template, net)
-    except (Infeasible, InsufficientServices, NoStartingService) as exc:
+    except NoAssembly as exc:
         return None, (type(exc).__name__, getattr(exc, "combinations_tested", None))
     chosen = [(sid, c.edges, c.rank, c.cost.hex()) for sid, c in sorted(result.chosen.items())]
     return result, (sorted(result.assembly.edges), chosen, result.combinations_tested)

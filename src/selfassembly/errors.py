@@ -56,11 +56,16 @@ class TemplateInvalid(SelfAssemblyError):
         self.report = report
 
 
-class NoStartingService(SelfAssemblyError):
+class NoAssembly(SelfAssemblyError):
+    """An attempt ran and found no assembly: a verdict ``run_scenario`` records.
+    :class:`TemplateInvalid` is raised before any attempt, so is not one."""
+
+
+class NoStartingService(NoAssembly):
     """No live service has the template's starting type."""
 
 
-class InsufficientServices(SelfAssemblyError):
+class InsufficientServices(NoAssembly):
     """A binder cannot reach enough targets to satisfy its constraint."""
 
     def __init__(self, type_name: str, needed: int, available: int):
@@ -72,7 +77,7 @@ class InsufficientServices(SelfAssemblyError):
         self.available = available
 
 
-class Infeasible(SelfAssemblyError):
+class Infeasible(NoAssembly):
     """Every combination of candidates violates some binding threshold."""
 
     def __init__(self, combinations_tested: int):
@@ -80,7 +85,7 @@ class Infeasible(SelfAssemblyError):
         self.combinations_tested = combinations_tested
 
 
-class CombinationBudgetExceeded(SelfAssemblyError):
+class CombinationBudgetExceeded(NoAssembly):
     """The combination search hit its configured cap before finishing."""
 
     def __init__(self, budget: int):

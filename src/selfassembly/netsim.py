@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from collections.abc import Iterable, Iterator, KeysView, Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -119,8 +120,8 @@ class Simulator:
 
     Every action writes the event trace, stamped with the clock: one record
     per call, except that an ``announce`` batch is one entry that reads as
-    one record per service.  Identical scenarios with identical seeds
-    serialize to byte-identical logs.
+    one record per service; with ``trace=False`` it keeps nothing.  Identical
+    scenarios with identical seeds serialize to byte-identical logs.
     """
 
     def __init__(self, latency: LatencyModel | None = None, *, trace: bool = True):
@@ -128,8 +129,8 @@ class Simulator:
         self.latency = latency if latency is not None else UniformLatency(0.0)
         self._live: dict[str, None] = {}  # the ids of the live peers
         self._overrides: dict[tuple[str, str], float] = {}
-        self._trace_enabled = trace
-        self._trace: list[dict | tuple] = []  # records, or tuples for _render
+        # Records, or tuples for _render; untraced, a sink that keeps nothing.
+        self._trace: list[dict | tuple] | deque = [] if trace else deque(maxlen=0)
 
     # ------------------------------------------------------------------ registry
 
@@ -150,7 +151,7 @@ class Simulator:
                     raise DuplicateId(f"service {sid!r} is already announced")
                 seen.add(sid)
         live.update(fresh)
-        if self._trace_enabled and services:
+        if services:
             self._trace.append((self.clock, services))
 
     def withdraw(self, service_id: str) -> None:
@@ -195,8 +196,7 @@ class Simulator:
             if sid not in self._live:
                 raise PeerUnknown(f"service {sid!r} is not live")
         link_ms = self.link_latency(from_id, to_id)
-        if self._trace_enabled:
-            self._trace.append((self.clock, from_id, to_id, link_ms))
+        self._trace.append((self.clock, from_id, to_id, link_ms))
         return link_ms
 
     def measure_links(self, from_id: str, to_ids: Iterable[str]) -> list[tuple[tuple[str, str], float]]:
@@ -216,7 +216,7 @@ class Simulator:
         now = self.clock
         override = self._overrides.get
         sample = self.latency.sample
-        trace = self._trace if self._trace_enabled else None
+        record = self._trace.append
         measured = []
         for to_id in to_ids:
             if to_id not in live or to_id == from_id:
@@ -229,8 +229,7 @@ class Simulator:
                 except LatencyUndefined:
                     self.log_event("unmeasurable", from_id, to_id)
                     continue
-            if trace is not None:
-                trace.append((now, from_id, to_id, link_ms))
+            record((now, from_id, to_id, link_ms))
             measured.append((edge, link_ms))
         return measured
 
@@ -252,8 +251,6 @@ class Simulator:
         to_id: str | None = None,
         **detail,
     ) -> None:
-        if not self._trace_enabled:
-            return
         self._trace.append(
             {
                 "t": self.clock,

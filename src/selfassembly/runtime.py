@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Container, Iterable
 
 from .assembler import DEFAULT_COMBINATION_BUDGET, AssemblyResult, _Reuse, assemble
-from .errors import CombinationBudgetExceeded, Infeasible, InsufficientServices, NoStartingService, _shown
+from .errors import NoAssembly, _shown
 from .model import ApplicationTemplate, ServiceDescriptor, service_map
 from .netsim import Simulator
 
@@ -212,7 +212,7 @@ def run_scenario(
     disappearances, link degradations, and contract violations only when
     the affected service or link is part of the committed assembly.  A
     service reported out of contract is left out of the re-run it
-    triggers, but stays available afterwards.  Infeasible re-runs are
+    triggers, but stays available afterwards.  A ``NoAssembly`` re-run is
     recorded and the loop continues.  Every attempt shares one reuse record
     with the one before (see :func:`~selfassembly.assembler.assemble`);
     nothing is kept across calls.  Initial services not yet live on
@@ -249,7 +249,7 @@ def run_scenario(
         try:
             committed = assemble(pool, template, net, budget=budget, reuse=reuse)
             entry = TimelineEntry(at, trigger, committed, None, committed.combinations_tested)
-        except (Infeasible, InsufficientServices, NoStartingService, CombinationBudgetExceeded) as exc:
+        except NoAssembly as exc:
             committed = None  # only Infeasible counts the combinations it tested
             entry = TimelineEntry(at, trigger, None, str(exc), getattr(exc, "combinations_tested", 0))
         timeline.append(entry)

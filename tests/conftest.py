@@ -3,10 +3,15 @@ import pytest
 from selfassembly import (
     ApplicationTemplate,
     MatrixLatency,
+    NoAssembly,
     ServiceDescriptor,
     Simulator,
     UniformLatency,
 )
+
+
+class WorkLimitReached(NoAssembly):
+    """A way for an attempt to fail that neither the runtime nor the CLI names."""
 
 
 def seven_services() -> list[ServiceDescriptor]:

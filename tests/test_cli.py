@@ -20,7 +20,7 @@ from selfassembly.scenario import (
     serialize_scenario,
     write_scenario,
 )
-from selfassembly import assembler, errors
+from selfassembly import assembler, cli, errors, runtime
 from selfassembly import (
     DEFAULT_COMBINATION_BUDGET,
     ApplicationTemplate,
@@ -42,7 +42,7 @@ from selfassembly import (
 )
 from selfassembly.runtime import ScenarioEvent
 
-from conftest import seven_services, seven_template
+from conftest import WorkLimitReached, seven_services, seven_template
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -415,6 +415,30 @@ def test_generate_writes_canonical_file(tmp_path):
     assert out.read_text() == serialize_scenario(generate_one_layer(10, "half", 4))
 
 
+def test_generate_pyramidal_writes_canonical_file(tmp_path):
+    out = tmp_path / "pyramidal.json"
+    assert main(["generate", "pyramidal", "--top-width", "4", "--k", "1", "--out", str(out)]) == 0
+    assert out.read_text() == serialize_scenario(generate_pyramidal(4, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "layout, size, message",
+    [
+        ("one-layer", [], "generate one-layer requires --n"),
+        ("one-layer", ["--n", "0"], "n must be >= 1"),
+        ("pyramidal", [], "generate pyramidal requires --top-width"),
+        ("pyramidal", ["--top-width", "1"], "top_width must be >= 2"),
+    ],
+)
+def test_generate_without_a_usable_size_is_one_error_line(layout, size, message, tmp_path, capsys):
+    out = tmp_path / "layout.json"
+    assert main(["generate", layout, *size, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_generate_medical_file(tmp_path):
     out = tmp_path / "medical.json"
     assert main(["generate", "medical", "--seed", "1", "--out", str(out)]) == 0
@@ -533,6 +557,7 @@ def test_assemble_one_layer_1200_k2_lists_no_eager_candidates(tmp_path, capsys):
 
 
 EXPECTED_EXIT_CODES = {
+    errors.NoAssembly: 2,
     errors.CombinationBudgetExceeded: 3,
     errors.Infeasible: 2,
     errors.InsufficientServices: 2,
@@ -569,6 +594,22 @@ def test_every_error_class_has_a_placed_exit_code():
 def _one_error_line(err, *parts):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert all(part in err for part in parts), err
+
+
+def _reach_the_work_limit(*args, **kwargs):
+    raise WorkLimitReached("work limit of 5 steps reached")
+
+
+def test_any_no_assembly_exits_2_from_assemble_and_simulate(tmp_path, monkeypatch, capsys):
+    scenario = str(_write_example7(tmp_path / "example7.json"))
+    monkeypatch.setattr(cli, "assemble", _reach_the_work_limit)
+    assert main(["assemble", "--scenario", scenario]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: work limit of 5 steps reached\n"
+    monkeypatch.setattr(runtime, "assemble", _reach_the_work_limit)
+    assert main(["simulate", "--scenario", scenario]) == 2
+    assert capsys.readouterr().err == "entries=1 final_feasible=False\n"
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,13 @@ def test_descriptor_survives_pickle_and_copy(fields):
         assert twin == svc and repr(twin) == repr(svc)
 
 
+def test_service_map_names_the_first_repeated_id_of_a_generator():
+    twice = [ServiceDescriptor("B2", "tB", 9.0, 1), ServiceDescriptor("A1", "tA", 1.0, 1)]
+    assert list(service_map(s for s in seven_services())) == [s.id for s in seven_services()]
+    with pytest.raises(ValueError, match=r"^duplicate service id 'B2'$"):
+        service_map(s for s in seven_services() + twice)
+
+
 def test_descriptor_is_immutable():
     svc = ServiceDescriptor("A1", "tA", 1.0, 1)
     with pytest.raises(AttributeError):
@@ -222,6 +229,11 @@ def test_template_helpers():
     template = seven_template()
     assert template.starting_type() == "tA"
     assert template.topological_types() == ["tA", "tB", "tC"]
+    cyclic = ApplicationTemplate((("tA", "tB"), ("tB", "tA")), (1, 1))
+    two = ApplicationTemplate((("tA", "tB"), ("tC", "tB")), (1, 1))
+    for template, found in [(cyclic, "none"), (two, r"\['tA', 'tC'\]")]:
+        with pytest.raises(ValueError, match=f"^template must have exactly one starting type, found {found}$"):
+            template.starting_type()
 
 
 # ----------------------------------------------------------------- graph type
@@ -299,6 +311,8 @@ def test_worst_path_disconnected_node():
     graph = AssemblyGraph(frozenset({"A1", "B1"}), frozenset())
     with pytest.raises(DisconnectedNode):
         worst_path_time(graph, "A1", svc, QoSMatrix())
+    with pytest.raises(DisconnectedNode, match=r"^start node 'A2' is not in the subgraph$"):
+        worst_path_time(graph, "A2", svc, QoSMatrix())
 
 
 def test_worst_path_time_keeps_the_signed_zero_of_the_smaller_target_id():
@@ -342,3 +356,5 @@ def test_all_sentinel_is_singleton():
 
     assert AllServices() is ALL
     assert repr(ALL) == "ALL"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(ALL, protocol)) is ALL, protocol

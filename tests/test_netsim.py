@@ -332,3 +332,25 @@ def test_trace_records_shape():
     net.measure_link("A1", "B1")
     for record in net.trace_records():
         assert set(record) == {"t", "kind", "from", "to", "detail"}
+
+
+def test_an_untraced_simulator_measures_alike_and_keeps_no_trace():
+    def run(trace):
+        net = Simulator(SeededLatency(2.0, 1.0, seed=7), trace=trace)
+        net.announce(*seven_services())
+        net.advance(1.5)
+        measured = [net.measure_link("A1", "B1"), net.measure_links("A2", ["B1", "B2", "C1"])]
+        net.degrade_link("A1", "B1", 9.0)
+        measured += [net.measure_link("A1", "B1"), net.measure_links("A1", ["B1", "B3"])]
+        net.withdraw("B3")
+        net.log_event("note", "A1", None, why="test")
+        return measured, net
+
+    traced, untraced = run(True), run(False)
+    assert untraced[0] == traced[0]
+    kinds = [rec["kind"] for rec in traced[1].trace_records()]
+    assert kinds == (
+        ["announce"] * 7 + ["measure"] * 4 + ["link_degrade"] + ["measure"] * 3 + ["withdraw", "note"]
+    )
+    assert untraced[1].trace_records() == []
+    assert untraced[1].trace_jsonl() == ""

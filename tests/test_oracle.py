@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from selfassembly import (
     ApplicationTemplate,
+    AssemblyGraph,
     InstanceTooLarge,
     Infeasible,
     InsufficientServices,
@@ -10,8 +13,11 @@ from selfassembly import (
     ServiceDescriptor,
     assemble,
     binomial_table,
+    build_simulator,
+    check_assembly,
     count_combinations,
     exhaustive_assemblies,
+    generate_medical,
     generate_random_instance,
 )
 from selfassembly.netsim import MatrixLatency
@@ -155,3 +161,74 @@ def test_path_times_agree_on_candidates():
                 assert candidate.cost == exhaustive_worst_path(
                     candidate.graph, start, svc, measured
                 )
+
+
+# ------------------------------------------------------- the compliance check
+
+
+def _medical_commit():
+    scenario = generate_medical(0)
+    result = assemble(scenario.services, scenario.template, build_simulator(scenario))
+    return result, scenario.services, scenario.template
+
+
+def _without(graph, edge):
+    return AssemblyGraph(graph.nodes, graph.edges - {edge})
+
+
+def _broken(result, services, how):
+    """``result`` broken one way, the services to check it against, and the
+    one violation ``check_assembly`` must report.  Eight starts, A1 among
+    them, bind B6; A3 and A8 bind B3 (threshold 10); B3 and B6 each bind C2
+    and D2."""
+    a1 = result.chosen["A1"]
+    load = result.per_service_load
+    if how == "start not chosen":
+        chosen = {sid: c for sid, c in result.chosen.items() if sid != "A1"}
+        broken = replace(
+            result, chosen=chosen, assembly=_without(result.assembly, ("A1", "B6")),
+            per_service_load={**load, "B6": 7},
+        )
+        return broken, services, f"served starts {sorted(chosen)} != expected {sorted(result.chosen)}"
+    if how == "start not a node":
+        # Only a graph built unchecked can hold an edge from a node outside it.
+        nodes = result.assembly.nodes - {"A1"}
+        broken = replace(result, assembly=AssemblyGraph._unchecked(nodes, result.assembly.edges))
+        return broken, services, "starting service 'A1' missing from the assembly"
+    if how == "extra pick":
+        extra = a1._replace(edges=tuple(sorted(a1.edges + (("B6", "C1"),))))
+        assembly = AssemblyGraph.from_edges(result.assembly.edges | {("B6", "C1")})
+        broken = replace(
+            result, chosen={**result.chosen, "A1": extra}, assembly=assembly,
+            per_service_load={**load, "C1": 1},
+        )
+        return broken, services, "candidate of 'A1': node 'B6' has 2 picks of type 'tC', expected 1"
+    if how == "edges not the union":
+        broken = replace(
+            result, assembly=_without(result.assembly, ("A1", "B6")), per_service_load={**load, "B6": 7}
+        )
+        return broken, services, "assembly edges are not the union of the chosen candidates"
+    if how == "over a threshold":
+        squeezed = [s._replace(threshold=1) if s.id == "B3" else s for s in services]
+        return result, squeezed, "service 'B3' carries 2 bindings, threshold 1"
+    assert how == "wrong recorded load"
+    broken = replace(result, per_service_load={**load, "B6": 9})
+    return broken, services, "recorded load 9 for 'B6' differs from actual 8"
+
+
+@pytest.mark.parametrize(
+    "how",
+    [
+        "start not chosen",
+        "start not a node",
+        "extra pick",
+        "edges not the union",
+        "over a threshold",
+        "wrong recorded load",
+    ],
+)
+def test_check_assembly_reports_each_violation(how):
+    result, services, template = _medical_commit()
+    assert check_assembly(result, services, template) == []
+    broken, checked, violation = _broken(result, services, how)
+    assert check_assembly(broken, checked, template) == [violation]

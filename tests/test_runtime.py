@@ -10,6 +10,7 @@ from selfassembly import (
     ContractStatus,
     MatrixLatency,
     ScenarioEvent,
+    SelfAssemblyError,
     ServiceDescriptor,
     Simulator,
     UniformLatency,
@@ -21,7 +22,7 @@ from selfassembly import (
 )
 from selfassembly import assembler, runtime
 
-from conftest import make_net
+from conftest import WorkLimitReached, make_net
 
 
 B1 = ServiceDescriptor("B1", "tB", 2.0, 2)
@@ -132,6 +133,36 @@ def test_self_healing_cycle(example7):
     assert timeline[2].feasible
     assert "B3" not in timeline[2].result.assembly.nodes
     assert [entry.at for entry in timeline] == [0.0, 100.0, 200.0]
+
+
+def test_a_rerun_that_raises_any_no_assembly_is_recorded_and_the_loop_goes_on(example7, monkeypatch):
+    services, template = example7
+    calls = []
+
+    def attempt(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise WorkLimitReached("work limit of 5 steps reached")
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "assemble", attempt)
+    events = [
+        ScenarioEvent.appears(10.0, ServiceDescriptor("B4", "tB", 0.5, 3)),
+        ScenarioEvent.appears(20.0, ServiceDescriptor("B5", "tB", 0.5, 3)),
+    ]
+    net = Simulator(UniformLatency(0.0))
+    timeline = run_scenario(services, template, events, net)
+    assert [entry.feasible for entry in timeline] == [True, False, True]
+    assert (timeline[1].reason, timeline[1].combinations_tested) == ("work limit of 5 steps reached", 0)
+    reruns = [rec["detail"]["feasible"] for rec in net.trace_records() if rec["kind"] == "reassembly"]
+    assert reruns == [True, False, True]
+
+    def fault(*args, **kwargs):
+        raise SelfAssemblyError("not a verdict")
+
+    monkeypatch.setattr(runtime, "assemble", fault)
+    with pytest.raises(SelfAssemblyError, match="^not a verdict$"):
+        run_scenario(services, template, [], Simulator(UniformLatency(0.0)))
 
 
 def test_unused_service_disappearance_triggers_nothing(example7):

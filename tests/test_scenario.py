@@ -25,6 +25,7 @@ from selfassembly.scenario import (
     generate_one_layer,
     generate_pyramidal,
     parse_scenario,
+    resolve_layer_constraint,
     serialize_scenario,
 )
 
@@ -472,6 +473,50 @@ def test_plain_entries_of_one_type_share_its_name():
 
 
 # ------------------------------------------------------------------ generators
+
+
+def _set(document, path, value):
+    *keys, last = path
+    for key in keys:
+        document = document[key]
+    document[last] = value
+
+
+SEEDED = {"kind": "seeded", "base_ms": 1, "jitter_ms": 0, "seed": 7}
+MATRIX = {"kind": "matrix", "entries": [["A1", "B1", 1.0], ["A1", "B1", 2.0]]}
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (["template"], [["tA", "tB"]], "template: expected an object"),
+        (["template", "body"], {"tA": "tB"}, "template.body: expected a list"),
+        (["template", "body"], [["tA", "tB", "tC"]], "template.body[0]: expected [from_type, to_type]"),
+        (["template", "body"], [["tA", 2]], "template.body[0]: expected [from_type, to_type]"),
+        (["template", "constraints"], 1, "template.constraints: expected a list"),
+        (["links"], {**SEEDED, "seed": "7"}, "links.seed: expected an integer"),
+        (["links"], {**SEEDED, "seed": True}, "links.seed: expected an integer"),
+        (["links"], MATRIX, "links.entries[1]: duplicate pair ('A1', 'B1')"),
+    ],
+    ids=["template-list", "body-object", "pair-of-three", "pair-with-int", "constraints-int",
+         "seed-str", "seed-bool", "duplicate-pair"],
+)
+def test_a_malformed_template_or_link_model_is_named(path, value, message):
+    document = _with_events()
+    _set(document, path, value)
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(json.dumps(document))
+    assert str(info.value) == message
+
+
+def test_a_layer_constraint_spec_resolves_or_is_named():
+    assert resolve_layer_constraint(ALL, 4) is ALL
+    assert resolve_layer_constraint("All", 4) is ALL
+    assert resolve_layer_constraint(3, 2) == 2
+    with pytest.raises(ValueError, match=r"^unknown constraint spec 'bogus'$"):
+        resolve_layer_constraint("bogus", 4)
+    with pytest.raises(ValueError, match=r"^integer constraint must be >= 1$"):
+        resolve_layer_constraint(0, 4)
 
 
 def test_one_layer_small_candidate_count():
