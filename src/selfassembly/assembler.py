@@ -137,12 +137,12 @@ def build_binding_graph(
     each sender measures its links to a paired type's services with one
     :meth:`Simulator.measure_links` call, which skips the targets it cannot
     see, so the cost follows the template's services, not the registry
-    size; a sink is not queued.  Each value is checked once, as
-    :meth:`QoSMatrix.set` checks it, and converted only if not a float.  An
-    invalid template raises :class:`TemplateInvalid`.  :func:`assemble`
-    passes its ``attempt`` to fill: ``attempt.index[sender][to_type]``, the
-    call's ``(edge, link)`` picks by target id, if any, sharing the graph's
-    edge tuples, and ``attempt.ids[type]``, the reached ids in id order.
+    size; a sink is not queued.  The call checks each time, so the flood
+    does not.  An invalid template raises :class:`TemplateInvalid`.
+    :func:`assemble` passes its ``attempt`` to fill:
+    ``attempt.index[sender][to_type]``, the call's ``(edge, link)`` picks
+    by target id, if any, as the very list the trace holds (so nothing may
+    modify it), and ``attempt.ids[type]``, the reached ids in id order.
     """
     if not template._report.ok:
         raise TemplateInvalid(template._report)
@@ -160,25 +160,20 @@ def build_binding_graph(
         raise NoStartingService(f"no live service of starting type {start_type!r}")
 
     reached = set(starts)
-    queue = deque((sid, start_type) for sid in starts)
+    queue = deque([(starts, start_type)])  # senders in groups of one type, in the order reached
     measured: dict[_Edge, float] = {}  # one entry per edge
     while queue:
-        sender, sender_type = queue.popleft()
-        for to_type, _constraint in specs[sender_type]:
-            picks = net.measure_links(sender, ids_by_type[to_type])
-            for i, ((_, target), ms) in enumerate(picks):
-                if type(ms) is not float:
-                    ms = float(ms)
-                    picks[i] = (picks[i][0], ms)  # the call's own list is the group: no second list
-                if not ms >= 0:  # also rejects NaN
-                    raise ValueError(f"link time must be >= 0, got {ms}")
-                if target not in reached:
-                    reached.add(target)
-                    if specs[to_type]:  # a sink has nothing to flood
-                        queue.append((target, to_type))
-            measured.update(picks)
-            if picks and attempt is not None:
-                attempt.index.setdefault(sender, {})[to_type] = picks
+        senders, sender_type = queue.popleft()
+        for sender in senders:
+            for to_type, _constraint in specs[sender_type]:
+                picks = net.measure_links(sender, ids_by_type[to_type])  # the trace's list: never modified
+                fresh = [target for (_, target), _ in picks if target not in reached]
+                reached.update(fresh)
+                if fresh and specs[to_type]:  # a sink has nothing to flood
+                    queue.append((fresh, to_type))
+                measured.update(picks)
+                if picks and attempt is not None:
+                    attempt.index.setdefault(sender, {})[to_type] = picks
     if attempt is not None:
         attempt.ids = {t: [sid for sid in ids if sid in reached] for t, ids in ids_by_type.items()}
     return AssemblyGraph._unchecked(frozenset(reached), frozenset(measured)), QoSMatrix._unchecked(measured)
@@ -301,13 +296,10 @@ def _least_costs(attempt: _Attempt, previous: _Attempt | None = None) -> set[str
                 return None
             if not k:
                 continue
-            terms = []
-            for (_, target), ms in available:
-                below = lower[target]
-                if below is None:
-                    return None
-                terms.append(ms + below)
-            terms.sort()
+            try:
+                terms = sorted([ms + lower[target] for (_, target), ms in available])
+            except TypeError:  # a target's None: it lacks targets of its own
+                return None
             if worst is None or terms[k - 1] > worst:
                 worst = terms[k - 1]
         qos = svc[node].qos_nominal

@@ -116,11 +116,13 @@ class Simulator:
       receive/send timestamp difference, which equals the modeled latency
       by construction.  ``measure_links`` does the same for every target
       one sender can see, in one call, and returns each as the pick the
-      flood indexes: the ``(from_id, to_id)`` edge and its time.
+      flood indexes: the ``(from_id, to_id)`` edge and its time, checked to
+      be a float ``>= 0``.
 
     Every action writes the event trace, stamped with the clock: one record
-    per call, except that an ``announce`` batch is one entry that reads as
-    one record per service; with ``trace=False`` it keeps nothing.  Identical
+    per call, except that an ``announce`` batch and a measuring call are
+    each one entry that reads as one record per service or link, with the
+    model's values; with ``trace=False`` it keeps nothing.  Identical
     scenarios with identical seeds serialize to byte-identical logs.
     """
 
@@ -190,48 +192,62 @@ class Simulator:
 
         Simulates a stamped message: it leaves ``from_id`` now and reaches
         ``to_id`` after the modeled latency; the returned value is the
-        timestamp difference.
+        timestamp difference, as the model gave it.
         """
         for sid in (from_id, to_id):
             if sid not in self._live:
                 raise PeerUnknown(f"service {sid!r} is not live")
         link_ms = self.link_latency(from_id, to_id)
-        self._trace.append((self.clock, from_id, to_id, link_ms))
+        self._trace.append((self.clock, from_id, [((from_id, to_id), link_ms)]))
         return link_ms
 
     def measure_links(self, from_id: str, to_ids: Iterable[str]) -> list[tuple[tuple[str, str], float]]:
         """``((from_id, to_id), link_ms)`` for each live target other than
         the sender, in the order given, each measured as :meth:`measure_link`
-        does and not converted.  The edge is the tuple the override lookup
-        was keyed by; the flood keeps it as its edge.
+        does; the flood keeps the edge tuple as its edge.  Each time is a
+        float ``>= 0``: a :class:`MatrixLatency`'s checked table is read in
+        place, and a sampled time is checked, so one below zero or NaN
+        raises ``ValueError`` once the call is traced with the model's values.
 
         A target that is not live is skipped unmeasured.  A target whose
         link the latency model cannot price (:class:`LatencyUndefined`) is
-        skipped too, after one ``unmeasurable`` trace record.  Raises
-        :class:`PeerUnknown` when the sender is not live.
+        skipped too, after one ``unmeasurable`` trace record.  The call is
+        one ``(t, from_id, picks)`` trace entry, split around those records,
+        that holds the returned list itself unless a time was converted:
+        nothing may modify it.  Raises :class:`PeerUnknown` if the sender is
+        not live.
         """
         live = self._live
         if from_id not in live:
             raise PeerUnknown(f"observer {from_id!r} is not live")
-        now = self.clock
-        override = self._overrides.get
-        sample = self.latency.sample
-        record = self._trace.append
-        measured = []
-        for to_id in to_ids:
-            if to_id not in live or to_id == from_id:
-                continue
-            edge = (from_id, to_id)
-            link_ms = override(edge)
-            if link_ms is None:
+        latency, overrides, record, start, picks = self.latency, self._overrides, self._trace.append, 0, None
+        if type(latency) is MatrixLatency and type(to_ids) is list:  # a list can be read again below
+            table = latency.entries
+            try:
+                picks = [(edge, overrides[edge] if overrides and edge in overrides else table[edge])
+                         for to_id in to_ids if to_id in live and to_id != from_id for edge in [(from_id, to_id)]]
+            except KeyError:  # a hole: priced link by link below
+                pass
+        if sampled := picks is None:
+            picks, sample = [], latency.sample
+            for edge in [(from_id, to_id) for to_id in to_ids if to_id in live and to_id != from_id]:
                 try:
-                    link_ms = sample(from_id, to_id)
+                    picks.append((edge, overrides[edge] if edge in overrides else sample(*edge)))
                 except LatencyUndefined:
-                    self.log_event("unmeasurable", from_id, to_id)
-                    continue
-            record((now, from_id, to_id, link_ms))
-            measured.append((edge, link_ms))
-        return measured
+                    if len(picks) > start:
+                        record((self.clock, from_id, picks[start:]))
+                    start = len(picks)
+                    self.log_event("unmeasurable", *edge)
+        if len(picks) > start:
+            record((self.clock, from_id, picks[start:] if start else picks))
+        if sampled and not all(type(ms) is float and ms >= 0 for _, ms in picks):
+            converted = []  # the trace keeps the model's values
+            for edge, ms in picks:
+                if not (ms := float(ms)) >= 0:  # also rejects NaN
+                    raise ValueError(f"link time must be >= 0, got {ms}")
+                converted.append((edge, ms))
+            return converted
+        return picks
 
     # ------------------------------------------------------------------ clock
 
@@ -279,15 +295,16 @@ class Simulator:
 def _render(entry: tuple) -> Iterator[dict]:
     """The trace records of a compact entry.  ``announce`` and the link
     measurements, the calls a large registry makes most, append
-    ``(t, services)`` per batch and ``(t_sent, from, to, link_ms)`` per
-    link, and the records are built when read: one per service of a batch,
-    in argument order."""
+    ``(t, services)`` per batch and ``(t_sent, from_id, picks)`` per
+    measuring call, and the records are built when read: one per service
+    of a batch, in argument order, and one per pick."""
     if len(entry) == 2:
         when, services = entry
         for sid, kind, qos, threshold in services:
             detail = {"type": kind, "qos_ms": qos, "threshold": threshold}
             yield {"t": when, "kind": "announce", "from": sid, "to": None, "detail": detail}
         return
-    t_sent, from_id, to_id, link_ms = entry
-    detail = {"t_sent": t_sent, "t_received": t_sent + link_ms, "link_ms": link_ms}
-    yield {"t": t_sent, "kind": "measure", "from": from_id, "to": to_id, "detail": detail}
+    t_sent, from_id, picks = entry
+    for (_, to_id), link_ms in picks:
+        detail = {"t_sent": t_sent, "t_received": t_sent + link_ms, "link_ms": link_ms}
+        yield {"t": t_sent, "kind": "measure", "from": from_id, "to": to_id, "detail": detail}

@@ -146,13 +146,34 @@ def test_an_int_link_time_is_a_float_in_the_index_the_matrix_and_each_cost(laten
 
 @pytest.mark.parametrize("bad_ms", [-1.0, math.nan])
 def test_the_flood_rejects_a_link_time_below_zero_or_nan(bad_ms):
+    """The first sender's call measures B1, B2 and B3, and only B2's time
+    is bad.  The error names it, and the trace ends with every link of that
+    call, each with the model's value: the int stays an int."""
     class Broken:  # a duck-typed latency model: no MatrixLatency check runs
         def sample(self, from_id, to_id):
-            return bad_ms
+            return bad_ms if to_id == "B2" else 1
 
     services = seven_services()
-    with pytest.raises(ValueError, match="link time must be >= 0"):
-        assemble(services, seven_template(), make_net(services, Broken()))
+    net = make_net(services, Broken())
+    with pytest.raises(ValueError, match=f"link time must be >= 0, got {bad_ms}$"):
+        assemble(services, seven_template(), net)
+    measured = [r for r in net.trace_records() if r["kind"] != "announce"]
+    assert [(r["kind"], r["from"], r["to"]) for r in measured] == [
+        ("measure", "A1", "B1"), ("measure", "A1", "B2"), ("measure", "A1", "B3")
+    ]
+    assert [repr(r["detail"]["link_ms"]) for r in measured] == ["1", repr(bad_ms), "1"]
+
+
+def test_a_flood_traces_one_entry_per_measuring_call():
+    """A measuring call is one trace entry that holds its picks, not one
+    tuple per link: a start fanning out to 200 targets leaves the announce
+    batch and one measure entry, which read as one record per link."""
+    scenario = generate_one_layer(200, 2, 0)
+    net = build_simulator(scenario)
+    assemble(scenario.services, scenario.template, net)
+    assert len(net._trace) == 2
+    kinds = [r["kind"] for r in net.trace_records()]
+    assert (kinds.count("announce"), kinds.count("measure"), len(kinds)) == (201, 200, 401)
 
 
 # ------------------------------------------------------------------ candidates

@@ -2108,10 +2108,10 @@ def test_run_scenario_hands_assemble_only_template_typed_services(monkeypatch):
 
 
 class EagerTraceSimulator(Simulator):
-    """The simulator as it traced before: ``announce`` and ``measure_links``
-    (the flood's only measurement call) build each trace record as a dict
-    when the event happens, instead of a tuple rendered when the trace is
-    read."""
+    """The simulator as it traced before: ``announce``, ``measure_link`` and
+    ``measure_links`` (the flood's only measurement call) build each trace
+    record as a dict when the event happens, instead of a tuple rendered
+    when the trace is read, and return each time as the model gave it."""
 
     def announce(self, *services):
         seen = set()
@@ -2128,6 +2128,14 @@ class EagerTraceSimulator(Simulator):
                 {"t": self.clock, "kind": "announce", "from": service.id, "to": None, "detail": detail}
             )
 
+    def measure_link(self, from_id, to_id):
+        for sid in (from_id, to_id):
+            if sid not in self.live_ids():
+                raise PeerUnknown(f"service {sid!r} is not live")
+        link_ms = self.link_latency(from_id, to_id)
+        self._log_measure(from_id, to_id, link_ms)
+        return link_ms
+
     def measure_links(self, from_id, to_ids):
         if from_id not in self.live_ids():
             raise PeerUnknown(f"observer {from_id!r} is not live")
@@ -2140,17 +2148,15 @@ class EagerTraceSimulator(Simulator):
             except LatencyUndefined:
                 self.log_event("unmeasurable", from_id, to_id)
                 continue
-            t_sent = self.clock
-            self.log_event(
-                "measure",
-                from_id,
-                to_id,
-                t_sent=t_sent,
-                t_received=t_sent + link_ms,
-                link_ms=link_ms,
-            )
+            self._log_measure(from_id, to_id, link_ms)
             measured.append(((from_id, to_id), link_ms))
         return measured
+
+    def _log_measure(self, from_id, to_id, link_ms):
+        t_sent = self.clock
+        self.log_event(
+            "measure", from_id, to_id, t_sent=t_sent, t_received=t_sent + link_ms, link_ms=link_ms
+        )
 
 
 @settings(max_examples=150, deadline=None)
@@ -2174,6 +2180,78 @@ def test_deferred_trace_matches_the_eager_trace(world, matrix, data):
         return timeline_jsonl(timeline), net.trace_jsonl(), net.trace_records()
 
     assert run(Simulator) == run(EagerTraceSimulator)
+
+
+class IntLatency:
+    """A duck-typed latency model whose every time is an int."""
+
+    def sample(self, from_id, to_id):
+        return sum(map(ord, from_id + to_id)) % 4
+
+
+NET_IDS = ("A1", "A2", "B1", "B2", "C1")
+_net_id = st.sampled_from(NET_IDS)
+_measure_links = st.tuples(
+    st.just("measure_links"), _net_id, st.lists(st.sampled_from(NET_IDS + ("ghost",)), max_size=7)
+)
+NET_CALLS = st.one_of(  # measure_links drawn three times as often as each other call
+    _measure_links,
+    _measure_links,
+    _measure_links,
+    st.tuples(st.just("measure_link"), _net_id, _net_id),
+    st.tuples(st.just("degrade_link"), _net_id, _net_id, st.sampled_from([0.0, 0.5, 3.0])),
+    st.tuples(st.just("withdraw"), _net_id),
+    st.tuples(st.just("announce"), _net_id),
+    st.tuples(st.just("advance"), st.sampled_from([0.25, 1.0])),
+)
+
+
+def _run_calls(simulator, latency, calls):
+    """Every call's return value, or the class of the error it raised, and
+    the trace bytes, of one simulator over one call sequence."""
+    net = simulator(latency)
+    net.announce(*(ServiceDescriptor(sid, f"t{sid[0]}", 1.0, 1) for sid in NET_IDS))
+    outcomes = []
+    for name, *args in calls:
+        if name == "advance":
+            args = [net.clock + args[0]]
+        elif name == "announce":
+            args = [ServiceDescriptor(args[0], f"t{args[0][0]}", 2.0, 1)]
+        try:
+            outcomes.append(getattr(net, name)(*args))
+        except (DuplicateId, PeerUnknown, LatencyUndefined) as exc:
+            outcomes.append(type(exc))
+    return outcomes, net.trace_jsonl()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["holed_matrix", "holed_matrix", "uniform", "int"]),
+    st.sets(st.tuples(_net_id, _net_id), min_size=2, max_size=10),
+    st.lists(NET_CALLS, max_size=25),
+)
+@example("holed_matrix", {("A1", "B2"), ("A1", "C1")}, [("measure_links", "A1", ["B1", "B2", "A2", "C1", "B1"])])
+def test_simulator_calls_match_the_eager_trace_simulator(model, holes, calls):
+    """Random sequences of measuring, degrading, withdrawing, announcing and
+    advancing give the same trace bytes as the eager simulator, and the same
+    times as floats: a matrix with holes (``unmeasurable`` records between
+    a call's measures), ``UniformLatency(1)`` and an int model, whose ints
+    the trace keeps and ``measure_links`` converts."""
+    def latency():
+        if model == "uniform":
+            return UniformLatency(1)
+        if model == "int":
+            return IntLatency()
+        pairs = [(a, b) for a in NET_IDS for b in NET_IDS if (a, b) not in holes]
+        return MatrixLatency({pair: 1 / (i + 3) for i, pair in enumerate(pairs)})
+
+    outcomes, trace = _run_calls(Simulator, latency(), calls)
+    expected, eager_trace = _run_calls(EagerTraceSimulator, latency(), calls)
+    assert trace == eager_trace
+    assert outcomes == expected
+    for (name, *_), outcome in zip(calls, outcomes):
+        if name == "measure_links" and type(outcome) is list:
+            assert all(type(ms) is float for _, ms in outcome)
 
 
 # ------------------------------------------------------------ CLI input boundary
