@@ -192,14 +192,15 @@ class Simulator:
 
         Simulates a stamped message: it leaves ``from_id`` now and reaches
         ``to_id`` after the modeled latency; the returned value is the
-        timestamp difference, as the model gave it.
+        timestamp difference as a float.  The trace holds the model's value,
+        and one below zero or NaN then raises ``ValueError``.
         """
         for sid in (from_id, to_id):
             if sid not in self._live:
                 raise PeerUnknown(f"service {sid!r} is not live")
         link_ms = self.link_latency(from_id, to_id)
         self._trace.append((self.clock, from_id, [((from_id, to_id), link_ms)]))
-        return link_ms
+        return _link_time(link_ms)
 
     def measure_links(self, from_id: str, to_ids: Iterable[str]) -> list[tuple[tuple[str, str], float]]:
         """``((from_id, to_id), link_ms)`` for each live target other than
@@ -241,12 +242,7 @@ class Simulator:
         if len(picks) > start:
             record((self.clock, from_id, picks[start:] if start else picks))
         if sampled and not all(type(ms) is float and ms >= 0 for _, ms in picks):
-            converted = []  # the trace keeps the model's values
-            for edge, ms in picks:
-                if not (ms := float(ms)) >= 0:  # also rejects NaN
-                    raise ValueError(f"link time must be >= 0, got {ms}")
-                converted.append((edge, ms))
-            return converted
+            return [(edge, _link_time(ms)) for edge, ms in picks]  # the trace keeps the model's values
         return picks
 
     # ------------------------------------------------------------------ clock
@@ -290,6 +286,13 @@ class Simulator:
         """The event trace as line-delimited JSON (one record per line)."""
         lines = [json.dumps(rec, sort_keys=True) for rec in self.trace_records()]
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _link_time(ms) -> float:
+    """A model's link time as a float, or ``ValueError`` if it is below zero or NaN."""
+    if not (ms := float(ms)) >= 0:  # also rejects NaN
+        raise ValueError(f"link time must be >= 0, got {ms}")
+    return ms
 
 
 def _render(entry: tuple) -> Iterator[dict]:

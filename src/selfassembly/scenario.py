@@ -386,21 +386,12 @@ def build_simulator(scenario: Scenario, *, trace: bool = True) -> Simulator:
 # ------------------------------------------------------------------ generators
 #
 # "Random" parameters are drawn from one seeded generator in a fixed order,
-# so the same flags and seed always produce byte-identical files: processing
-# times uniform in [1, 10] ms, thresholds uniform integers in
-# [1, max(2, n_services // 2)], link times uniform in [0.1, 5] ms.
-
-
-def _draw_qos(rng: random.Random) -> float:
-    return rng.uniform(1.0, 10.0)
-
-
-def _draw_threshold(rng: random.Random, n_services: int) -> int:
-    return rng.randint(1, max(2, n_services // 2))
-
-
-def _draw_link(rng: random.Random) -> float:
-    return rng.uniform(0.1, 5.0)
+# so the same flags and seed always produce byte-identical files.  Every
+# generated instance, the layouts here and the random instances below, is
+# drawn by ``_layout``: per layer, each service's qos and then its threshold,
+# then the link of every service pair of each body pair, from-id major.  The
+# layouts draw processing times uniform in [1, 10] ms, thresholds uniform
+# integers in [1, max(2, n_services // 2)], link times uniform in [0.1, 5] ms.
 
 
 def resolve_layer_constraint(k: int | AllServices | str, available: int) -> Constraint:
@@ -424,23 +415,27 @@ def _layout(
     layers: dict[str, tuple[list[str], int | None]],
     body: list[tuple[str, str]],
     constraints: list[Constraint],
-    seed: int,
+    rng: random.Random,
+    *,
+    qos=lambda rng: rng.uniform(1.0, 10.0),
+    threshold=lambda rng, n_services: rng.randint(1, max(2, n_services // 2)),
+    link=lambda rng: rng.uniform(0.1, 5.0),
 ) -> Scenario:
-    """A generated layout.  ``layers`` maps each type to its service ids
+    """A generated instance.  ``layers`` maps each type to its service ids
     and a pinned threshold (``None`` draws one); ``body`` pairs types.
-    Draws, per layer, each service's qos and then its threshold, then the
-    link of every (from, to) service pair of each body pair in order."""
-    rng = random.Random(seed)
+    Draws from ``rng``, per layer, each service's ``qos(rng)`` and then its
+    ``threshold(rng, n_services)``, then the ``link(rng)`` of every (from,
+    to) service pair of each body pair in order, from-id major."""
     n_services = sum(len(ids) for ids, _ in layers.values())
     services = [
         ServiceDescriptor(
-            sid, kind, _draw_qos(rng), _draw_threshold(rng, n_services) if pinned is None else pinned
+            sid, kind, qos(rng), threshold(rng, n_services) if pinned is None else pinned
         )
         for kind, (ids, pinned) in layers.items()
         for sid in ids
     ]
     table = {
-        (a, b): _draw_link(rng)
+        (a, b): link(rng)
         for from_type, to_type in body
         for a in layers[from_type][0]
         for b in layers[to_type][0]
@@ -455,7 +450,7 @@ def generate_one_layer(n: int, k: int | AllServices | str, seed: int) -> Scenari
         raise ValueError("n must be >= 1")
     targets = [f"B{i}" for i in range(1, n + 1)]
     layers = {"tA": (["A1"], None), "tB": (targets, None)}
-    return _layout(layers, [("tA", "tB")], [resolve_layer_constraint(k, n)], seed)
+    return _layout(layers, [("tA", "tB")], [resolve_layer_constraint(k, n)], random.Random(seed))
 
 
 def generate_pyramidal(top_width: int, k: int | AllServices | str, seed: int) -> Scenario:
@@ -470,7 +465,7 @@ def generate_pyramidal(top_width: int, k: int | AllServices | str, seed: int) ->
     }
     body = [(f"t{layer}", f"t{layer + 1}") for layer in range(1, len(widths))]
     constraints = [resolve_layer_constraint(k, width) for width in widths[1:]]
-    return _layout(layers, body, constraints, seed)
+    return _layout(layers, body, constraints, random.Random(seed))
 
 
 def generate_medical(seed: int) -> Scenario:
@@ -488,7 +483,9 @@ def generate_medical(seed: int) -> Scenario:
         "tC": ([f"C{i}" for i in range(1, 6)], 9),
         "tD": ([f"D{i}" for i in range(1, 3)], 9),
     }
-    return _layout(layers, [("tA", "tB"), ("tB", "tC"), ("tB", "tD")], [1, 1, 1], seed)
+    return _layout(
+        layers, [("tA", "tB"), ("tB", "tC"), ("tB", "tD")], [1, 1, 1], random.Random(seed)
+    )
 
 
 # -------------------------------------------------------- random test instances
@@ -507,7 +504,9 @@ def generate_random_instance(
     seed: int,
 ) -> tuple[list[ServiceDescriptor], ApplicationTemplate, QoSMatrix]:
     """One small random instance: services, template, and a full link
-    matrix over the template's type pairs."""
+    matrix over the template's type pairs.  Shapes are drawn until one keeps
+    the search small; ``_layout`` then draws from the same generator, in its
+    order, qos in [1, 10], thresholds in [1, 3] and links in [0.25, 5]."""
     rng = random.Random(seed)
     while True:
         layers = rng.choice([2, 2, 3, 3, 3])
@@ -540,7 +539,7 @@ def generate_random_instance(
             n_choices = (
                 1
                 if isinstance(constraint, AllServices)
-                else _binom(widths[to_layer], constraint)
+                else math.comb(widths[to_layer], constraint)
             )
             binders = 1 if from_layer == 0 else widths[from_layer]
             per_start *= n_choices ** binders
@@ -549,30 +548,13 @@ def generate_random_instance(
             continue
 
         types = [f"t{i + 1}" for i in range(n_layers)]
-        services: list[ServiceDescriptor] = []
-        for layer, width in enumerate(widths):
-            for i in range(1, width + 1):
-                services.append(
-                    ServiceDescriptor(
-                        f"S{layer + 1}x{i}",
-                        types[layer],
-                        _dyadic(rng, 4, 40),
-                        rng.randint(1, 3),
-                    )
-                )
-        body = tuple((types[a], types[b]) for a, b in body_shape)
-        template = ApplicationTemplate(body, tuple(constraints))
-
-        links = QoSMatrix()
-        by_layer = [
-            [s.id for s in services if s.type == types[layer]] for layer in range(n_layers)
-        ]
-        for a_layer, b_layer in body_shape:
-            for a in by_layer[a_layer]:
-                for b in by_layer[b_layer]:
-                    links.set(a, b, _dyadic(rng, 1, 20))
-        return services, template, links
-
-
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k) if k <= n else 10 ** 9  # 10**9 forces a resample
+        ids = {
+            types[layer]: ([f"S{layer + 1}x{i}" for i in range(1, width + 1)], None)
+            for layer, width in enumerate(widths)
+        }
+        body = [(types[a], types[b]) for a, b in body_shape]
+        instance = _layout(
+            ids, body, constraints, rng, qos=lambda r: _dyadic(r, 4, 40),
+            threshold=lambda r, _: r.randint(1, 3), link=lambda r: _dyadic(r, 1, 20),
+        )
+        return instance.services, instance.template, QoSMatrix._unchecked(instance.links.entries)

@@ -135,6 +135,35 @@ def test_measure_links_skips_a_link_the_model_cannot_price():
         net.measure_link("A1", "C1")
 
 
+class _NegativeLatency:
+    """A duck-typed latency model whose every time is the int -1."""
+
+    def sample(self, from_id, to_id):
+        return -1
+
+
+def test_measure_link_converts_and_checks_a_time_as_measure_links_does():
+    """Both calls trace the model's value, then return it as a float or
+    raise at a time below zero."""
+    for measure in (
+        lambda net: net.measure_link("A1", "B1"),
+        lambda net: net.measure_links("A1", ["B1"])[0][1],
+    ):
+        net = make_net(seven_services(), _NegativeLatency())
+        with pytest.raises(ValueError, match=r"^link time must be >= 0, got -1\.0$"):
+            measure(net)
+        (record,) = [r for r in net.trace_records() if r["kind"] == "measure"]
+        assert (record["to"], record["detail"]["link_ms"], record["detail"]["t_received"]) == (
+            "B1", -1, -1.0
+        )
+
+        net = make_net(seven_services(), UniformLatency(1))
+        ms = measure(net)
+        assert type(ms) is float and ms == 1.0
+        (record,) = [r for r in net.trace_records() if r["kind"] == "measure"]
+        assert type(record["detail"]["link_ms"]) is int and record["detail"]["link_ms"] == 1
+
+
 def test_measure_seeded_reproducible_across_fresh_simulators():
     def run():
         net = make_net(seven_services(), SeededLatency(5.0, 2.0, seed=42))

@@ -24,6 +24,7 @@ from selfassembly.scenario import (
     generate_medical,
     generate_one_layer,
     generate_pyramidal,
+    generate_random_instance,
     parse_scenario,
     resolve_layer_constraint,
     serialize_scenario,
@@ -556,9 +557,9 @@ def test_one_layer_deterministic_bytes():
 
 
 def test_generators_draw_in_a_fixed_order():
-    """The generated documents, byte for byte: any change to what the
-    generators draw from their seeded generator, or in which order, changes
-    this digest."""
+    """The generated documents, byte for byte, and the random instances:
+    any change to what the generators draw from their seeded generator, or
+    in which order, changes these digests."""
     digest = hashlib.sha256()
     for seed in range(4):
         for k in (1, 2, "half", "all"):
@@ -569,6 +570,13 @@ def test_generators_draw_in_a_fixed_order():
         digest.update(serialize_scenario(generate_medical(seed)).encode())
     assert digest.hexdigest() == (
         "6021b7748a76783c19acff58eba149a575afb57f582a77b52830499bead20893"
+    )
+    digest = hashlib.sha256()  # the instances ``verify`` checks
+    for seed in range(200):
+        services, template, links = generate_random_instance(seed)
+        digest.update(repr((services, template, links.items())).encode())
+    assert digest.hexdigest() == (
+        "f8fca5b4995320f20df7f0bcf00f3a671214b633bc767d161c13ce52308b1ed3"
     )
 
 
